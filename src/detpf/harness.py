@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .identities import MAIN_DIM, InvalidParamsError, get_spec as _get_raw_spec, registry
+from .identities import InvalidParamsError, get_spec as _get_raw_spec, registry
 from .poly import Polynomial, VariableTable, random_rational
 
 
@@ -45,8 +45,7 @@ def resolve_params(spec, overrides=None):
         if key not in params:
             raise InvalidParamsError(f"unknown parameter {key!r} for {spec.name}")
         params[key] = value
-    if spec.check is not None:
-        spec.check(params)
+    spec.check(params)
     return params
 
 
@@ -150,19 +149,25 @@ def _run_numeric_trial(spec, name, params, seed, bound, trial, reject_limit):
     return failures
 
 
+def _check_run(mode, trials, bound):
+    if mode not in ("symbolic", "numeric"):
+        raise InvalidParamsError(f"unknown mode {mode!r}")
+    if mode == "numeric" and trials < 1:
+        raise InvalidParamsError("numeric mode requires trials >= 1")
+    if mode == "numeric" and bound < 1:
+        raise InvalidParamsError("numeric mode requires bound >= 1")
+
+
 def verify(name, params=None, mode="symbolic", trials=20, seed=0, bound=25):
     """Run one identity in one mode and return its VerificationReport."""
     spec = get_spec(name)
     params = resolve_params(spec, params)
-    if mode not in ("symbolic", "numeric"):
-        raise InvalidParamsError(f"unknown mode {mode!r}")
-    if mode == "symbolic":
-        main_dim = MAIN_DIM.get(name)
-        if main_dim is not None and main_dim(params) > SYMBOLIC_DIM_CAP:
-            raise InvalidParamsError(
-                f"{name} at {params} exceeds the symbolic size cap "
-                f"(matrix dimension {main_dim(params)} > {SYMBOLIC_DIM_CAP}); use numeric mode"
-            )
+    _check_run(mode, trials, bound)
+    if mode == "symbolic" and spec.main_dim(params) > SYMBOLIC_DIM_CAP:
+        raise InvalidParamsError(
+            f"{name} at {params} exceeds the symbolic size cap "
+            f"(matrix dimension {spec.main_dim(params)} > {SYMBOLIC_DIM_CAP}); use numeric mode"
+        )
     start = time.perf_counter()
     failures = []
     if mode == "symbolic":
@@ -181,8 +186,6 @@ def verify(name, params=None, mode="symbolic", trials=20, seed=0, bound=25):
                 )
         trials_run = 1
     else:
-        if trials < 1:
-            raise InvalidParamsError("numeric mode requires trials >= 1")
         reject_limit = 100 * trials
         for trial in range(trials):
             failures.extend(
@@ -315,6 +318,7 @@ def run_campaign(config, workers=1):
     for bi, b in enumerate(config.blocks):
         spec = get_spec(b.name)
         resolve_params(spec, b.params)
+        _check_run(b.mode, b.trials, b.bound)
         if b.mode == "numeric":
             for t in range(b.trials):
                 tasks.append((b.name, b.params, b.mode, b.trials, b.seed, b.bound, t))

@@ -1,12 +1,19 @@
 """Registry of all verifiable identities.
 
 Each entry declares its variable vectors, its guard expressions (factors
-that must not vanish at a random evaluation point), and a builder that
-produces (lhs, rhs) pairs from a map prefix -> list of scalars.  The same
-builder runs in two modes: symbolic (scalars are polynomial generators,
-sides are denominator-cleared polynomials) and numeric (scalars are random
-rationals, sides are evaluated in raw fractional form where the statement
-has denominators).
+that must not vanish at a random evaluation point), its principal matrix
+dimension (which caps symbolic mode) and a builder that produces (lhs, rhs)
+pairs from a map prefix -> list of scalars.  The same builder runs in two
+modes: symbolic (scalars are polynomial generators, sides are
+denominator-cleared polynomials) and numeric (scalars are random rationals,
+sides are evaluated in raw fractional form where the statement has
+denominators).
+
+Most of the paper's identities share one shape: det or Pf of num/den equals
+a core over the product of the denominators, generalizing Cauchy's
+det(1/(x_i+y_j)) and Schur's Pf((x_j-x_i)/(x_j+x_i)).  Those are declared
+by `_register_quotient` from (den, num, core) alone; it derives both modes'
+sides and takes the denominators as the guards.
 
 Sides are composed exclusively from the matrix builders, exact linear
 algebra and symmetric-function primitives; no identity re-derives a closed
@@ -31,13 +38,22 @@ from .linalg import (
     pfaffian_with_denominators,
     sub_pfaffian,
 )
-from .lr import b_coeff, lr_bruteforce
+from .lr import b_principal, lr_bruteforce
 from .symfunc import Partition, h_complete, index_set, partitions_in_box, schur_jacobi_trudi
 from .vandermonde import build_DBC, build_U, build_V, build_W, fgh_sum, partition_family
 
 
 class InvalidParamsError(ValueError):
     """Identity parameters are unknown, malformed, or violate the statement's hypotheses."""
+
+
+def _check_nonneg(params, positive=("n",)):
+    for key, value in params.items():
+        if not isinstance(value, int) or value < 0:
+            raise InvalidParamsError(f"parameter {key} must be a nonnegative integer")
+    for key in positive:
+        if key in params and params[key] < 1:
+            raise InvalidParamsError(f"parameter {key} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -50,8 +66,9 @@ class IdentitySpec:
     numeric_defaults: dict
     vectors: object  # params -> [(prefix, count)]
     sides: object  # (params, sc, numeric) -> [(lhs, rhs)]
+    main_dim: object  # params -> principal matrix dimension (symbolic size cap)
     guards: object = None  # (params, sc) -> [scalar], or None
-    check: object = None  # params -> None, raises InvalidParamsError
+    check: object = _check_nonneg  # params -> None, raises InvalidParamsError
     symbolic_cases: tuple = ()
 
     def guard_values(self, params, sc):
@@ -67,6 +84,52 @@ def _register(**kwargs):
         raise ValueError(f"duplicate identity {spec.name}")
     REGISTRY[spec.name] = spec
     return spec
+
+
+def _register_quotient(kind, dim, den, parts, **fields):
+    """Register an identity  det|Pf(num/den) = core / prod(den).
+
+    `kind` is "det" (den over all pairs of a dim x dim matrix) or "pf" (den
+    over the pairs i < j of a dim x dim skew matrix).  `dim(params)` is that
+    dimension, `den(params, sc, i, j)` one denominator, and `parts(params,
+    sc)` returns `(num, core)` with `num(i, j)` the matching numerator.
+
+    Numeric mode compares the raw fractional det/Pf with core over the
+    product of the denominators; symbolic mode compares the
+    denominator-cleared det/Pf with core.  The guards are the denominators:
+    over Q a product is nonzero exactly when each of its factors is.
+    `main_dim` defaults to `dim`.
+    """
+
+    def pairs(n):
+        if kind == "det":
+            return [(i, j) for i in range(n) for j in range(n)]
+        return _all_pairs(n)
+
+    def sides(p, sc, numeric):
+        n = dim(p)
+        num, core = parts(p, sc)
+
+        def d(i, j):
+            return den(p, sc, i, j)
+
+        if kind == "det" and numeric:
+            lhs = det(RingMatrix(n, n, [num(i, j) / d(i, j) for i, j in pairs(n)]))
+        elif kind == "det":
+            nmat = RingMatrix(n, n, [num(i, j) for i, j in pairs(n)])
+            lhs = det_with_denominators(nmat, RingMatrix(n, n, [d(i, j) for i, j in pairs(n)]))
+        elif numeric:
+            lhs = pfaffian(SkewMatrix.from_upper_function(n, lambda i, j: num(i, j) / d(i, j)))
+        else:
+            lhs = pfaffian_with_denominators(n, num, d)
+        if numeric:
+            return [(lhs, core / _prod(d(i, j) for i, j in pairs(n)))]
+        return [(lhs, core)]
+
+    fields.setdefault("main_dim", dim)
+    fields["sides"] = sides
+    fields["guards"] = lambda p, sc: [den(p, sc, i, j) for i, j in pairs(dim(p))]
+    return _register(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -108,30 +171,23 @@ def _schur(lam, values):
     return schur_jacobi_trudi(lam, list(values))
 
 
-def _det_lhs(n, num, den, numeric):
-    """det(num/den): raw fractional determinant numerically, cleared symbolically."""
-    if numeric:
-        data = [num(i, j) / den(i, j) for i in range(n) for j in range(n)]
-        return det(RingMatrix(n, n, data))
-    nmat = RingMatrix(n, n, [num(i, j) for i in range(n) for j in range(n)])
-    dmat = RingMatrix(n, n, [den(i, j) for i in range(n) for j in range(n)])
-    return det_with_denominators(nmat, dmat)
+def _one(i, j):
+    return Fraction(1)
 
 
-def _pf_lhs(dim, num, den, numeric):
-    """Pf(num/den): raw fractional Pfaffian numerically, cleared symbolically."""
-    if numeric:
-        return pfaffian(
-            SkewMatrix.from_upper_function(dim, lambda i, j: num(i, j) / den(i, j))
-        )
-    return pfaffian_with_denominators(dim, num, den)
+# denominators shared by several quotient identities
+def _x_gap(p, sc, i, j):
+    return sc["x"][j] - sc["x"][i]
 
 
-def _rhs(core, dens, numeric):
-    """RHS core over the product of denominators (raw mode) or the cleared core."""
-    if numeric:
-        return core / _prod(dens)
-    return core
+def _x_gap_palindromic(p, sc, i, j):
+    x = sc["x"]
+    return (x[j] - x[i]) * (1 - x[i] * x[j])
+
+
+def _xy_gap_palindromic(p, sc, i, j):
+    x, y = sc["x"], sc["y"]
+    return (y[j] - x[i]) * (1 - x[i] * y[j])
 
 
 def _all_pairs(n):
@@ -153,19 +209,11 @@ def _skew_from(sc_values, dim):
     return SkewMatrix(dim, upper)
 
 
-def _check_nonneg(params, positive=("n",)):
-    for key, value in params.items():
-        if not isinstance(value, int) or value < 0:
-            raise InvalidParamsError(f"parameter {key} must be a nonnegative integer")
-    for key in positive:
-        if key in params and params[key] < 1:
-            raise InvalidParamsError(f"parameter {key} must be >= 1")
-
-
 def _check_even_n(params):
     _check_nonneg(params)
     if params["n"] % 2:
         raise InvalidParamsError("n must be even")
+
 
 def _check_min(params, key, minimum):
     if params[key] < minimum:
@@ -203,94 +251,79 @@ def _check_even_block(params):
 # classical seeds: Cauchy determinant and Schur Pfaffian
 
 
-def _cauchy_sides(p, sc, numeric):
-    n = p["n"]
-    x, y = sc["x"], sc["y"]
-    num = lambda i, j: Fraction(1)
-    den = lambda i, j: x[i] + y[j]
-    core = _delta(x) * _delta(y)
-    lhs = _det_lhs(n, num, den, numeric)
-    rhs = _rhs(core, (den(i, j) for i in range(n) for j in range(n)), numeric)
-    return [(lhs, rhs)]
+def _cauchy(p, sc):
+    return _one, _delta(sc["x"]) * _delta(sc["y"])
 
 
-_register(
+_register_quotient(
+    "det",
+    dim=lambda p: p["n"],
+    den=lambda p, sc, i, j: sc["x"][i] + sc["y"][j],
+    parts=_cauchy,
     name="cauchy",
     summary="det(1/(x_i+y_j)) equals the double Vandermonde over the pair products",
     defaults={"n": 2},
     numeric_defaults={"n": 3},
     vectors=lambda p: [("x", p["n"]), ("y", p["n"])],
-    sides=_cauchy_sides,
-    guards=lambda p, sc: [sc["x"][i] + sc["y"][j] for i in range(p["n"]) for j in range(p["n"])],
-    check=_check_nonneg,
 )
 
 
-def _schur_id_sides(p, sc, numeric):
-    n = p["n"]
+def _schur_id(p, sc):
     x = sc["x"]
-    num = lambda i, j: x[j] - x[i]
-    den = lambda i, j: x[j] + x[i]
-    lhs = _pf_lhs(2 * n, num, den, numeric)
-    rhs = _rhs(_delta(x), (den(i, j) for i, j in _all_pairs(2 * n)), numeric)
-    return [(lhs, rhs)]
+    return (lambda i, j: x[j] - x[i]), _delta(x)
 
 
-_register(
+_register_quotient(
+    "pf",
+    dim=lambda p: 2 * p["n"],
+    den=lambda p, sc, i, j: sc["x"][j] + sc["x"][i],
+    parts=_schur_id,
     name="schur",
     summary="Pf((x_j-x_i)/(x_j+x_i)) equals the product over all pairs",
     defaults={"n": 2},
     numeric_defaults={"n": 3},
     vectors=lambda p: [("x", 2 * p["n"])],
-    sides=_schur_id_sides,
-    guards=lambda p, sc: [sc["x"][j] + sc["x"][i] for i, j in _all_pairs(2 * p["n"])],
-    check=_check_nonneg,
 )
 
 
-def _special1_sides(p, sc, numeric):
+def _special1(p, sc):
     n = p["n"]
     x, y, a, b = sc["x"], sc["y"], sc["a"], sc["b"]
-    num = lambda i, j: b[j] - a[i]
-    den = lambda i, j: y[j] - x[i]
     core = _sign(n * (n - 1) // 2) * _dv(n, n, x + y, a + b)
-    lhs = _det_lhs(n, num, den, numeric)
-    rhs = _rhs(core, (den(i, j) for i in range(n) for j in range(n)), numeric)
-    return [(lhs, rhs)]
+    return (lambda i, j: b[j] - a[i]), core
 
 
-_register(
+_register_quotient(
+    "det",
+    dim=lambda p: p["n"],
+    den=lambda p, sc, i, j: sc["y"][j] - sc["x"][i],
+    parts=_special1,
     name="special1",
     summary="det((b_j-a_i)/(y_j-x_i)) in terms of one two-block determinant",
     defaults={"n": 2},
     numeric_defaults={"n": 3},
     vectors=lambda p: [("x", p["n"]), ("y", p["n"]), ("a", p["n"]), ("b", p["n"])],
-    sides=_special1_sides,
-    guards=lambda p, sc: [sc["y"][j] - sc["x"][i] for i in range(p["n"]) for j in range(p["n"])],
-    check=_check_nonneg,
+    main_dim=lambda p: 2 * p["n"],
 )
 
 
-def _special2_sides(p, sc, numeric):
+def _special2(p, sc):
     n = p["n"]
     x, a, b = sc["x"], sc["a"], sc["b"]
-    num = lambda i, j: (a[j] - a[i]) * (b[j] - b[i])
-    den = lambda i, j: x[j] - x[i]
     core = _dv(n, n, x, a) * _dv(n, n, x, b)
-    lhs = _pf_lhs(2 * n, num, den, numeric)
-    rhs = _rhs(core, (den(i, j) for i, j in _all_pairs(2 * n)), numeric)
-    return [(lhs, rhs)]
+    return (lambda i, j: (a[j] - a[i]) * (b[j] - b[i])), core
 
 
-_register(
+_register_quotient(
+    "pf",
+    dim=lambda p: 2 * p["n"],
+    den=lambda p, sc, i, j: sc["x"][j] - sc["x"][i],
+    parts=_special2,
     name="special2",
     summary="Pf((a_j-a_i)(b_j-b_i)/(x_j-x_i)) as a product of two two-block determinants",
     defaults={"n": 2},
     numeric_defaults={"n": 3},
     vectors=lambda p: [("x", 2 * p["n"]), ("a", 2 * p["n"]), ("b", 2 * p["n"])],
-    sides=_special2_sides,
-    guards=lambda p, sc: [sc["x"][j] - sc["x"][i] for i, j in _all_pairs(2 * p["n"])],
-    check=_check_nonneg,
 )
 
 
@@ -298,22 +331,23 @@ _register(
 # the four main identities
 
 
-def _main1_sides(p, sc, numeric):
+def _main1(p, sc):
     n, pp, qq = p["n"], p["p"], p["q"]
     x, y, a, b, z, c = sc["x"], sc["y"], sc["a"], sc["b"], sc["z"], sc["c"]
     num = lambda i, j: _dv(pp + 1, qq + 1, [x[i], y[j]] + z, [a[i], b[j]] + c)
-    den = lambda i, j: y[j] - x[i]
     core = (
         _sign(n * (n - 1) // 2)
         * _pow(_dv(pp, qq, z, c), n - 1)
         * _dv(n + pp, n + qq, x + y + z, a + b + c)
     )
-    lhs = _det_lhs(n, num, den, numeric)
-    rhs = _rhs(core, (den(i, j) for i in range(n) for j in range(n)), numeric)
-    return [(lhs, rhs)]
+    return num, core
 
 
-_register(
+_register_quotient(
+    "det",
+    dim=lambda p: p["n"],
+    den=lambda p, sc, i, j: sc["y"][j] - sc["x"][i],
+    parts=_main1,
     name="main1",
     summary="Cauchy-type determinant with two-block-determinant entries",
     defaults={"n": 2, "p": 1, "q": 0},
@@ -322,14 +356,12 @@ _register(
         ("x", p["n"]), ("y", p["n"]), ("a", p["n"]), ("b", p["n"]),
         ("z", p["p"] + p["q"]), ("c", p["p"] + p["q"]),
     ],
-    sides=_main1_sides,
-    guards=lambda p, sc: [sc["y"][j] - sc["x"][i] for i in range(p["n"]) for j in range(p["n"])],
-    check=_check_nonneg,
+    main_dim=lambda p: 2 * p["n"] + p["p"] + p["q"],
     symbolic_cases=({"n": 2, "p": 1, "q": 0}, {"n": 3, "p": 0, "q": 0}),
 )
 
 
-def _main2_sides(p, sc, numeric):
+def _main2(p, sc):
     n, pp, qq, rr, ss = p["n"], p["p"], p["q"], p["r"], p["s"]
     x, a, b = sc["x"], sc["a"], sc["b"]
     z, c, w, d = sc["z"], sc["c"], sc["w"], sc["d"]
@@ -339,16 +371,13 @@ def _main2_sides(p, sc, numeric):
             rr + 1, ss + 1, [x[i], x[j]] + w, [b[i], b[j]] + d
         )
 
-    den = lambda i, j: x[j] - x[i]
     core = (
         _pow(_dv(pp, qq, z, c), n - 1)
         * _pow(_dv(rr, ss, w, d), n - 1)
         * _dv(n + pp, n + qq, x + z, a + c)
         * _dv(n + rr, n + ss, x + w, b + d)
     )
-    lhs = _pf_lhs(2 * n, num, den, numeric)
-    rhs = _rhs(core, (den(i, j) for i, j in _all_pairs(2 * n)), numeric)
-    return [(lhs, rhs)]
+    return num, core
 
 
 def _main2_vectors(p):
@@ -359,15 +388,17 @@ def _main2_vectors(p):
     ]
 
 
-_register(
+_register_quotient(
+    "pf",
+    dim=lambda p: 2 * p["n"],
+    den=_x_gap,
+    parts=_main2,
     name="main2",
     summary="Schur-type Pfaffian with paired two-block-determinant entries",
     defaults={"n": 2, "p": 0, "q": 0, "r": 0, "s": 0},
     numeric_defaults={"n": 2, "p": 1, "q": 1, "r": 1, "s": 1},
     vectors=_main2_vectors,
-    sides=_main2_sides,
-    guards=lambda p, sc: [sc["x"][j] - sc["x"][i] for i, j in _all_pairs(2 * p["n"])],
-    check=_check_nonneg,
+    main_dim=lambda p: 2 * p["n"] + max(p["p"] + p["q"], p["r"] + p["s"]),
     symbolic_cases=(
         {"n": 2, "p": 0, "q": 0, "r": 0, "s": 0},
         {"n": 1, "p": 1, "q": 1, "r": 0, "s": 1},
@@ -375,18 +406,19 @@ _register(
 )
 
 
-def _main3_sides(p, sc, numeric):
+def _main3(p, sc):
     n, pp = p["n"], p["p"]
     x, y, a, b, z, c = sc["x"], sc["y"], sc["a"], sc["b"], sc["z"], sc["c"]
     num = lambda i, j: _dw(pp + 2, [x[i], y[j]] + z, [a[i], b[j]] + c)
-    den = lambda i, j: (y[j] - x[i]) * (1 - x[i] * y[j])
     core = _pow(_dw(pp, z, c), n - 1) * _dw(2 * n + pp, x + y + z, a + b + c)
-    lhs = _det_lhs(n, num, den, numeric)
-    rhs = _rhs(core, (den(i, j) for i in range(n) for j in range(n)), numeric)
-    return [(lhs, rhs)]
+    return num, core
 
 
-_register(
+_register_quotient(
+    "det",
+    dim=lambda p: p["n"],
+    den=_xy_gap_palindromic,
+    parts=_main3,
     name="main3",
     summary="Cauchy-type determinant with palindromic-row determinant entries",
     defaults={"n": 2, "p": 0},
@@ -395,16 +427,11 @@ _register(
         ("x", p["n"]), ("y", p["n"]), ("a", p["n"]), ("b", p["n"]),
         ("z", p["p"]), ("c", p["p"]),
     ],
-    sides=_main3_sides,
-    guards=lambda p, sc: (
-        [sc["y"][j] - sc["x"][i] for i in range(p["n"]) for j in range(p["n"])]
-        + [1 - sc["x"][i] * sc["y"][j] for i in range(p["n"]) for j in range(p["n"])]
-    ),
-    check=_check_nonneg,
+    main_dim=lambda p: 2 * p["n"] + p["p"],
 )
 
 
-def _main4_sides(p, sc, numeric):
+def _main4(p, sc):
     n, pp, qq = p["n"], p["p"], p["q"]
     x, a, b = sc["x"], sc["a"], sc["b"]
     z, c, w, d = sc["z"], sc["c"], sc["w"], sc["d"]
@@ -414,19 +441,20 @@ def _main4_sides(p, sc, numeric):
             qq + 2, [x[i], x[j]] + w, [b[i], b[j]] + d
         )
 
-    den = lambda i, j: (x[j] - x[i]) * (1 - x[i] * x[j])
     core = (
         _pow(_dw(pp, z, c), n - 1)
         * _pow(_dw(qq, w, d), n - 1)
         * _dw(2 * n + pp, x + z, a + c)
         * _dw(2 * n + qq, x + w, b + d)
     )
-    lhs = _pf_lhs(2 * n, num, den, numeric)
-    rhs = _rhs(core, (den(i, j) for i, j in _all_pairs(2 * n)), numeric)
-    return [(lhs, rhs)]
+    return num, core
 
 
-_register(
+_register_quotient(
+    "pf",
+    dim=lambda p: 2 * p["n"],
+    den=_x_gap_palindromic,
+    parts=_main4,
     name="main4",
     summary="Schur-type Pfaffian with paired palindromic-row determinant entries",
     defaults={"n": 2, "p": 0, "q": 0},
@@ -435,12 +463,7 @@ _register(
         ("x", 2 * p["n"]), ("a", 2 * p["n"]), ("b", 2 * p["n"]),
         ("z", p["p"]), ("c", p["p"]), ("w", p["q"]), ("d", p["q"]),
     ],
-    sides=_main4_sides,
-    guards=lambda p, sc: (
-        [sc["x"][j] - sc["x"][i] for i, j in _all_pairs(2 * p["n"])]
-        + [1 - sc["x"][i] * sc["x"][j] for i, j in _all_pairs(2 * p["n"])]
-    ),
-    check=_check_nonneg,
+    main_dim=lambda p: 2 * p["n"] + max(p["p"], p["q"]),
 )
 
 
@@ -448,42 +471,35 @@ _register(
 # staircase Schur-function corollaries
 
 
-def _cauchy1_sides(p, sc, numeric):
-    n, k = p["n"], p["k"]
+def _cauchy1(p, sc):
+    n = p["n"]
     x, y, z = sc["x"], sc["y"], sc["z"]
-    stair = Partition.staircase(k)
+    stair = Partition.staircase(p["k"])
     num = lambda i, j: _schur(stair, [x[i], y[j]] + z)
-    den = lambda i, j: x[i] + y[j]
-    core = (
-        _delta(x)
-        * _delta(y)
-        * _pow(_schur(stair, z), n - 1)
-        * _schur(stair, x + y + z)
-    )
-    lhs = _det_lhs(n, num, den, numeric)
-    rhs = _rhs(core, (den(i, j) for i in range(n) for j in range(n)), numeric)
-    return [(lhs, rhs)]
+    core = _delta(x) * _delta(y) * _pow(_schur(stair, z), n - 1) * _schur(stair, x + y + z)
+    return num, core
 
 
-_register(
+_register_quotient(
+    "det",
+    dim=lambda p: p["n"],
+    den=lambda p, sc, i, j: sc["x"][i] + sc["y"][j],
+    parts=_cauchy1,
     name="cauchy1",
     summary="Cauchy determinant dressed with staircase Schur polynomials",
     defaults={"n": 2, "k": 1, "zlen": 1},
     numeric_defaults={"n": 2, "k": 2, "zlen": 2},
     vectors=lambda p: [("x", p["n"]), ("y", p["n"]), ("z", p["zlen"])],
-    sides=_cauchy1_sides,
-    guards=lambda p, sc: [sc["x"][i] + sc["y"][j] for i in range(p["n"]) for j in range(p["n"])],
-    check=_check_nonneg,
+    main_dim=lambda p: max(p["n"], p["k"]),
 )
 
 
-def _schur1_sides(p, sc, numeric):
-    n, k, l = p["n"], p["k"], p["l"]
+def _schur1(p, sc):
+    n = p["n"]
     x, z, w = sc["x"], sc["z"], sc["w"]
-    sk = Partition.staircase(k)
-    sl = Partition.staircase(l)
+    sk = Partition.staircase(p["k"])
+    sl = Partition.staircase(p["l"])
     num = lambda i, j: (x[j] - x[i]) * _schur(sk, [x[i], x[j]] + z) * _schur(sl, [x[i], x[j]] + w)
-    den = lambda i, j: x[j] + x[i]
     core = (
         _delta(x)
         * _pow(_schur(sk, z), n - 1)
@@ -491,35 +507,37 @@ def _schur1_sides(p, sc, numeric):
         * _schur(sk, x + z)
         * _schur(sl, x + w)
     )
-    lhs = _pf_lhs(2 * n, num, den, numeric)
-    rhs = _rhs(core, (den(i, j) for i, j in _all_pairs(2 * n)), numeric)
-    return [(lhs, rhs)]
+    return num, core
 
 
-_register(
+_register_quotient(
+    "pf",
+    dim=lambda p: 2 * p["n"],
+    den=lambda p, sc, i, j: sc["x"][j] + sc["x"][i],
+    parts=_schur1,
     name="schur1",
     summary="Schur Pfaffian dressed with two staircase Schur polynomials",
     defaults={"n": 2, "k": 1, "l": 0, "zlen": 1, "wlen": 0},
     numeric_defaults={"n": 2, "k": 2, "l": 1, "zlen": 2, "wlen": 1},
     vectors=lambda p: [("x", 2 * p["n"]), ("z", p["zlen"]), ("w", p["wlen"])],
-    sides=_schur1_sides,
-    guards=lambda p, sc: [sc["x"][j] + sc["x"][i] for i, j in _all_pairs(2 * p["n"])],
-    check=_check_nonneg,
+    main_dim=lambda p: max(2 * p["n"], p["k"], p["l"]),
 )
 
 
 # ---------------------------------------------------------------------------
 # the 4x4 base case of the Pfaffian identity
 
-_register(
+_register_quotient(
+    "pf",
+    dim=lambda p: 4,
+    den=_x_gap,
+    parts=lambda p, sc: _main2({**p, "n": 2}, sc),
     name="prop_n2",
     summary="the n=2 base case of the paired-entry Pfaffian identity",
     defaults={"p": 1, "q": 0, "r": 0, "s": 1},
     numeric_defaults={"p": 1, "q": 1, "r": 1, "s": 1},
     vectors=lambda p: _main2_vectors({**p, "n": 2}),
-    sides=lambda p, sc, numeric: _main2_sides({**p, "n": 2}, sc, numeric),
-    guards=lambda p, sc: [sc["x"][j] - sc["x"][i] for i, j in _all_pairs(4)],
-    check=lambda p: _check_nonneg(p, positive=()),
+    main_dim=lambda p: 4 + max(p["p"] + p["q"], p["r"] + p["s"]),
 )
 
 
@@ -568,6 +586,7 @@ _register(
     numeric_defaults={"p": 3, "q": 2},
     vectors=lambda p: [("x", p["p"] + p["q"]), ("a", p["p"] + p["q"])],
     sides=_rel_v1_sides,
+    main_dim=lambda p: p["p"] + p["q"],
     guards=lambda p, sc: [
         sc["x"][i] - sc["x"][p["p"] + p["q"] - 1] for i in range(p["p"] + p["q"] - 1)
     ],
@@ -603,8 +622,8 @@ _register(
     numeric_defaults={"p": 2, "q": 2},
     vectors=lambda p: [("x", p["p"] + p["q"]), ("a", p["p"] + p["q"])],
     sides=_rel_v2_sides,
+    main_dim=lambda p: p["p"] + p["q"],
     guards=lambda p, sc: list(sc["a"]),
-    check=lambda p: _check_nonneg(p, positive=()),
 )
 
 
@@ -629,6 +648,7 @@ _register(
     numeric_defaults={"n": 5},
     vectors=lambda p: [("a", p["n"] * p["n"])],
     sides=_det_dodgson_sides,
+    main_dim=lambda p: p["n"],
     check=_check_dodgson,
 )
 
@@ -658,6 +678,7 @@ _register(
     numeric_defaults={"n": 3},
     vectors=lambda p: [("a", p["n"] * (2 * p["n"] - 1))],
     sides=_pf_dodgson_sides,
+    main_dim=lambda p: 2 * p["n"],
     check=_check_dodgson,
 )
 
@@ -666,7 +687,7 @@ _register(
 # homogeneous two-variable-pair versions
 
 
-def _homog1_sides(p, sc, numeric):
+def _homog1(p, sc):
     n, pp, qq, rr, ss = p["n"], p["p"], p["q"], p["r"], p["s"]
     x, y, a, b, c, d = sc["x"], sc["y"], sc["a"], sc["b"], sc["c"], sc["d"]
     xi, eta, alpha, beta = sc["xi"], sc["eta"], sc["alpha"], sc["beta"]
@@ -683,19 +704,20 @@ def _homog1_sides(p, sc, numeric):
             [c[i], c[j]] + gamma, [d[i], d[j]] + delta,
         )
 
-    den = lambda i, j: x[i] * y[j] - x[j] * y[i]
     core = (
         _pow(_du(pp, qq, xi, eta, alpha, beta), n - 1)
         * _pow(_du(rr, ss, zeta, omega, gamma, delta), n - 1)
         * _du(n + pp, n + qq, x + xi, y + eta, a + alpha, b + beta)
         * _du(n + rr, n + ss, x + zeta, y + omega, c + gamma, d + delta)
     )
-    lhs = _pf_lhs(2 * n, num, den, numeric)
-    rhs = _rhs(core, (den(i, j) for i, j in _all_pairs(2 * n)), numeric)
-    return [(lhs, rhs)]
+    return num, core
 
 
-_register(
+_register_quotient(
+    "pf",
+    dim=lambda p: 2 * p["n"],
+    den=lambda p, sc, i, j: sc["x"][i] * sc["y"][j] - sc["x"][j] * sc["y"][i],
+    parts=_homog1,
     name="homog1",
     summary="homogeneous Pfaffian identity over variable pairs (x_i, y_i)",
     defaults={"n": 2, "p": 0, "q": 0, "r": 0, "s": 0},
@@ -708,15 +730,11 @@ _register(
         ("zeta", p["r"] + p["s"]), ("omega", p["r"] + p["s"]),
         ("gamma", p["r"] + p["s"]), ("delta", p["r"] + p["s"]),
     ],
-    sides=_homog1_sides,
-    guards=lambda p, sc: [
-        sc["x"][i] * sc["y"][j] - sc["x"][j] * sc["y"][i] for i, j in _all_pairs(2 * p["n"])
-    ],
-    check=_check_nonneg,
+    main_dim=lambda p: 2 * p["n"] + max(p["p"] + p["q"], p["r"] + p["s"]),
 )
 
 
-def _homog2_sides(p, sc, numeric):
+def _homog2(p, sc):
     n, pp, qq = p["n"], p["p"], p["q"]
     x, y, z, w = sc["x"], sc["y"], sc["z"], sc["w"]
     a, b, c, d = sc["a"], sc["b"], sc["c"], sc["d"]
@@ -729,18 +747,19 @@ def _homog2_sides(p, sc, numeric):
             [a[i], c[j]] + alpha, [b[i], d[j]] + beta,
         )
 
-    den = lambda i, j: x[i] * w[j] - z[j] * y[i]
     core = (
         _sign(n * (n - 1) // 2)
         * _pow(_du(pp, qq, xi, eta, alpha, beta), n - 1)
         * _du(n + pp, n + qq, x + z + xi, y + w + eta, a + c + alpha, b + d + beta)
     )
-    lhs = _det_lhs(n, num, den, numeric)
-    rhs = _rhs(core, (den(i, j) for i in range(n) for j in range(n)), numeric)
-    return [(lhs, rhs)]
+    return num, core
 
 
-_register(
+_register_quotient(
+    "det",
+    dim=lambda p: p["n"],
+    den=lambda p, sc, i, j: sc["x"][i] * sc["w"][j] - sc["z"][j] * sc["y"][i],
+    parts=_homog2,
     name="homog2",
     summary="homogeneous determinant identity over variable pairs",
     defaults={"n": 2, "p": 0, "q": 0},
@@ -751,13 +770,7 @@ _register(
         ("xi", p["p"] + p["q"]), ("eta", p["p"] + p["q"]),
         ("alpha", p["p"] + p["q"]), ("beta", p["p"] + p["q"]),
     ],
-    sides=_homog2_sides,
-    guards=lambda p, sc: [
-        sc["x"][i] * sc["w"][j] - sc["z"][j] * sc["y"][i]
-        for i in range(p["n"])
-        for j in range(p["n"])
-    ],
-    check=_check_nonneg,
+    main_dim=lambda p: 2 * p["n"] + p["p"] + p["q"],
 )
 
 
@@ -792,7 +805,7 @@ _register(
     numeric_defaults={"n": 3},
     vectors=lambda p: [("a", p["n"] * p["n"]), ("g", (p["n"] - 1) * (p["n"] + 1))],
     sides=_pf_det_sides,
-    check=_check_nonneg,
+    main_dim=lambda p: 2 * p["n"],
     symbolic_cases=({"n": 2}, {"n": 3}),
 )
 
@@ -834,8 +847,8 @@ _register(
     numeric_defaults={"p": 2, "q": 1},
     vectors=lambda p: [(pre, p["p"] + p["q"]) for pre in ("x", "y", "a", "b")],
     sides=_rel_uv1_sides,
+    main_dim=lambda p: p["p"] + p["q"],
     guards=lambda p, sc: list(sc["x"]) + list(sc["a"]),
-    check=lambda p: _check_nonneg(p, positive=()),
 )
 
 
@@ -854,7 +867,7 @@ _register(
     numeric_defaults={"p": 2, "q": 2},
     vectors=lambda p: [("x", p["p"] + p["q"]), ("a", p["p"] + p["q"])],
     sides=_rel_uv2_sides,
-    check=lambda p: _check_nonneg(p, positive=()),
+    main_dim=lambda p: p["p"] + p["q"],
 )
 
 
@@ -876,7 +889,7 @@ _register(
     numeric_defaults={"n": 2},
     vectors=lambda p: [("x", 2 * p["n"]), ("a", 2 * p["n"])],
     sides=_rel_uw1_sides,
-    check=_check_nonneg,
+    main_dim=lambda p: 2 * p["n"],
     symbolic_cases=({"n": 1}, {"n": 2}),
 )
 
@@ -899,7 +912,7 @@ _register(
     numeric_defaults={"n": 2},
     vectors=lambda p: [("x", 2 * p["n"] + 1), ("a", 2 * p["n"] + 1)],
     sides=_rel_uw2_sides,
-    check=_check_nonneg,
+    main_dim=lambda p: 2 * p["n"] + 1,
     symbolic_cases=({"n": 1}, {"n": 2}),
 )
 
@@ -912,22 +925,23 @@ def _F(pp, qq, xs, as_):
     return fgh_sum("F", pp, qq, list(xs), list(as_))
 
 
-def _variation1_sides(p, sc, numeric):
+def _variation1(p, sc):
     n, pp, qq = p["n"], p["p"], p["q"]
     x, y, a, b, z, c = sc["x"], sc["y"], sc["a"], sc["b"], sc["z"], sc["c"]
     num = lambda i, j: _F(pp + 1, qq + 1, [x[i], y[j]] + z, [a[i], b[j]] + c)
-    den = lambda i, j: (y[j] - x[i]) * (1 - x[i] * y[j])
     core = (
         _sign(n * (n - 1) // 2)
         * _pow(_F(pp, qq, z, c), n - 1)
         * _F(n + pp, n + qq, x + y + z, a + b + c)
     )
-    lhs = _det_lhs(n, num, den, numeric)
-    rhs = _rhs(core, (den(i, j) for i in range(n) for j in range(n)), numeric)
-    return [(lhs, rhs)]
+    return num, core
 
 
-_register(
+_register_quotient(
+    "det",
+    dim=lambda p: p["n"],
+    den=_xy_gap_palindromic,
+    parts=_variation1,
     name="variation1",
     summary="determinant identity for the signed partition-family sums",
     defaults={"n": 2, "p": 0, "q": 0},
@@ -936,16 +950,11 @@ _register(
         ("x", p["n"]), ("y", p["n"]), ("a", p["n"]), ("b", p["n"]),
         ("z", p["p"] + p["q"]), ("c", p["p"] + p["q"]),
     ],
-    sides=_variation1_sides,
-    guards=lambda p, sc: (
-        [sc["y"][j] - sc["x"][i] for i in range(p["n"]) for j in range(p["n"])]
-        + [1 - sc["x"][i] * sc["y"][j] for i in range(p["n"]) for j in range(p["n"])]
-    ),
-    check=_check_nonneg,
+    main_dim=lambda p: 2 * p["n"] + p["p"] + p["q"],
 )
 
 
-def _variation2_sides(p, sc, numeric):
+def _variation2(p, sc):
     n, pp, qq, rr, ss = p["n"], p["p"], p["q"], p["r"], p["s"]
     x, a, b = sc["x"], sc["a"], sc["b"]
     z, c, w, d = sc["z"], sc["c"], sc["w"], sc["d"]
@@ -955,57 +964,45 @@ def _variation2_sides(p, sc, numeric):
             rr + 1, ss + 1, [x[i], x[j]] + w, [b[i], b[j]] + d
         )
 
-    den = lambda i, j: (x[j] - x[i]) * (1 - x[i] * x[j])
     core = (
         _pow(_F(pp, qq, z, c), n - 1)
         * _pow(_F(rr, ss, w, d), n - 1)
         * _F(n + pp, n + qq, x + z, a + c)
         * _F(n + rr, n + ss, x + w, b + d)
     )
-    lhs = _pf_lhs(2 * n, num, den, numeric)
-    rhs = _rhs(core, (den(i, j) for i, j in _all_pairs(2 * n)), numeric)
-    return [(lhs, rhs)]
+    return num, core
 
 
-_register(
+_register_quotient(
+    "pf",
+    dim=lambda p: 2 * p["n"],
+    den=_x_gap_palindromic,
+    parts=_variation2,
     name="variation2",
     summary="Pfaffian identity for the signed partition-family sums",
     defaults={"n": 2, "p": 0, "q": 0, "r": 0, "s": 0},
     numeric_defaults={"n": 1, "p": 1, "q": 1, "r": 1, "s": 1},
-    vectors=lambda p: [
-        ("x", 2 * p["n"]), ("a", 2 * p["n"]), ("b", 2 * p["n"]),
-        ("z", p["p"] + p["q"]), ("c", p["p"] + p["q"]),
-        ("w", p["r"] + p["s"]), ("d", p["r"] + p["s"]),
-    ],
-    sides=_variation2_sides,
-    guards=lambda p, sc: (
-        [sc["x"][j] - sc["x"][i] for i, j in _all_pairs(2 * p["n"])]
-        + [1 - sc["x"][i] * sc["x"][j] for i, j in _all_pairs(2 * p["n"])]
-    ),
-    check=_check_nonneg,
+    vectors=_main2_vectors,
+    main_dim=lambda p: 2 * p["n"] + max(p["p"] + p["q"], p["r"] + p["s"]),
 )
 
 
-def _sundquist_sides(p, sc, numeric):
+def _sundquist(p, sc):
     n = p["n"]
-    x, a = sc["x"], sc["a"]
-    num = lambda i, j: a[j] - a[i]
-    den = lambda i, j: 1 - x[i] * x[j]
-    core = _sign(n * (n - 1) // 2) * _F(n, n, x, a)
-    lhs = _pf_lhs(2 * n, num, den, numeric)
-    rhs = _rhs(core, (den(i, j) for i, j in _all_pairs(2 * n)), numeric)
-    return [(lhs, rhs)]
+    a = sc["a"]
+    return (lambda i, j: a[j] - a[i]), _sign(n * (n - 1) // 2) * _F(n, n, sc["x"], a)
 
 
-_register(
+_register_quotient(
+    "pf",
+    dim=lambda p: 2 * p["n"],
+    den=lambda p, sc, i, j: 1 - sc["x"][i] * sc["x"][j],
+    parts=_sundquist,
     name="sundquist",
     summary="Pf((a_j-a_i)/(1-x_i x_j)) as a signed shifted-determinant sum",
     defaults={"n": 2},
     numeric_defaults={"n": 3},
     vectors=lambda p: [("x", 2 * p["n"]), ("a", 2 * p["n"])],
-    sides=_sundquist_sides,
-    guards=lambda p, sc: [1 - sc["x"][i] * sc["x"][j] for i, j in _all_pairs(2 * p["n"])],
-    check=_check_nonneg,
 )
 
 
@@ -1027,7 +1024,7 @@ _register(
     numeric_defaults={"p": 2, "q": 2},
     vectors=lambda p: [("x", p["p"] + p["q"]), ("a", p["p"] + p["q"])],
     sides=_rel_fv_sides,
-    check=lambda p: _check_nonneg(p, positive=()),
+    main_dim=lambda p: p["p"] + p["q"],
     symbolic_cases=({"p": 1, "q": 1}, {"p": 2, "q": 1}),
 )
 
@@ -1051,7 +1048,7 @@ _register(
     numeric_defaults={"p": 2, "q": 2},
     vectors=lambda p: [("x", p["p"] + p["q"]), ("a", p["p"] + p["q"])],
     sides=_rel_gh_sides,
-    check=lambda p: _check_nonneg(p, positive=()),
+    main_dim=lambda p: p["p"] + p["q"],
 )
 
 
@@ -1075,7 +1072,7 @@ _register(
     numeric_defaults={"n": 4},
     vectors=lambda p: [("x", p["n"])],
     sides=_littlewood_sides,
-    check=_check_nonneg,
+    main_dim=lambda p: p["n"],
     symbolic_cases=({"n": 2}, {"n": 3}, {"n": 4}),
 )
 
@@ -1106,6 +1103,7 @@ _register(
     numeric_defaults={"n": 3, "N": 5},
     vectors=lambda p: [("x", p["n"] * p["N"]), ("y", p["n"] * p["N"]), ("a", p["N"] * p["N"])],
     sides=_cauchy_binet_sides,
+    main_dim=lambda p: p["N"],
     check=_check_cauchy_binet,
 )
 
@@ -1133,6 +1131,7 @@ _register(
     numeric_defaults={"r": 3},
     vectors=lambda p: [],
     sides=_minor_dr_sides,
+    main_dim=lambda p: p["r"],
     check=lambda p: _check_nonneg(p, positive=("r",)),
     symbolic_cases=({"r": 1}, {"r": 2}, {"r": 3}),
 )
@@ -1171,33 +1170,48 @@ _register(
     numeric_defaults={"r": 3},
     vectors=lambda p: [],
     sides=_minor_bc_sides,
+    main_dim=lambda p: p["r"],
     check=lambda p: _check_nonneg(p, positive=("r",)),
     symbolic_cases=({"r": 1}, {"r": 2}, {"r": 3}),
 )
 
 
 # ---------------------------------------------------------------------------
-# reciprocal-entry Cauchy-type determinants
+# reciprocal-entry Cauchy-type determinants: den_ij = f(x_i, y_j, a_i, b_j)
 
 
-def _another1_sides(p, sc, numeric):
-    n, pp, qq = p["n"], p["p"], p["q"]
-    x, y, a, b, z, c = sc["x"], sc["y"], sc["a"], sc["b"], sc["z"], sc["c"]
-
-    def f(u1, u2, s1, s2):
-        return _dv(pp + 1, qq + 1, [u1, u2] + z, [s1, s2] + c)
-
-    den = lambda i, j: f(x[i], y[j], a[i], b[j])
-    num = lambda i, j: Fraction(1)
-    core = _sign(n * (n - 1) // 2) * _prod(
-        f(x[i], x[j], a[i], a[j]) * f(y[i], y[j], b[i], b[j]) for i, j in _all_pairs(n)
-    )
-    lhs = _det_lhs(n, num, den, numeric)
-    rhs = _rhs(core, (den(i, j) for i in range(n) for j in range(n)), numeric)
-    return [(lhs, rhs)]
+def _reciprocal_den(f):
+    return lambda p, sc, i, j: f(p, sc, sc["x"][i], sc["y"][j], sc["a"][i], sc["b"][j])
 
 
-_register(
+def _reciprocal_parts(f):
+    """det(1/f(x_i, y_j, a_i, b_j)) = sign * prod_{i<j} f(x_i, x_j, ..) f(y_i, y_j, ..) / prod den."""
+
+    def parts(p, sc):
+        n = p["n"]
+        x, y, a, b = sc["x"], sc["y"], sc["a"], sc["b"]
+        core = _sign(n * (n - 1) // 2) * _prod(
+            f(p, sc, x[i], x[j], a[i], a[j]) * f(p, sc, y[i], y[j], b[i], b[j])
+            for i, j in _all_pairs(n)
+        )
+        return _one, core
+
+    return parts
+
+
+def _pair_dv(p, sc, u1, u2, s1, s2):
+    return _dv(p["p"] + 1, p["q"] + 1, [u1, u2] + sc["z"], [s1, s2] + sc["c"])
+
+
+def _pair_dw(p, sc, u1, u2, s1, s2):
+    return _dw(p["p"] + 2, [u1, u2] + sc["z"], [s1, s2] + sc["c"])
+
+
+_register_quotient(
+    "det",
+    dim=lambda p: p["n"],
+    den=_reciprocal_den(_pair_dv),
+    parts=_reciprocal_parts(_pair_dv),
     name="another1",
     summary="det of reciprocals of two-block determinants factors over all pairs",
     defaults={"n": 2, "p": 0, "q": 0},
@@ -1206,34 +1220,15 @@ _register(
         ("x", p["n"]), ("y", p["n"]), ("a", p["n"]), ("b", p["n"]),
         ("z", p["p"] + p["q"]), ("c", p["p"] + p["q"]),
     ],
-    sides=_another1_sides,
-    guards=lambda p, sc: [
-        _dv(p["p"] + 1, p["q"] + 1, [sc["x"][i], sc["y"][j]] + sc["z"], [sc["a"][i], sc["b"][j]] + sc["c"])
-        for i in range(p["n"])
-        for j in range(p["n"])
-    ],
-    check=_check_nonneg,
+    main_dim=lambda p: max(p["n"], p["p"] + p["q"] + 2),
 )
 
 
-def _another2_sides(p, sc, numeric):
-    n, pp = p["n"], p["p"]
-    x, y, a, b, z, c = sc["x"], sc["y"], sc["a"], sc["b"], sc["z"], sc["c"]
-
-    def f(u1, u2, s1, s2):
-        return _dw(pp + 2, [u1, u2] + z, [s1, s2] + c)
-
-    den = lambda i, j: f(x[i], y[j], a[i], b[j])
-    num = lambda i, j: Fraction(1)
-    core = _sign(n * (n - 1) // 2) * _prod(
-        f(x[i], x[j], a[i], a[j]) * f(y[i], y[j], b[i], b[j]) for i, j in _all_pairs(n)
-    )
-    lhs = _det_lhs(n, num, den, numeric)
-    rhs = _rhs(core, (den(i, j) for i in range(n) for j in range(n)), numeric)
-    return [(lhs, rhs)]
-
-
-_register(
+_register_quotient(
+    "det",
+    dim=lambda p: p["n"],
+    den=_reciprocal_den(_pair_dw),
+    parts=_reciprocal_parts(_pair_dw),
     name="another2",
     summary="det of reciprocals of palindromic-row determinants factors over all pairs",
     defaults={"n": 2, "p": 0},
@@ -1242,13 +1237,7 @@ _register(
         ("x", p["n"]), ("y", p["n"]), ("a", p["n"]), ("b", p["n"]),
         ("z", p["p"]), ("c", p["p"]),
     ],
-    sides=_another2_sides,
-    guards=lambda p, sc: [
-        _dw(p["p"] + 2, [sc["x"][i], sc["y"][j]] + sc["z"], [sc["a"][i], sc["b"][j]] + sc["c"])
-        for i in range(p["n"])
-        for j in range(p["n"])
-    ],
-    check=_check_nonneg,
+    main_dim=lambda p: max(p["n"], p["p"] + 2),
 )
 
 
@@ -1276,7 +1265,7 @@ _register(
     numeric_defaults={"m": 4},
     vectors=lambda p: [("g", (p["m"] + 2) * (p["m"] + 4))],
     sides=_plucker_sides,
-    check=lambda p: _check_nonneg(p, positive=()),
+    main_dim=lambda p: p["m"] + 2,
     symbolic_cases=({"m": 0}, {"m": 2}),
 )
 
@@ -1309,7 +1298,7 @@ _register(
         ("w", p["p"]), ("d", p["p"]),
     ],
     sides=_plucker_vw_sides,
-    check=lambda p: _check_nonneg(p, positive=()),
+    main_dim=lambda p: p["p"] + p["q"] + 2,
     symbolic_cases=({"p": 0, "q": 0}, {"p": 1, "q": 0}),
 )
 
@@ -1318,31 +1307,23 @@ _register(
 # degenerate Pfaffians and hyperpfaffians
 
 
-def _special_pf_sides(p, sc, numeric):
-    n, r = p["n"], p["r"]
-    m = n // 2
+def _special_pf(p, sc):
+    m = p["n"] // 2
     x = sc["x"]
     num = lambda i, j: (x[j] ** m - x[i] ** m) ** 2
-    den = lambda i, j: x[j] - x[i]
-    lhs = _pf_lhs(n * r, num, den, numeric)
-    if r == 1:
-        core = _delta(x) * _delta(x)
-        rhs = _rhs(core, (den(i, j) for i, j in _all_pairs(n)), numeric)
-    else:
-        rhs = Fraction(0)
-    return [(lhs, rhs)]
+    return num, (_delta(x) * _delta(x) if p["r"] == 1 else Fraction(0))
 
 
-_register(
+_register_quotient(
+    "pf",
+    dim=lambda p: p["n"] * p["r"],
+    den=_x_gap,
+    parts=_special_pf,
     name="special_pf",
     summary="Pf((x_j^m - x_i^m)^2/(x_j - x_i)): a Vandermonde for one block, else 0",
     defaults={"n": 2, "r": 2},
     numeric_defaults={"n": 2, "r": 3},
     vectors=lambda p: [("x", p["n"] * p["r"])],
-    sides=_special_pf_sides,
-    guards=lambda p, sc: [
-        sc["x"][j] - sc["x"][i] for i, j in _all_pairs(p["n"] * p["r"])
-    ],
     check=_check_even_block,
     symbolic_cases=({"n": 2, "r": 1}, {"n": 2, "r": 2}),
 )
@@ -1366,6 +1347,7 @@ _register(
     numeric_defaults={"n": 2, "r": 3},
     vectors=lambda p: [("x", p["n"] * p["r"])],
     sides=_special_hyppf_sides,
+    main_dim=lambda p: p["n"] * p["r"],
     check=_check_even_block,
     symbolic_cases=({"n": 2, "r": 1}, {"n": 2, "r": 2}),
 )
@@ -1389,6 +1371,7 @@ _register(
     numeric_defaults={"n": 4},
     vectors=lambda p: [("x", 2 * p["n"]), ("a", 2 * p["n"])],
     sides=_hyper_v_sides,
+    main_dim=lambda p: 2 * p["n"],
     check=_check_even_n,
 )
 
@@ -1417,6 +1400,7 @@ _register(
     numeric_defaults={"n": 4},
     vectors=lambda p: [("x", 2 * p["n"]), ("y", 2 * p["n"]), ("a", 2 * p["n"]), ("b", 2 * p["n"])],
     sides=_hyper_u_sides,
+    main_dim=lambda p: 2 * p["n"],
     check=_check_even_n,
 )
 
@@ -1437,6 +1421,7 @@ _register(
     numeric_defaults={"n": 2, "r": 3},
     vectors=lambda p: [("a", (p["n"] * p["r"]) * (p["n"] * p["r"] - 1) // 2)],
     sides=_compo_sides,
+    main_dim=lambda p: p["n"] * p["r"],
     check=_check_even_block,
     symbolic_cases=({"n": 2, "r": 2}, {"n": 2, "r": 3}, {"n": 4, "r": 1}),
 )
@@ -1471,7 +1456,7 @@ _register(
     numeric_defaults={"n": 2, "q": 1, "e": 1, "zlen": 2},
     vectors=lambda p: [("x", p["n"]), ("y", p["n"]), ("z", p["zlen"])],
     sides=_det_schur_sides,
-    check=_check_nonneg,
+    main_dim=lambda p: p["n"] + p["q"],
 )
 
 
@@ -1502,7 +1487,7 @@ _register(
     numeric_defaults={"n": 2, "q": 1, "s": 0, "e": 1, "f": 1, "zlen": 2, "wlen": 1},
     vectors=lambda p: [("x", 2 * p["n"]), ("z", p["zlen"]), ("w", p["wlen"])],
     sides=_pf_schur_sides,
-    check=_check_nonneg,
+    main_dim=lambda p: max(2 * p["n"], p["n"] + p["q"], p["n"] + p["s"]),
 )
 
 
@@ -1531,7 +1516,7 @@ _register(
     numeric_defaults={"n": 2, "e": 1, "f": 1, "zlen": 2, "wlen": 2},
     vectors=lambda p: [("x", 2 * p["n"]), ("z", p["zlen"]), ("w", p["wlen"])],
     sides=_pf_schur2_sides,
-    check=_check_nonneg,
+    main_dim=lambda p: 2 * p["n"],
 )
 
 
@@ -1550,11 +1535,7 @@ def _pf_schur3_sides(p, sc, numeric):
                     lhs = lhs + c * _schur(mu.complement(n, e), z) * _schur(
                         nu.complement(n, f), w
                     )
-        idx = index_set(lam, 2 * n)
-        skew = SkewMatrix.from_upper_function(
-            2 * n, lambda s, t: b_coeff(idx[s], idx[t], n, e, f, z, w)
-        )
-        pairs.append((lhs, pfaffian(skew)))
+        pairs.append((lhs, pfaffian(b_principal(index_set(lam, 2 * n), n, e, f, z, w))))
     return pairs
 
 
@@ -1565,7 +1546,7 @@ _register(
     numeric_defaults={"n": 1, "e": 2, "f": 2},
     vectors=lambda p: [("z", p["n"]), ("w", p["n"])],
     sides=_pf_schur3_sides,
-    check=_check_nonneg,
+    main_dim=lambda p: 2 * p["n"],
     symbolic_cases=({"n": 1, "e": 1, "f": 1}, {"n": 1, "e": 2, "f": 2}),
 )
 
@@ -1588,60 +1569,10 @@ _register(
     numeric_defaults={"n": 2, "N": 7},
     vectors=lambda p: [("x", 2 * p["n"] * p["N"]), ("a", p["N"] * (p["N"] - 1) // 2)],
     sides=_minor_sum_sides,
+    main_dim=lambda p: p["N"],
     check=_check_minor_sum,
     symbolic_cases=({"n": 1, "N": 3}, {"n": 2, "N": 5}),
 )
-
-
-# Principal matrix dimension per identity, used to cap symbolic mode at
-# desk scale (polynomial term growth is multiplicative in these sizes).
-MAIN_DIM = {
-    "cauchy": lambda p: p["n"],
-    "schur": lambda p: 2 * p["n"],
-    "special1": lambda p: 2 * p["n"],
-    "special2": lambda p: 2 * p["n"],
-    "main1": lambda p: 2 * p["n"] + p["p"] + p["q"],
-    "main2": lambda p: 2 * p["n"] + max(p["p"] + p["q"], p["r"] + p["s"]),
-    "main3": lambda p: 2 * p["n"] + p["p"],
-    "main4": lambda p: 2 * p["n"] + max(p["p"], p["q"]),
-    "cauchy1": lambda p: max(p["n"], p["k"]),
-    "schur1": lambda p: max(2 * p["n"], p["k"], p["l"]),
-    "prop_n2": lambda p: 4 + max(p["p"] + p["q"], p["r"] + p["s"]),
-    "rel_v1": lambda p: p["p"] + p["q"],
-    "rel_v2": lambda p: p["p"] + p["q"],
-    "det_dodgson": lambda p: p["n"],
-    "pf_dodgson": lambda p: 2 * p["n"],
-    "homog1": lambda p: 2 * p["n"] + max(p["p"] + p["q"], p["r"] + p["s"]),
-    "homog2": lambda p: 2 * p["n"] + p["p"] + p["q"],
-    "pf_det": lambda p: 2 * p["n"],
-    "rel_uv1": lambda p: p["p"] + p["q"],
-    "rel_uv2": lambda p: p["p"] + p["q"],
-    "rel_uw1": lambda p: 2 * p["n"],
-    "rel_uw2": lambda p: 2 * p["n"] + 1,
-    "variation1": lambda p: 2 * p["n"] + p["p"] + p["q"],
-    "variation2": lambda p: 2 * p["n"] + max(p["p"] + p["q"], p["r"] + p["s"]),
-    "sundquist": lambda p: 2 * p["n"],
-    "rel_fv": lambda p: p["p"] + p["q"],
-    "rel_gh": lambda p: p["p"] + p["q"],
-    "littlewood": lambda p: p["n"],
-    "cauchy_binet": lambda p: p["N"],
-    "minor_Dr": lambda p: p["r"],
-    "minor_BC": lambda p: p["r"],
-    "another1": lambda p: max(p["n"], p["p"] + p["q"] + 2),
-    "another2": lambda p: max(p["n"], p["p"] + 2),
-    "plucker": lambda p: p["m"] + 2,
-    "plucker_vw": lambda p: p["p"] + p["q"] + 2,
-    "special_pf": lambda p: p["n"] * p["r"],
-    "special_hyppf": lambda p: p["n"] * p["r"],
-    "hyper_v": lambda p: 2 * p["n"],
-    "hyper_u": lambda p: 2 * p["n"],
-    "compo": lambda p: p["n"] * p["r"],
-    "det_schur": lambda p: p["n"] + p["q"],
-    "pf_schur": lambda p: max(2 * p["n"], p["n"] + p["q"], p["n"] + p["s"]),
-    "pf_schur2": lambda p: 2 * p["n"],
-    "pf_schur3": lambda p: 2 * p["n"],
-    "minor_sum": lambda p: p["N"],
-}
 
 
 def registry():

@@ -80,14 +80,6 @@ class RingMatrix:
         self.data = data
 
     @classmethod
-    def from_rows(cls, rows):
-        rows = [list(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise DimensionMismatchError("ragged rows")
-        return cls(len(rows), ncols, [x for r in rows for x in r])
-
-    @classmethod
     def identity(cls, n):
         data = [Fraction(1) if i == j else Fraction(0) for i in range(n) for j in range(n)]
         return cls(n, n, data)
@@ -380,7 +372,7 @@ def _pf_elimination(a):
             for row in m:
                 row[k + 1], row[pivot_col] = row[pivot_col], row[k + 1]
             pf = -pf
-        p = m[k][k + 1]
+        p = Fraction(m[k][k + 1])  # int entries must not fall back to float division
         pf *= p
         for i in range(k + 2, n):
             for j in range(i + 1, n):
@@ -431,29 +423,6 @@ def congruence_product(x, a):
 def congruence_pfaffian(x, a):
     """Pf(X A X^T) for a 2n x N matrix X and an N x N skew matrix A."""
     return pfaffian(congruence_product(x, a))
-
-
-def ascending_block_permutations(n_letters, block):
-    """All permutations of 0..n_letters-1 that ascend inside consecutive blocks.
-
-    These are exactly the permutations summed by the hyperpfaffian: ordered
-    partitions into blocks of the given size, each block internally sorted,
-    flattened.  Deterministic order (lexicographic block choices).
-    """
-    from itertools import combinations
-
-    if n_letters % block:
-        raise DimNotDivisibleError(f"{n_letters} letters, block {block}")
-
-    def rec(remaining, prefix):
-        if not remaining:
-            yield tuple(prefix)
-            return
-        for combo in combinations(remaining, block):
-            rest = [v for v in remaining if v not in set(combo)]
-            yield from rec(rest, prefix + list(combo))
-
-    yield from rec(list(range(n_letters)), [])
 
 
 def _ordered_block_partitions(n_letters, block, tensor):

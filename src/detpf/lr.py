@@ -119,11 +119,14 @@ def b_coeff(k, l, n, e, f, z_values, w_values):
     return total
 
 
-def build_B(n, e, f, z_values, w_values):
-    """The coefficient matrix truncated to dimension e+f+2n (all else vanishes)."""
-    dim = e + f + 2 * n
+def b_principal(idx, n, e, f, z_values, w_values):
+    """Principal submatrix of the coefficient matrix on the index set idx.
+
+    The full matrix vanishes outside 0..e+f+2n-1, so idx = range(e+f+2n)
+    gives all of it.
+    """
     return SkewMatrix.from_upper_function(
-        dim, lambda k, l: b_coeff(k, l, n, e, f, z_values, w_values)
+        len(idx), lambda s, t: b_coeff(idx[s], idx[t], n, e, f, z_values, w_values)
     )
 
 
@@ -172,12 +175,7 @@ def lr_via_pfaffian(lam, n, e, f, mu):
         raise NotInBoxError(f"{mu} not inside {n}x{e}")
     table = _z_table(n)
     zs = table.gens()
-    idx = index_set(lam, 2 * n)
-    entries = {}
-    for s in range(2 * n):
-        for t in range(s + 1, 2 * n):
-            entries[(s, t)] = b_coeff(idx[s], idx[t], n, e, f, zs, [])
-    pf = pfaffian(SkewMatrix(2 * n, entries))
+    pf = pfaffian(b_principal(index_set(lam, 2 * n), n, e, f, zs, []))
     if isinstance(pf, Fraction):
         pf = Polynomial.const(table, pf)
     coeffs = schur_expand(pf)
@@ -211,15 +209,6 @@ def lr_rectangle_theorem(lam, n, e, f, mu):
     if not beta.contains(alpha):
         return 0
     return lr_bruteforce(beta, alpha, mu.complement(n, e))
-
-
-def pieri_mu(n, e, k, direction):
-    """The near-rectangle middle partition: one short row (h) or k shaved columns (v)."""
-    if direction == "h":
-        return Partition([e] * (n - 1) + [e - k])
-    if direction == "v":
-        return Partition([e] * (n - k) + [e - 1] * k)
-    raise ValueError(f"unknown direction {direction!r}")
 
 
 def pieri_near_rectangle(lam, n, e, f, k, direction):

@@ -98,11 +98,6 @@ class Monomial:
     def mul(self, other):
         return Monomial._from_exps(_mono_mul(self.exps, other.exps))
 
-    def div(self, other):
-        """self/other as a Monomial, or None if other does not divide self."""
-        out = _mono_div(self.exps, other.exps)
-        return None if out is None else Monomial._from_exps(out)
-
     def dense_key(self, nvars):
         return self.exps + (0,) * (nvars - len(self.exps))
 
@@ -114,9 +109,6 @@ class Monomial:
 
     def __repr__(self):
         return f"Monomial({self.exponents()!r})"
-
-
-MONOMIAL_ONE = Monomial()
 
 
 class VariableTable:
@@ -215,9 +207,6 @@ class Polynomial:
 
     def __bool__(self):
         return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -356,21 +345,6 @@ class Polynomial:
         """Exact coefficient of a monomial, zero if absent."""
         return self.terms.get(_as_key(mono), Fraction(0))
 
-    def coefficient_of_powers(self, powers):
-        """Collect terms matching the given variable powers exactly, those variables removed.
-
-        Example: for p in x,y,z and powers {x:2, y:0}, the z-polynomial
-        multiplying x^2 y^0.
-        """
-        fixed = tuple(powers.items())
-        drop = set(powers)
-        out = {}
-        for key, coeff in self.terms.items():
-            if all((key[v] if v < len(key) else 0) == e for v, e in fixed):
-                rest = _strip(0 if v in drop else e for v, e in enumerate(key))
-                out[rest] = coeff
-        return Polynomial._raw(self.table, out)
-
     def evaluate(self, point):
         """Exact value at a map var-id -> Fraction; raises MissingVariableError."""
         total = Fraction(0)
@@ -384,14 +358,6 @@ class Polynomial:
                 value = value * point[var] ** exp
             total += value
         return total
-
-    def constant_value(self):
-        """The value of a constant polynomial, erroring on nonconstant input."""
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and () in self.terms:
-            return self.terms[()]
-        raise ValueError("polynomial is not constant")
 
     def exact_div(self, other):
         """Exact quotient self/other; raises ExactDivisionError if inexact.

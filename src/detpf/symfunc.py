@@ -260,10 +260,6 @@ def schur_bialternant(lam, values):
     return numer / delta
 
 
-def schur(shape, values, method="jacobi_trudi"):
-    """Schur (or skew Schur) function of the shape in the given scalars."""
-    if method == "jacobi_trudi":
-        return schur_jacobi_trudi(shape, values)
-    if method == "bialternant":
-        return schur_bialternant(shape, values)
-    raise ValueError(f"unknown method {method!r}")
+def schur(shape, values):
+    """Schur (or skew Schur) function of the shape in the given scalars, by Jacobi-Trudi."""
+    return schur_jacobi_trudi(shape, values)

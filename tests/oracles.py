@@ -2,14 +2,16 @@
 
 These deliberately avoid the algorithms under test: determinants come from
 the full permutation sum with inversion-counted signs, Pfaffians from the
-explicit perfect-matching sum, and LR coefficients from dominant-monomial
-extraction out of s_mu * s_nu * Vandermonde.
+explicit perfect-matching sum, LR coefficients from dominant-monomial
+extraction out of s_mu * s_nu * Vandermonde, and coefficient-matrix entries
+by reading the term map of the expanded product.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
-from detpf.poly import Monomial, VariableTable
+from detpf.poly import Monomial, Polynomial, VariableTable
+from detpf.symfunc import Partition
 
 
 def inversion_sign(seq):
@@ -77,7 +79,6 @@ def lr_from_product(lam, mu, nu):
     The strictly decreasing exponent vector lam+delta occurs in exactly one
     antisymmetrized orbit, so the extraction needs no change of basis.
     """
-    from detpf.poly import Polynomial
     from detpf.symfunc import schur_jacobi_trudi
 
     if lam.size() != mu.size() + nu.size():
@@ -132,3 +133,25 @@ def schur_by_tableaux(lam, values):
 
     fill(0, 0)
     return total
+
+
+def coefficient_of_powers(p, powers):
+    """The polynomial multiplying the given variable powers in p, those variables removed.
+
+    Example: for p in x,y,z and powers {x: 2, y: 0}, the z-polynomial
+    multiplying x^2 y^0.
+    """
+    out = {}
+    for key, coeff in p.terms.items():
+        if all((key[v] if v < len(key) else 0) == e for v, e in powers.items()):
+            out[tuple(0 if v in powers else e for v, e in enumerate(key))] = coeff
+    return Polynomial(p.table, out)
+
+
+def pieri_mu(n, e, k, direction):
+    """The near-rectangle middle partition: one short row (h) or k shaved columns (v)."""
+    if direction == "h":
+        return Partition([e] * (n - 1) + [e - k])
+    if direction == "v":
+        return Partition([e] * (n - k) + [e - 1] * k)
+    raise ValueError(f"unknown direction {direction!r}")

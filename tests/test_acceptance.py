@@ -21,7 +21,7 @@ from detpf.identities import REGISTRY, registry
 from detpf.linalg import (
     AlternatingTensor,
     SkewMatrix,
-    ascending_block_permutations,
+    _ordered_block_partitions,
     blocked_tensor,
     congruence_pfaffian,
     det,
@@ -44,7 +44,7 @@ from detpf.symfunc import (
     schur_jacobi_trudi,
 )
 
-from oracles import random_matrix, random_skew
+from oracles import coefficient_of_powers, random_matrix, random_skew
 
 SEED = 20240801
 
@@ -124,7 +124,7 @@ def test_criterion_4_b_coeff_lemma():
         dim = e + f + 2 * n
         for k in range(dim + 1):
             for l in range(dim + 1):
-                direct = product.coefficient_of_powers({0: k, 1: l})
+                direct = coefficient_of_powers(product, {0: k, 1: l})
                 assert direct == b_coeff(k, l, n, e, f, zs, ws), (n, e, f, k, l)
 
 
@@ -165,7 +165,8 @@ def test_criterion_5_pfaffian_correctness():
 
 @criterion(6, "hyperpfaffian: census, order-2 reduction, composition, expressions")
 def test_criterion_6_hyperpfaffian():
-    perms = set(ascending_block_permutations(4, 2))
+    ones = AlternatingTensor.from_function(2, 4, lambda idx: Fraction(1))
+    perms = {sum(blocks, ()) for blocks, _ in _ordered_block_partitions(4, 2, ones)}
     assert len(perms) == 6
     assert perms == {
         (0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2),

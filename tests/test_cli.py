@@ -38,7 +38,15 @@ def test_verify_bad_inputs_exit_one():
     assert run_cli("verify", "--name", "nonsense")[0] == 1
     assert run_cli("verify", "--name", "cauchy", "--param", "bogus=3")[0] == 1
     assert run_cli("verify", "--name", "cauchy", "--param", "n")[0] == 1
+    assert run_cli("verify", "--name", "cauchy", "--mode", "numeric", "--bound", "0")[0] == 1
     assert run_cli("wat")[0] == 1
+
+
+def test_campaign_bound_zero_exits_one(tmp_path):
+    config = tmp_path / "c.cfg"
+    config.write_text("[identity]\nname = cauchy\nbound = 0\n")
+    assert run_cli("campaign", "--config", str(config))[0] == 1
+    assert run_cli("campaign", "--config", str(config), "--workers", "2")[0] == 1
 
 
 def test_lr_triple():

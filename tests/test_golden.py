@@ -1,0 +1,53 @@
+"""Golden campaign digests.
+
+SHA-256 of `reports_to_json` over two fixed block sets.  The reports carry
+every failure record with its assignment, so a digest changes when the
+random samples, the guard accept/reject decisions or any verdict change.
+A refactor of the registry or the harness must keep both digests.
+"""
+
+import hashlib
+
+from detpf.harness import (
+    CampaignBlock,
+    CampaignConfig,
+    get_spec,
+    reports_to_json,
+    run_campaign,
+    symbolic_cases,
+)
+from detpf.identities import registry
+
+SEED = 2024
+BOUND = 30
+
+# every identity numerically at its numeric_defaults, 3 trials each
+NUMERIC_DIGEST = "89cee3fc5e7c2370a094b803174bf68209f6f363547a7ec917802ed096ccafc6"
+# every symbolic case of the default grid except main4 (about 6 s on its own)
+SYMBOLIC_DIGEST = "b9ba6c4fdb4c78a87350905ad39f40490bea05d1cd84a4a1d38c8bf3ff286c1c"
+
+
+def _digest(blocks):
+    reports = run_campaign(CampaignConfig(blocks))
+    assert all(r.passed for r in reports)
+    return hashlib.sha256(reports_to_json(reports).encode("utf-8")).hexdigest()
+
+
+def test_numeric_grid_digest():
+    blocks = [
+        CampaignBlock(name, "numeric", 3, BOUND, SEED, dict(get_spec(name).numeric_defaults))
+        for name in registry()
+    ]
+    assert len(blocks) == 45
+    assert _digest(blocks) == NUMERIC_DIGEST
+
+
+def test_symbolic_grid_digest():
+    blocks = [
+        CampaignBlock(name, "symbolic", 1, BOUND, SEED, dict(case))
+        for name in registry()
+        if name != "main4"
+        for case in symbolic_cases(get_spec(name))
+    ]
+    assert len(blocks) == 64
+    assert _digest(blocks) == SYMBOLIC_DIGEST

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from detpf.harness import (
+    SYMBOLIC_DIM_CAP,
     CampaignBlock,
     CampaignConfig,
     ConfigError,
@@ -17,7 +19,7 @@ from detpf.harness import (
     symbolic_cases,
     verify,
 )
-from detpf.identities import REGISTRY, IdentitySpec, InvalidParamsError, registry
+from detpf.identities import REGISTRY, InvalidParamsError, registry
 
 
 def test_registry_contract():
@@ -67,6 +69,8 @@ def test_verify_rejects_unknowns():
     with pytest.raises(InvalidParamsError):
         verify("cauchy", {"n": 2}, mode="numeric", trials=0)
     with pytest.raises(InvalidParamsError):
+        verify("cauchy", {"n": 2}, mode="numeric", bound=0)
+    with pytest.raises(InvalidParamsError):
         verify("rel_v1", {"p": 1, "q": 2})  # requires p >= q
     with pytest.raises(InvalidParamsError):
         verify("hyper_v", {"n": 3})  # requires even n
@@ -78,11 +82,7 @@ def test_failure_detection_and_report_shape():
     def broken(params, sc, numeric):
         return [(lhs, rhs + 1) for lhs, rhs in spec.sides(params, sc, numeric)]
 
-    REGISTRY["_broken"] = IdentitySpec(
-        name="_broken", summary="broken", defaults=spec.defaults,
-        numeric_defaults=spec.numeric_defaults, vectors=spec.vectors,
-        sides=broken, guards=spec.guards,
-    )
+    REGISTRY["_broken"] = dataclasses.replace(spec, name="_broken", sides=broken)
     try:
         sym = verify("_broken", {"n": 2}, "symbolic")
         num = verify("_broken", {"n": 2}, "numeric", trials=2, seed=0)
@@ -96,10 +96,8 @@ def test_failure_detection_and_report_shape():
 
 def test_guard_exhaustion():
     spec = REGISTRY["cauchy"]
-    REGISTRY["_guarded"] = IdentitySpec(
-        name="_guarded", summary="always rejected", defaults=spec.defaults,
-        numeric_defaults=spec.numeric_defaults, vectors=spec.vectors,
-        sides=spec.sides, guards=lambda p, sc: [0],
+    REGISTRY["_guarded"] = dataclasses.replace(
+        spec, name="_guarded", guards=lambda p, sc: [0]
     )
     try:
         with pytest.raises(GuardExhaustionError):
@@ -214,9 +212,11 @@ def test_rel_uv_nonzero_point_sweep():
 
 
 def test_symbolic_size_cap():
-    from detpf.identities import MAIN_DIM
-
-    assert set(MAIN_DIM) == set(registry())
+    # every symbolic case of the default grid fits under the cap
+    for name in registry():
+        spec = REGISTRY[name]
+        for case in symbolic_cases(spec):
+            assert spec.main_dim(resolve_params(spec, dict(case))) <= SYMBOLIC_DIM_CAP, name
     with pytest.raises(InvalidParamsError):
         verify("schur", {"n": 5}, mode="symbolic")
     # numeric mode has no cap
