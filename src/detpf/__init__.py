@@ -3,6 +3,7 @@ Littlewood-Richardson coefficients over big rationals."""
 
 from .poly import (
     ExactDivisionError,
+    ExponentCapError,
     MissingVariableError,
     Monomial,
     Polynomial,
@@ -46,6 +47,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AlternatingTensor",
     "ExactDivisionError",
+    "ExponentCapError",
     "MissingVariableError",
     "Monomial",
     "Partition",

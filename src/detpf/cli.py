@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage/config errors, 2 verification or cross-check
-failure, 3 internal invariant breach.
+Exit codes: 0 success, 1 usage/config errors (including an exponent above
+the polynomial exponent cap and a numeric run whose guards rejected every
+draw), 2 verification or cross-check failure, 3 internal invariant breach.
 """
 
 import argparse
@@ -13,7 +14,7 @@ from . import harness, lr
 from .harness import ConfigError, GuardExhaustionError, UnknownIdentityError
 from .identities import InvalidParamsError, get_spec, registry
 from .linalg import SkewMatrix, pfaffian
-from .poly import VariableTable
+from .poly import ExponentCapError, VariableTable
 from .symfunc import Partition, PartitionError, SkewShape, schur
 
 
@@ -208,11 +209,20 @@ def main(argv=None, out=None):
         InvalidParamsError,
         UnknownIdentityError,
         PartitionError,
+        ExponentCapError,
         FileNotFoundError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (AssertionError, GuardExhaustionError) as exc:
+    except GuardExhaustionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        print(
+            "hint: a larger --bound (or campaign bound) draws from more rationals, "
+            "so fewer draws hit a guard",
+            file=sys.stderr,
+        )
+        return 1
+    except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
 

@@ -9,6 +9,7 @@ subsets, with an elimination fallback for large rational matrices.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 from .poly import Polynomial
@@ -216,8 +217,6 @@ class AlternatingTensor:
 
     @classmethod
     def from_function(cls, order, dim, value):
-        from itertools import combinations
-
         return cls(
             order, dim, {idx: value(idx) for idx in combinations(range(dim), order)}
         )
@@ -288,29 +287,33 @@ def _det_bareiss(m):
 
 def _det_cofactor(m):
     """Cofactor expansion along rows with memoization on column subsets."""
-    n = m.rows
-    memo = {(): Fraction(1)}
+    return _det_minor(m, tuple(range(m.rows)), {(): Fraction(1)})
 
-    def rec(cols):
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        i = n - len(cols)
-        acc = None
-        for t, j in enumerate(cols):
-            entry = m.at(i, j)
-            if _is_zero(entry):
-                continue
-            term = entry * rec(cols[:t] + cols[t + 1 :])
-            if t % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = Fraction(0)
-        memo[cols] = acc
-        return acc
 
-    return rec(tuple(range(n)))
+# The recursions below are module-level functions that take their memo as an
+# argument: a closure that calls itself is a reference cycle, which would keep
+# its memo of polynomials alive until the cyclic garbage collector runs.
+
+
+def _det_minor(m, cols, memo):
+    """Determinant of the last len(cols) rows of m on the columns cols."""
+    cached = memo.get(cols)
+    if cached is not None:
+        return cached
+    i = m.rows - len(cols)
+    acc = None
+    for t, j in enumerate(cols):
+        entry = m.at(i, j)
+        if _is_zero(entry):
+            continue
+        term = entry * _det_minor(m, cols[:t] + cols[t + 1 :], memo)
+        if t % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    if acc is None:
+        acc = Fraction(0)
+    memo[cols] = acc
+    return acc
 
 
 def det(m):
@@ -329,29 +332,29 @@ def det(m):
 
 def _pf_expand(a):
     """Division-free Pfaffian by expansion along the smallest index, memoized on subsets."""
-    memo = {(): Fraction(1)}
+    return _pf_sub(a, tuple(range(a.dim)), {(): Fraction(1)})
 
-    def rec(idx):
-        cached = memo.get(idx)
-        if cached is not None:
-            return cached
-        first = idx[0]
-        rest = idx[1:]
-        acc = None
-        for t, j in enumerate(rest):
-            entry = a.entry(first, j)
-            if _is_zero(entry):
-                continue
-            term = entry * rec(rest[:t] + rest[t + 1 :])
-            if t % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = Fraction(0)
-        memo[idx] = acc
-        return acc
 
-    return rec(tuple(range(a.dim)))
+def _pf_sub(a, idx, memo):
+    """Pfaffian of the principal submatrix of a on idx."""
+    cached = memo.get(idx)
+    if cached is not None:
+        return cached
+    first = idx[0]
+    rest = idx[1:]
+    acc = None
+    for t, j in enumerate(rest):
+        entry = a.entry(first, j)
+        if _is_zero(entry):
+            continue
+        term = entry * _pf_sub(a, rest[:t] + rest[t + 1 :], memo)
+        if t % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    if acc is None:
+        acc = Fraction(0)
+    memo[idx] = acc
+    return acc
 
 
 def _pf_elimination(a):
@@ -431,21 +434,20 @@ def _ordered_block_partitions(n_letters, block, tensor):
     Subtrees whose block has a zero tensor value are pruned (their products
     vanish).  The sign is that of the concatenated sequence as a permutation.
     """
-    from itertools import combinations
+    yield from _block_partitions(list(range(n_letters)), [], [], block, tensor)
 
-    def rec(remaining, placed, blocks):
-        if not remaining:
-            yield tuple(blocks), permutation_sign(placed)
-            return
-        for combo in combinations(remaining, block):
-            if _is_zero(tensor.value(combo)):
-                continue
-            rest = [v for v in remaining if v not in set(combo)]
-            blocks.append(combo)
-            yield from rec(rest, placed + list(combo), blocks)
-            blocks.pop()
 
-    yield from rec(list(range(n_letters)), [], [])
+def _block_partitions(remaining, placed, blocks, block, tensor):
+    if not remaining:
+        yield tuple(blocks), permutation_sign(placed)
+        return
+    for combo in combinations(remaining, block):
+        if _is_zero(tensor.value(combo)):
+            continue
+        rest = [v for v in remaining if v not in set(combo)]
+        blocks.append(combo)
+        yield from _block_partitions(rest, placed + list(combo), blocks, block, tensor)
+        blocks.pop()
 
 
 def hyperpfaffian(t):
@@ -480,8 +482,6 @@ def blocked_tensor(a, n):
         raise OddOrderError("block size must be even")
     if a.dim % n:
         raise DimNotDivisibleError(f"dim {a.dim} not a multiple of {n}")
-    from itertools import combinations
-
     return AlternatingTensor(
         n,
         a.dim,
@@ -520,33 +520,33 @@ def pfaffian_with_denominators(dim, num, den):
     """
     if dim % 2:
         return Fraction(0)
-    memo = {(): Fraction(1)}
+    return _pf_cleared(num, den, tuple(range(dim)), {(): Fraction(1)})
 
-    def rec(idx):
-        cached = memo.get(idx)
-        if cached is not None:
-            return cached
-        first = idx[0]
-        rest = idx[1:]
-        acc = None
-        for t, j in enumerate(rest):
-            entry = num(first, j)
-            if _is_zero(entry):
-                continue
-            term = entry * rec(rest[:t] + rest[t + 1 :])
-            # pairs inside idx that touch `first` or `j`, except (first, j) itself
-            for u in rest:
-                if u != j:
-                    term = term * den(first, u)
-            for u in rest:
-                if u != j:
-                    term = term * den(min(u, j), max(u, j))
-            if t % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        if acc is None:
-            acc = Fraction(0)
-        memo[idx] = acc
-        return acc
 
-    return rec(tuple(range(dim)))
+def _pf_cleared(num, den, idx, memo):
+    """Pf(num/den) times the product of den over the pairs inside idx."""
+    cached = memo.get(idx)
+    if cached is not None:
+        return cached
+    first = idx[0]
+    rest = idx[1:]
+    acc = None
+    for t, j in enumerate(rest):
+        entry = num(first, j)
+        if _is_zero(entry):
+            continue
+        term = entry * _pf_cleared(num, den, rest[:t] + rest[t + 1 :], memo)
+        # pairs inside idx that touch `first` or `j`, except (first, j) itself
+        for u in rest:
+            if u != j:
+                term = term * den(first, u)
+        for u in rest:
+            if u != j:
+                term = term * den(min(u, j), max(u, j))
+        if t % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    if acc is None:
+        acc = Fraction(0)
+    memo[idx] = acc
+    return acc

@@ -2,20 +2,33 @@
 
 Everything in this package computes over one of two scalar types: stdlib
 `fractions.Fraction` (always in lowest terms, positive denominator) and
-`Polynomial` (sparse multivariate, Fraction coefficients, canonical term
+`Polynomial` (sparse multivariate, rational coefficients, canonical term
 map).  Matrix code and identity builders are generic over the two, so a
 single construction serves both symbolic expansion and exact evaluation
 at random rational points.
 
-Internally a monomial is a dense tuple of exponents with trailing zeros
-stripped, so equal monomials are equal tuples no matter how many variables
-the table has grown to; the term map is keyed by these tuples directly.
+The term map stores a coefficient as an `int` exactly when its denominator
+is 1 and as a `Fraction` otherwise; the symbolic sides are cleared of
+denominators, so almost every coefficient is a plain integer.  A monomial is
+one packed `int` with a fixed SLOT_BITS-bit slot per variable, variable 0 in
+the lowest slot: equal monomials are equal ints however far the variable
+table has grown since, and multiplying two monomials is one integer add.
+The top bit of every slot is a guard, so an exponent may be at most
+EXPONENT_CAP; a product whose sum sets a guard bit raises ExponentCapError
+instead of carrying into the next variable.  Exponents are unpacked only to
+print, order, evaluate or divide.
 """
 
 from fractions import Fraction
-from operator import add
+from functools import reduce
+from heapq import heapify, heappop, heappush
+from operator import or_
 
 Rational = Fraction
+
+SLOT_BITS = 32
+EXPONENT_CAP = (1 << (SLOT_BITS - 1)) - 1
+_SLOT_MASK = (1 << SLOT_BITS) - 1
 
 
 class MissingVariableError(KeyError):
@@ -26,46 +39,103 @@ class ExactDivisionError(ArithmeticError):
     """Polynomial division was requested but the divisor does not divide exactly."""
 
 
-def _strip(exps):
-    exps = tuple(exps)
-    end = len(exps)
-    while end and exps[end - 1] == 0:
-        end -= 1
-    return exps[:end]
+class ExponentCapError(OverflowError):
+    """An exponent would exceed EXPONENT_CAP, the largest one a monomial slot holds."""
 
 
-def _mono_mul(a, b):
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    return tuple(map(add, a, b)) + a[len(b):]
+def _cap_error(exp):
+    return ExponentCapError(f"exponent {exp} exceeds the cap {EXPONENT_CAP}")
 
 
-def _mono_div(a, b):
-    """a / b as an exponent tuple, or None if b does not divide a."""
-    if len(b) > len(a):
-        return None
-    out = list(a)
-    for i, e in enumerate(b):
-        out[i] -= e
-        if out[i] < 0:
-            return None
-    return _strip(out)
+def _guards(nvars):
+    """The guard bit of each of the first nvars slots."""
+    return ((1 << (SLOT_BITS * nvars)) - 1) // _SLOT_MASK << (SLOT_BITS - 1)
 
 
-def _mono_key(exps):
+def _pack(exps):
+    key = 0
+    for var, exp in enumerate(exps):
+        if exp < 0:
+            raise ValueError("monomial exponents must be nonnegative")
+        if exp > EXPONENT_CAP:
+            raise _cap_error(exp)
+        key |= exp << (SLOT_BITS * var)
+    return key
+
+
+def _unpack(key):
+    """Exponent tuple of a packed monomial, trailing zeros stripped."""
+    exps = []
+    while key:
+        exps.append(key & _SLOT_MASK)
+        key >>= SLOT_BITS
+    return tuple(exps)
+
+
+def _grlex(key):
     """Graded-lex sort key; plain tuple comparison matches padded comparison
-    because canonical tuples never end in zero."""
+    because unpacked tuples never end in zero."""
+    exps = _unpack(key)
     return (sum(exps), exps)
 
 
-class Monomial:
-    """A product of variable powers; the API wrapper around an exponent tuple."""
+def _slot_sub(a, b, guards):
+    """Packed a / b (slot-wise a - b), or None if b does not divide a.
 
-    __slots__ = ("exps",)
+    Setting every guard bit of a first absorbs any borrow inside its slot,
+    so a guard bit survives exactly where b's exponent is at most a's.
+    """
+    d = (a | guards) - b
+    return d ^ guards if d & guards == guards else None
+
+
+def _max_exponents(terms, nvars):
+    """Per-variable maximum exponent over the monomials of a term map."""
+    top = [0] * nvars
+    for key in terms:
+        for var, exp in enumerate(_unpack(key)):
+            if exp > top[var]:
+                top[var] = exp
+    return top
+
+
+def _check_keys(terms, nvars):
+    """Raise if a key built by adding two monomials set a guard bit."""
+    if reduce(or_, terms, 0) & _guards(nvars):
+        worst = max(max(_unpack(key), default=0) for key in terms)
+        raise _cap_error(worst)
+
+
+def _coeff(value):
+    """Canonical coefficient: an int when the denominator is 1, else a Fraction."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _has_fraction(terms):
+    return Fraction in map(type, terms.values())
+
+
+def _normalize(terms):
+    """Make integral Fraction coefficients ints, in place."""
+    for key in terms:
+        coeff = terms[key]
+        if type(coeff) is Fraction and coeff.denominator == 1:
+            terms[key] = coeff.numerator
+
+
+def _quotient(num, den):
+    """Exact num / den; int operands must not fall back to float division."""
+    return _coeff(Fraction(num) / den)
+
+
+class Monomial:
+    """A product of variable powers; the API wrapper around a packed monomial."""
+
+    __slots__ = ("key",)
 
     def __init__(self, exponents=()):
         if isinstance(exponents, dict):
@@ -75,37 +145,27 @@ class Monomial:
         width = max((var for var, _ in items), default=-1) + 1
         exps = [0] * width
         for var, exp in items:
-            if exp < 0:
-                raise ValueError("monomial exponents must be nonnegative")
             exps[var] += exp
-        self.exps = _strip(exps)
+        self.key = _pack(exps)
 
     @classmethod
-    def _from_exps(cls, exps):
+    def _from_key(cls, key):
         self = cls.__new__(cls)
-        self.exps = exps
+        self.key = key
         return self
 
-    def degree(self):
-        return sum(self.exps)
-
-    def exponent(self, var):
-        return self.exps[var] if 0 <= var < len(self.exps) else 0
-
     def exponents(self):
-        return {var: exp for var, exp in enumerate(self.exps) if exp}
-
-    def mul(self, other):
-        return Monomial._from_exps(_mono_mul(self.exps, other.exps))
+        return {var: exp for var, exp in enumerate(_unpack(self.key)) if exp}
 
     def dense_key(self, nvars):
-        return self.exps + (0,) * (nvars - len(self.exps))
+        exps = _unpack(self.key)
+        return exps + (0,) * (nvars - len(exps))
 
     def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
+        return isinstance(other, Monomial) and self.key == other.key
 
     def __hash__(self):
-        return hash(self.exps)
+        return hash(self.key)
 
     def __repr__(self):
         return f"Monomial({self.exponents()!r})"
@@ -151,15 +211,17 @@ class VariableTable:
 
 def _as_key(mono):
     if isinstance(mono, Monomial):
-        return mono.exps
-    return _strip(mono)
+        return mono.key
+    return _pack(mono)
 
 
 class Polynomial:
-    """Sparse multivariate polynomial over Fraction with a canonical term map.
+    """Sparse multivariate polynomial over the rationals with a canonical term map.
 
-    The zero polynomial has an empty term map; no term ever stores a zero
-    coefficient, so ``==`` on the term maps is semantic equality.
+    `terms` maps packed monomials to int or Fraction coefficients.  The zero
+    polynomial has an empty term map, no term ever stores a zero
+    coefficient and integral coefficients are always ints, so ``==`` on the
+    term maps is semantic equality.
     """
 
     __slots__ = ("table", "terms")
@@ -169,7 +231,7 @@ class Polynomial:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+                coeff = _coeff(coeff)
                 if coeff:
                     clean[_as_key(mono)] = coeff
         self.terms = clean
@@ -187,14 +249,14 @@ class Polynomial:
 
     @classmethod
     def const(cls, table, value):
-        value = value if isinstance(value, Fraction) else Fraction(value)
-        return cls._raw(table, {(): value} if value else {})
+        value = _coeff(value)
+        return cls._raw(table, {0: value} if value else {})
 
     @classmethod
     def variable(cls, table, vid):
         if not 0 <= vid < len(table):
             raise IndexError(f"variable id {vid} outside table")
-        return cls._raw(table, {(0,) * vid + (1,): Fraction(1)})
+        return cls._raw(table, {1 << (SLOT_BITS * vid): 1})
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -225,7 +287,7 @@ class Polynomial:
             else:
                 acc = acc + coeff
                 if acc:
-                    out[key] = acc
+                    out[key] = acc if type(acc) is int else _coeff(acc)
                 else:
                     del out[key]
         return Polynomial._raw(self.table, out)
@@ -249,12 +311,13 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
+            other = _coeff(other)
             if not other:
                 return Polynomial._raw(self.table, {})
-            return Polynomial._raw(
-                self.table, {k: c * other for k, c in self.terms.items()}
-            )
+            out = {k: c * other for k, c in self.terms.items()}
+            if _has_fraction(out):
+                _normalize(out)
+            return Polynomial._raw(self.table, out)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -266,26 +329,20 @@ class Polynomial:
         out = {}
         get = out.get
         for e1, c1 in a.items():
-            l1 = len(e1)
             for e2, c2 in b.items():
-                if not e2:
-                    key = e1
-                elif not e1:
-                    key = e2
-                elif l1 >= len(e2):
-                    key = tuple(map(add, e1, e2)) + e1[len(e2):]
-                else:
-                    key = tuple(map(add, e1, e2)) + e2[l1:]
-                coeff = c1 * c2
+                key = e1 + e2
                 acc = get(key)
                 if acc is None:
-                    out[key] = coeff
+                    out[key] = c1 * c2
                 else:
-                    acc = acc + coeff
+                    acc = acc + c1 * c2
                     if acc:
                         out[key] = acc
                     else:
                         del out[key]
+        _check_keys(out, len(self.table))
+        if _has_fraction(a) or _has_fraction(b):
+            _normalize(out)
         return Polynomial._raw(self.table, out)
 
     __rmul__ = __mul__
@@ -316,9 +373,9 @@ class Polynomial:
             return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
             if not self.terms:
-                return Fraction(other) == 0
-            if len(self.terms) == 1 and () in self.terms:
-                return self.terms[()] == other
+                return other == 0
+            if len(self.terms) == 1 and 0 in self.terms:
+                return self.terms[0] == other
             return False
         return NotImplemented
 
@@ -328,29 +385,25 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(k) for k in self.terms)
-
-    def _lead(self):
-        key = max(self.terms, key=_mono_key)
-        return key, self.terms[key]
+        return max(sum(_unpack(k)) for k in self.terms)
 
     def leading_term(self):
         """(monomial, coefficient) maximal in graded lexicographic order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        key, coeff = self._lead()
-        return Monomial._from_exps(key), coeff
+        key = max(self.terms, key=_grlex)
+        return Monomial._from_key(key), Fraction(self.terms[key])
 
     def coefficient(self, mono):
         """Exact coefficient of a monomial, zero if absent."""
-        return self.terms.get(_as_key(mono), Fraction(0))
+        return Fraction(self.terms.get(_as_key(mono), 0))
 
     def evaluate(self, point):
         """Exact value at a map var-id -> Fraction; raises MissingVariableError."""
         total = Fraction(0)
         for key, coeff in self.terms.items():
             value = coeff
-            for var, exp in enumerate(key):
+            for var, exp in enumerate(_unpack(key)):
                 if not exp:
                     continue
                 if var not in point:
@@ -362,38 +415,70 @@ class Polynomial:
     def exact_div(self, other):
         """Exact quotient self/other; raises ExactDivisionError if inexact.
 
-        Repeatedly cancels leading terms in graded-lex order.  When other
-        genuinely divides self, the divisor's leading monomial divides every
-        intermediate leading monomial, so the loop terminates with zero
-        remainder; any failure along the way means the division is inexact.
+        Cancels leading terms in the order of the packed ints (lex with the
+        last variable most significant, a monomial order), keeping the
+        remainder in one dict and its monomials in a max-heap, so each step
+        costs one pass over the divisor.  When other genuinely divides self,
+        the divisor's leading monomial divides every intermediate leading
+        monomial and every quotient monomial lies in the box
+        deg_i(self) - deg_i(other) per variable; any failure of either
+        means the division is inexact.  The box also keeps every remainder
+        monomial within self's degrees, so no slot can overflow.
         """
         other = self._coerce(other)
         if other is None or not other.terms:
             raise ZeroDivisionError("division by zero polynomial")
         if not self.terms:
             return Polynomial._raw(self.table, {})
-        div_key, div_coeff = other._lead()
+        nvars = len(self.table)
+        guards = _guards(nvars)
+        top = [
+            a - b
+            for a, b in zip(_max_exponents(self.terms, nvars), _max_exponents(other.terms, nvars))
+        ]
+        if min(top, default=0) < 0:
+            raise ExactDivisionError("inexact polynomial division")
+        box = _pack(top)
+        lead = max(other.terms)
+        lead_coeff = other.terms[lead]
+        tail = [(k, c) for k, c in other.terms.items() if k != lead]
+        rem = dict(self.terms)
+        heap = [-k for k in rem]
+        heapify(heap)
         quotient = {}
-        rem = self
-        while rem.terms:
-            key, coeff = rem._lead()
-            q = _mono_div(key, div_key)
-            if q is None:
+        while rem:
+            key = -heappop(heap)
+            coeff = rem.pop(key, None)
+            if coeff is None:
+                continue
+            q = _slot_sub(key, lead, guards)
+            if q is None or _slot_sub(box, q, guards) is None:
                 raise ExactDivisionError("inexact polynomial division")
-            qc = coeff / div_coeff
-            quotient[q] = quotient.get(q, Fraction(0)) + qc
-            rem = rem - Polynomial._raw(self.table, {q: qc}) * other
-        return Polynomial(self.table, quotient)
+            qc = _quotient(coeff, lead_coeff)
+            quotient[q] = qc
+            for k, c in tail:
+                k += q
+                acc = rem.get(k)
+                if acc is None:
+                    rem[k] = -qc * c
+                    heappush(heap, -k)
+                else:
+                    acc = acc - qc * c
+                    if acc:
+                        rem[k] = acc
+                    else:
+                        del rem[k]
+        return Polynomial._raw(self.table, quotient)
 
     def text(self):
         """Canonical text form: graded-lex terms joined by " + ", coef*var^exp factors."""
         if not self.terms:
             return "0"
-        keys = sorted(self.terms, key=_mono_key, reverse=True)
+        keys = sorted(self.terms, key=_grlex, reverse=True)
         rendered = []
         for key in keys:
             factors = [str(self.terms[key])]
-            for var, exp in enumerate(key):
+            for var, exp in enumerate(_unpack(key)):
                 if not exp:
                     continue
                 name = self.table.name(var)

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import linalg
 from .linalg import RingMatrix
-from .poly import Polynomial
+from .poly import EXPONENT_CAP, ExponentCapError, Polynomial
 
 
 class PartitionError(ValueError):
@@ -200,10 +200,13 @@ def h_complete(r, values):
     """Complete homogeneous polynomial of degree r in the given ring scalars.
 
     h_0 = 1 and h_r = 0 for r < 0.  Incremental one-variable-at-a-time
-    recurrence, so the cost is len(values) * r ring operations.
+    recurrence, so the cost is len(values) * r ring operations; a degree
+    above the polynomial exponent cap raises ExponentCapError up front.
     """
     if r < 0:
         return Fraction(0)
+    if r > EXPONENT_CAP:
+        raise ExponentCapError(f"degree {r} exceeds the exponent cap {EXPONENT_CAP}")
     h = [Fraction(1)] + [Fraction(0)] * r
     for v in values:
         for j in range(1, r + 1):

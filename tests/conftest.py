@@ -1,4 +1,9 @@
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 sys.path.insert(0, str(Path(__file__).parent))
+
+# `pytest --hypothesis-profile=ci` replays the same examples on every run
+settings.register_profile("ci", derandomize=True, deadline=None)

@@ -4,13 +4,16 @@ These deliberately avoid the algorithms under test: determinants come from
 the full permutation sum with inversion-counted signs, Pfaffians from the
 explicit perfect-matching sum, LR coefficients from dominant-monomial
 extraction out of s_mu * s_nu * Vandermonde, and coefficient-matrix entries
-by reading the term map of the expanded product.
+by peeling the expanded product term by term.  The reference polynomial
+arithmetic at the end keys terms by exponent tuples and keeps every
+coefficient a Fraction, independently of the packed-int kernel it checks.
 """
 
 from fractions import Fraction
 from itertools import permutations
+from operator import add
 
-from detpf.poly import Monomial, Polynomial, VariableTable
+from detpf.poly import ExactDivisionError, Monomial, Polynomial, VariableTable
 from detpf.symfunc import Partition
 
 
@@ -135,16 +138,29 @@ def schur_by_tableaux(lam, values):
     return total
 
 
+def term_list(p):
+    """(Monomial, Fraction) pairs of p in descending graded-lex order, read
+    through the public API by peeling off leading terms."""
+    out = []
+    while p:
+        mono, coeff = p.leading_term()
+        out.append((mono, coeff))
+        p = p - Polynomial(p.table, {mono: coeff})
+    return out
+
+
 def coefficient_of_powers(p, powers):
     """The polynomial multiplying the given variable powers in p, those variables removed.
 
     Example: for p in x,y,z and powers {x: 2, y: 0}, the z-polynomial
     multiplying x^2 y^0.
     """
+    nvars = len(p.table)
     out = {}
-    for key, coeff in p.terms.items():
-        if all((key[v] if v < len(key) else 0) == e for v, e in powers.items()):
-            out[tuple(0 if v in powers else e for v, e in enumerate(key))] = coeff
+    for mono, coeff in term_list(p):
+        exps = mono.dense_key(nvars)
+        if all(exps[v] == e for v, e in powers.items()):
+            out[tuple(0 if v in powers else e for v, e in enumerate(exps))] = coeff
     return Polynomial(p.table, out)
 
 
@@ -155,3 +171,114 @@ def pieri_mu(n, e, k, direction):
     if direction == "v":
         return Partition([e] * (n - k) + [e - 1] * k)
     raise ValueError(f"unknown direction {direction!r}")
+
+
+# ---------------------------------------------------------------------------
+# reference polynomial arithmetic: term maps {exponent tuple: Fraction}, each
+# tuple with its trailing zeros stripped
+
+
+def _strip(exps):
+    exps = tuple(exps)
+    end = len(exps)
+    while end and exps[end - 1] == 0:
+        end -= 1
+    return exps[:end]
+
+
+def _mono_mul(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(map(add, a, b)) + a[len(b):]
+
+
+def _mono_div(a, b):
+    """a / b as an exponent tuple, or None if b does not divide a."""
+    if len(b) > len(a):
+        return None
+    out = list(a)
+    for i, e in enumerate(b):
+        out[i] -= e
+        if out[i] < 0:
+            return None
+    return _strip(out)
+
+
+def _grlex(exps):
+    return (sum(exps), exps)
+
+
+def ref_poly(dense_terms):
+    """A reference term map from {dense exponent tuple: coefficient}."""
+    return {_strip(k): Fraction(c) for k, c in dense_terms.items() if c}
+
+
+def ref_terms(p):
+    """A Polynomial as a reference term map."""
+    return {_strip(mono.dense_key(len(p.table))): coeff for mono, coeff in term_list(p)}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for key, coeff in b.items():
+        acc = out.get(key, Fraction(0)) + coeff
+        if acc:
+            out[key] = acc
+        else:
+            out.pop(key, None)
+    return out
+
+
+def ref_neg(a):
+    return {key: -coeff for key, coeff in a.items()}
+
+
+def ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = _mono_mul(e1, e2)
+            acc = out.get(key, Fraction(0)) + c1 * c2
+            if acc:
+                out[key] = acc
+            else:
+                out.pop(key, None)
+    return out
+
+
+def ref_pow(a, k):
+    out = {(): Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_exact_div(a, b):
+    """Quotient by repeated cancellation of graded-lex leading terms."""
+    if not b:
+        raise ZeroDivisionError("division by zero polynomial")
+    div_key = max(b, key=_grlex)
+    quotient = {}
+    rem = dict(a)
+    while rem:
+        key = max(rem, key=_grlex)
+        q = _mono_div(key, div_key)
+        if q is None:
+            raise ExactDivisionError("inexact polynomial division")
+        qc = rem[key] / b[div_key]
+        quotient = ref_add(quotient, {q: qc})
+        rem = ref_add(rem, ref_neg(ref_mul({q: qc}, b)))
+    return quotient
+
+
+def ref_text(a, names):
+    if not a:
+        return "0"
+    rendered = []
+    for key in sorted(a, key=_grlex, reverse=True):
+        factors = [str(a[key])]
+        for var, exp in enumerate(key):
+            if exp:
+                factors.append(names[var] if exp == 1 else f"{names[var]}^{exp}")
+        rendered.append("*".join(factors))
+    return " + ".join(rendered)

@@ -2,6 +2,7 @@ import io
 import json
 
 from detpf.cli import main
+from detpf.poly import EXPONENT_CAP
 
 
 def run_cli(*argv):
@@ -88,6 +89,25 @@ def test_schur_output():
     # s_{21/1} = s_2 + s_11 = x1^2 + 2 x1 x2 + x2^2 in two variables
     code, text = run_cli("schur", "--shape", "[2,1]", "--inner", "[1]", "--vars", "2")
     assert code == 0 and text.strip() == "1*x1^2 + 2*x1*x2 + 1*x2^2"
+
+
+def test_schur_exponent_cap(capsys):
+    code, text = run_cli("schur", "--shape", "[40000]", "--vars", "1")
+    assert code == 0 and text.strip() == "1*x1^40000"
+    code, text = run_cli("schur", "--shape", f"[{EXPONENT_CAP + 1}]", "--vars", "1")
+    assert code == 1 and text == ""
+    assert "exponent cap" in capsys.readouterr().err
+
+
+def test_guard_exhaustion_exits_one_with_bound_hint(capsys):
+    # with bound 1 every value is -1, 0 or 1, so some x_i + y_j vanishes on nearly every draw
+    code, text = run_cli(
+        "verify", "--name", "cauchy", "--param", "n=6",
+        "--mode", "numeric", "--trials", "1", "--bound", "1",
+    )
+    assert code == 1 and text == ""
+    err = capsys.readouterr().err
+    assert "hit a guard" in err and "--bound" in err and "internal error" not in err
 
 
 def test_pf_from_json(tmp_path):

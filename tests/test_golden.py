@@ -1,9 +1,10 @@
 """Golden campaign digests.
 
-SHA-256 of `reports_to_json` over two fixed block sets.  The reports carry
+SHA-256 of `reports_to_json` over three fixed block sets.  The reports carry
 every failure record with its assignment, so a digest changes when the
 random samples, the guard accept/reject decisions or any verdict change.
-A refactor of the registry or the harness must keep both digests.
+A refactor of the registry, the harness or the polynomial kernel must keep
+every digest.
 """
 
 import hashlib
@@ -23,8 +24,10 @@ BOUND = 30
 
 # every identity numerically at its numeric_defaults, 3 trials each
 NUMERIC_DIGEST = "89cee3fc5e7c2370a094b803174bf68209f6f363547a7ec917802ed096ccafc6"
-# every symbolic case of the default grid except main4 (about 6 s on its own)
+# every symbolic case of the default grid except main4, which has its own digest
 SYMBOLIC_DIGEST = "b9ba6c4fdb4c78a87350905ad39f40490bea05d1cd84a4a1d38c8bf3ff286c1c"
+# main4's default-grid symbolic case (n=2), recorded with the Fraction/tuple kernel
+MAIN4_DIGEST = "718d10be258a75fda89be84e39523b473517d2332ba1a78a19936e129b37d6d3"
 
 
 def _digest(blocks):
@@ -51,3 +54,12 @@ def test_symbolic_grid_digest():
     ]
     assert len(blocks) == 64
     assert _digest(blocks) == SYMBOLIC_DIGEST
+
+
+def test_main4_symbolic_digest():
+    blocks = [
+        CampaignBlock("main4", "symbolic", 1, BOUND, SEED, dict(case))
+        for case in symbolic_cases(get_spec("main4"))
+    ]
+    assert [b.params for b in blocks] == [{"n": 2, "p": 0, "q": 0}]
+    assert _digest(blocks) == MAIN4_DIGEST

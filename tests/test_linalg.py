@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -281,6 +282,29 @@ def test_pfaffian_with_denominators_matches_division():
                 prod *= v
             assert cleared == pfaffian(ratio) * prod
     assert pfaffian_with_denominators(3, lambda i, j: Fraction(1), lambda i, j: Fraction(1)) == 0
+
+
+def test_memoized_recursions_leave_no_reference_cycles():
+    table = VariableTable()
+    table.add_vector("x", 4)
+    x = table.gens()
+    skew = SkewMatrix.from_upper_function(4, lambda i, j: (x[j] - x[i]) ** 3)
+    tensor = blocked_tensor(skew, 2)
+    routines = [
+        lambda: det(RingMatrix(4, 4, [x[i] ** j for i in range(4) for j in range(4)])),
+        lambda: pfaffian(skew),
+        lambda: pfaffian_with_denominators(4, lambda i, j: x[j] - x[i], lambda i, j: x[i] + x[j]),
+        lambda: hyperpfaffian(tensor),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for routine in routines:
+            assert routine()
+            # nothing left for the cycle collector: each memo dies with its call
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_desnanot_jacobi_det():

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from detpf.poly import (
+    EXPONENT_CAP,
     ExactDivisionError,
+    ExponentCapError,
     MissingVariableError,
     Monomial,
     Polynomial,
@@ -14,7 +16,18 @@ from detpf.poly import (
     random_rational,
 )
 
-from oracles import coefficient_of_powers
+from oracles import (
+    coefficient_of_powers,
+    ref_add,
+    ref_exact_div,
+    ref_mul,
+    ref_neg,
+    ref_poly,
+    ref_pow,
+    ref_terms,
+    ref_text,
+    term_list,
+)
 
 
 @pytest.fixture
@@ -65,14 +78,14 @@ def test_coefficient_queries(xy):
 def test_coefficient_roundtrip(xy):
     table, x, y = xy
     p = (x + 2 * y - 3) ** 3
-    rebuilt = Polynomial(
-        table, {key: p.terms[key] for key in p.terms}
-    )
+    terms = term_list(p)
+    assert len(terms) == 10
+    rebuilt = Polynomial(table, {mono.dense_key(2): coeff for mono, coeff in terms})
     assert rebuilt == p
     # and term-by-term reconstruction through the public accessor
     total = Polynomial.zero(table)
-    for key in p.terms:
-        mono = Monomial(dict(enumerate(key)))
+    for mono, _ in terms:
+        mono = Monomial(dict(enumerate(mono.dense_key(2))))
         total = total + Polynomial(table, {mono: p.coefficient(mono)})
     assert total == p
 
@@ -105,6 +118,58 @@ def test_pow_and_division(xy):
     with pytest.raises(ExactDivisionError):
         (x * x + y).exact_div(x + 1)
     assert (x / 2) * 2 == x
+
+
+def test_exact_division_above_float_precision(xy):
+    table, x, y = xy
+    big = 3**40  # above 2**53, so a float quotient would round
+    q = (big * x + 1) * (x + 1)
+    quotient = q.exact_div(x + 1)
+    assert quotient == big * x + 1
+    assert quotient.coefficient(Monomial({0: 1})) == big
+    assert all(type(c) is int for c in quotient.terms.values())
+    half = (x + 1).exact_div(2 * x + 2)
+    assert half == Fraction(1, 2) and type(half.coefficient(Monomial())) is Fraction
+    assert ((x * y + 1) * (2 * y - 3)).exact_div(2 * y - 3) == x * y + 1
+
+
+def test_coefficients_are_ints_exactly_when_integral(xy):
+    table, x, y = xy
+    p = (x / 2 + y) * 2
+    assert p == x + 2 * y
+    assert all(type(c) is int for c in p.terms.values())
+    q = x / 3 + x * Fraction(2, 3) + y / 2
+    assert q.coefficient(Monomial({0: 1})) == 1
+    assert sorted(map(type, q.terms.values()), key=str) == [Fraction, int]
+    assert Polynomial(table, {Monomial({1: 1}): Fraction(4, 2)}).terms == (2 * y).terms
+
+
+def test_exponent_cap(xy):
+    table, x, y = xy
+    top = x**EXPONENT_CAP
+    assert top.degree() == EXPONENT_CAP
+    assert (top * y).text() == f"1*x^{EXPONENT_CAP}*y"  # no carry into y
+    assert Monomial({0: EXPONENT_CAP}) == top.leading_term()[0]
+    with pytest.raises(ExponentCapError):
+        top * x
+    with pytest.raises(ExponentCapError):
+        (top + 1) * (x + 1)
+    with pytest.raises(ExponentCapError):
+        x ** (EXPONENT_CAP + 1)
+    with pytest.raises(ExponentCapError):
+        Monomial({1: EXPONENT_CAP + 1})
+    with pytest.raises(ExponentCapError):
+        Polynomial(table, {(0, EXPONENT_CAP + 1): 1})
+
+
+def test_table_growth_keeps_existing_polynomials():
+    table = VariableTable(["x", "y"])
+    x, y = table.gens()
+    p = (x + y) ** 2
+    z = Polynomial.variable(table, table.add("z"))
+    assert (p * z).text() == "1*x^2*z + 2*x*y*z + 1*y^2*z"
+    assert (p * z).exact_div(z) == p
+    assert p.coefficient(Monomial({0: 1, 1: 1})) == 2
 
 
 @st.composite
@@ -142,6 +207,79 @@ def test_exact_division_roundtrip(data):
     if not q.terms:
         return
     assert (p * q).exact_div(q) == p
+
+
+_SMALL_INTS = st.integers(-9, 9)
+_BIG_INTS = st.integers(-(2**80), 2**80)
+_FRACTIONS = st.builds(Fraction, _BIG_INTS | _SMALL_INTS, st.integers(1, 2**70) | st.integers(1, 9))
+_SMALL_EXPS = st.integers(0, 3)
+_BIG_EXPS = st.integers(0, 2**29)  # a product of three stays below the cap
+
+
+def dense_terms(coeffs, exps):
+    """Reference input: {dense exponent tuple: coefficient}, up to 5 terms."""
+    return st.dictionaries(st.tuples(exps, exps, exps), coeffs, max_size=5)
+
+
+def _kernel(dense):
+    return Polynomial(_TABLE, {Monomial(dict(enumerate(k))): c for k, c in dense.items()})
+
+
+def _assert_canonical(p):
+    for coeff in p.terms.values():
+        assert coeff and (type(coeff) is int or coeff.denominator != 1)
+
+
+def _check_against_reference(p_dense, q_dense, k):
+    p, q = _kernel(p_dense), _kernel(q_dense)
+    rp, rq = ref_poly(p_dense), ref_poly(q_dense)
+    assert ref_terms(p) == rp and p.text() == ref_text(rp, _TABLE.names)
+    cases = [
+        (p + q, ref_add(rp, rq)),
+        (p - q, ref_add(rp, ref_neg(rq))),
+        (p * q, ref_mul(rp, rq)),
+        (p**k, ref_pow(rp, k)),
+    ]
+    if rq:
+        cases.append(((p * q).exact_div(q), ref_exact_div(ref_mul(rp, rq), rq)))
+    for got, want in cases:
+        _assert_canonical(got)
+        assert got.text() == ref_text(want, _TABLE.names)
+        assert ref_terms(got) == want
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [_SMALL_INTS | _BIG_INTS, _SMALL_INTS | _BIG_INTS | _FRACTIONS],
+    ids=["integer", "mixed"],
+)
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_reference(coeffs, data):
+    exps = _SMALL_EXPS | _BIG_EXPS
+    p = data.draw(dense_terms(coeffs, exps))
+    q = data.draw(dense_terms(coeffs, exps))
+    _check_against_reference(p, q, data.draw(st.integers(0, 3)))
+
+
+def _quotient_text(divide):
+    try:
+        return divide()
+    except ExactDivisionError:
+        return "inexact"
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_inexact_division_matches_reference(data):
+    coeffs = _SMALL_INTS | _FRACTIONS
+    p = data.draw(dense_terms(coeffs, _SMALL_EXPS))
+    q = data.draw(dense_terms(coeffs, _SMALL_EXPS))
+    if not ref_poly(q):
+        return
+    got = _quotient_text(lambda: _kernel(p).exact_div(_kernel(q)).text())
+    want = _quotient_text(lambda: ref_text(ref_exact_div(ref_poly(p), ref_poly(q)), _TABLE.names))
+    assert got == want
 
 
 def test_random_rational_contract():
