@@ -113,17 +113,20 @@ def _register_quotient(kind, dim, den, parts, **fields):
         def d(i, j):
             return den(p, sc, i, j)
 
-        if kind == "det" and numeric:
-            lhs = det(RingMatrix(n, n, [num(i, j) / d(i, j) for i, j in pairs(n)]))
-        elif kind == "det":
+        if numeric:
+            ij = pairs(n)
+            dens = [d(i, j) for i, j in ij]
+            ratios = [num(i, j) / dv for (i, j), dv in zip(ij, dens)]
+            if kind == "det":
+                lhs = det(RingMatrix(n, n, ratios))
+            else:
+                lhs = pfaffian(SkewMatrix(n, dict(zip(ij, ratios))))
+            return [(lhs, core / _prod(dens))]
+        if kind == "det":
             nmat = RingMatrix(n, n, [num(i, j) for i, j in pairs(n)])
             lhs = det_with_denominators(nmat, RingMatrix(n, n, [d(i, j) for i, j in pairs(n)]))
-        elif numeric:
-            lhs = pfaffian(SkewMatrix.from_upper_function(n, lambda i, j: num(i, j) / d(i, j)))
         else:
             lhs = pfaffian_with_denominators(n, num, d)
-        if numeric:
-            return [(lhs, core / _prod(d(i, j) for i, j in pairs(n)))]
         return [(lhs, core)]
 
     fields.setdefault("main_dim", dim)
@@ -137,10 +140,23 @@ def _register_quotient(kind, dim, den, parts, **fields):
 
 
 def _prod(items):
-    total = Fraction(1)
+    """Product of `items`, starting from Fraction(1).
+
+    Rational factors are multiplied as one int numerator and denominator,
+    which are normalized once; from the first Polynomial factor on, the
+    product is taken in the polynomial ring.
+    """
+    items = iter(items)
+    num = den = 1
     for x in items:
-        total = total * x
-    return total
+        if not isinstance(x, (int, Fraction)):
+            total = Fraction(num, den) * x
+            for y in items:
+                total = total * y
+            return total
+        num *= x.numerator
+        den *= x.denominator
+    return Fraction(num, den)
 
 
 def _delta(xs):

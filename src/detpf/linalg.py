@@ -1,21 +1,24 @@
 """Exact determinants, Pfaffians, minors and hyperpfaffians over a commutative ring.
 
-Scalars are either Fraction or Polynomial (see poly.py); every algorithm here
+Scalars are int, Fraction or Polynomial (see poly.py); every algorithm here
 uses ring operations only, except the rational fast paths which may divide.
-Determinants of polynomial matrices use cofactor expansion with memoized
-minors up to dimension 12 and fraction-free Bareiss elimination beyond;
-Pfaffians use division-free first-row expansion with memoization on index
-subsets, with an elimination fallback for large rational matrices.
+A rational determinant scales each row by the lcm of its denominators, runs
+fraction-free Bareiss elimination on plain ints and divides by the product
+of the row scales once.  Determinants of polynomial matrices use cofactor
+expansion with memoized minors up to dimension 12 and the same Bareiss loop,
+dividing exactly in the polynomial ring, beyond.  Pfaffians use
+division-free first-row expansion with memoization on index subsets up to
+dimension 6; rational matrices beyond that take skew Gaussian elimination.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 
 from .poly import Polynomial
 
 DET_COFACTOR_MAX_DIM = 12
-PF_EXPANSION_MAX_DIM = 14
+PF_EXPANSION_MAX_DIM = 6
 HYPERPFAFFIAN_DIM_CAP = 12
 
 
@@ -260,12 +263,16 @@ def _exact_div(num, den):
     return num.exact_div(den)
 
 
-def _det_bareiss(m):
-    """Fraction-free Bareiss elimination with row pivoting; exact over any integral domain."""
-    n = m.rows
-    a = [m.row_list(i) for i in range(n)]
+def _bareiss(a, div):
+    """Determinant of the square row list `a` by fraction-free Bareiss elimination.
+
+    Pivots by row swaps and overwrites `a`.  Every division is exact, so
+    `div(num, den)` is the exact division of the entries' ring: `//` over the
+    integers, `_exact_div` over polynomials.
+    """
+    n = len(a)
     sign = 1
-    prev = Fraction(1)
+    prev = 1
     for k in range(n - 1):
         if _is_zero(a[k][k]):
             for i in range(k + 1, n):
@@ -274,15 +281,38 @@ def _det_bareiss(m):
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
+        pivot_row = a[k]
+        pivot = pivot_row[k]
         for i in range(k + 1, n):
+            row = a[i]
+            lead = row[k]
             for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = _exact_div(num, prev)
-            a[i][k] = Fraction(0)
-        prev = a[k][k]
+                row[j] = div(row[j] * pivot - lead * pivot_row[j], prev)
+        prev = pivot
     result = a[n - 1][n - 1]
     return -result if sign < 0 else result
+
+
+def _det_rational(m):
+    """Determinant of an int/Fraction matrix as a Fraction, by integer Bareiss.
+
+    Row i is scaled by the lcm of its denominators, which makes it integral
+    and multiplies the determinant by that lcm.
+    """
+    rows = []
+    scale = 1
+    for i in range(m.rows):
+        row = m.row_list(i)
+        row_lcm = lcm(*[v.denominator for v in row])
+        scale *= row_lcm
+        rows.append([v.numerator * (row_lcm // v.denominator) for v in row])
+    return Fraction(_bareiss(rows, int.__floordiv__), scale)
+
+
+def _det_bareiss(m):
+    """Determinant of a polynomial matrix by Bareiss elimination."""
+    return _bareiss([m.row_list(i) for i in range(m.rows)], _exact_div)
 
 
 def _det_cofactor(m):
@@ -317,15 +347,17 @@ def _det_minor(m, cols, memo):
 
 
 def det(m):
-    """Exact determinant of a square RingMatrix."""
+    """Exact determinant of a square RingMatrix; a Fraction when every entry is rational."""
     if m.rows != m.cols:
         raise NonSquareError(f"matrix is {m.rows}x{m.cols}")
     n = m.rows
     if n == 0:
         return Fraction(1)
+    if _all_rational(m.data):
+        return _det_rational(m)
     if n == 1:
         return m.at(0, 0)
-    if _all_rational(m.data) or n > DET_COFACTOR_MAX_DIM:
+    if n > DET_COFACTOR_MAX_DIM:
         return _det_bareiss(m)
     return _det_cofactor(m)
 
@@ -388,7 +420,7 @@ def pfaffian(a):
     """Exact Pfaffian of a SkewMatrix.
 
     Odd dimensions return 0 (the empty perfect-matching sum); dimension 0
-    returns 1.  Rational matrices beyond dimension 14 switch to elimination.
+    returns 1.  Rational matrices beyond dimension 6 switch to elimination.
     """
     n = a.dim
     if n == 0:

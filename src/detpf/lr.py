@@ -40,40 +40,42 @@ def lr_bruteforce(lam, mu, nu):
         return 0
     if nu.size() == 0:
         return 1 if lam == mu else 0
-    nrows = lam.length()
-    nvals = nu.length()
-    cells = []
-    for i in range(nrows):
-        for j in range(lam.part(i) - 1, mu.part(i) - 1, -1):
-            cells.append((i, j))
-    grid = {}
-    counts = [0] * (nvals + 1)
+    cells = [
+        (i, j)
+        for i in range(lam.length())
+        for j in range(lam.part(i) - 1, mu.part(i) - 1, -1)
+    ]
+    return _count_fillings(0, cells, {}, [0] * (nu.length() + 1), nu)
 
-    def in_shape(i, j):
-        return 0 <= i and mu.part(i) <= j < lam.part(i)
 
-    def fill(pos):
-        if pos == len(cells):
-            return 1
-        i, j = cells[pos]
-        right = grid.get((i, j + 1))
-        above = grid.get((i - 1, j)) if i > 0 and in_shape(i - 1, j) else None
-        total = 0
-        lo = (above + 1) if above is not None else 1
-        hi = right if right is not None else nvals
-        for v in range(lo, hi + 1):
-            if counts[v] >= nu.part(v - 1):
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue
-            grid[(i, j)] = v
-            counts[v] += 1
-            total += fill(pos + 1)
-            counts[v] -= 1
-            del grid[(i, j)]
-        return total
+def _count_fillings(pos, cells, grid, counts, nu):
+    """Completions of the partial filling `grid` from cells[pos] on.
 
-    return fill(0)
+    `counts[v]` is how many filled cells hold v.  Cells are filled in
+    reverse reading order, so the cells right of and above the current one
+    are already in `grid` whenever they lie in the skew shape.  A module
+    function rather than a self-calling closure, which would be a
+    reference cycle.
+    """
+    if pos == len(cells):
+        return 1
+    i, j = cells[pos]
+    right = grid.get((i, j + 1))
+    above = grid.get((i - 1, j))
+    total = 0
+    lo = (above + 1) if above is not None else 1
+    hi = right if right is not None else len(counts) - 1
+    for v in range(lo, hi + 1):
+        if counts[v] >= nu.part(v - 1):
+            continue
+        if v > 1 and counts[v] >= counts[v - 1]:
+            continue
+        grid[(i, j)] = v
+        counts[v] += 1
+        total += _count_fillings(pos + 1, cells, grid, counts, nu)
+        counts[v] -= 1
+        del grid[(i, j)]
+    return total
 
 
 def lr_rect_rect(lam, n, e, f):

@@ -140,17 +140,18 @@ class Partition:
 def partitions_in_box(rows, cols):
     """All partitions with at most `rows` parts, each at most `cols`, deterministic order."""
     out = []
-
-    def rec(prefix, maxpart, remaining_rows):
-        out.append(Partition(prefix))
-        if not remaining_rows:
-            return
-        for p in range(maxpart, 0, -1):
-            rec(prefix + [p], p, remaining_rows - 1)
-
-    rec([], cols, rows)
+    _box_partitions([], cols, rows, out)
     out.sort(key=lambda lam: (lam.size(), lam.parts))
     return out
+
+
+def _box_partitions(prefix, maxpart, remaining_rows, out):
+    """Append `prefix` and every extension of it by at most `remaining_rows`
+    parts, each at most `maxpart`, to `out`."""
+    out.append(Partition(prefix))
+    if remaining_rows:
+        for p in range(maxpart, 0, -1):
+            _box_partitions(prefix + [p], p, remaining_rows - 1, out)
 
 
 def index_set(lam, r):

@@ -55,6 +55,8 @@ def pf_matchings(a):
             return
         first = remaining[0]
         for j in remaining[1:]:
+            if not a.entry(first, j):
+                continue  # every matching through this pair has a zero term
             rest = [r for r in remaining if r not in (first, j)]
             rec(rest, flat + [first, j])
 

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -19,7 +22,8 @@ from detpf.harness import (
     symbolic_cases,
     verify,
 )
-from detpf.identities import REGISTRY, InvalidParamsError, registry
+from detpf.identities import REGISTRY, InvalidParamsError, _prod, registry
+from detpf.poly import VariableTable
 
 
 def test_registry_contract():
@@ -251,3 +255,23 @@ def test_palindromic_identities_even_parameters():
     assert verify("main3", {"n": 2, "p": 2}, "numeric", trials=5, seed=9).passed
     assert verify("main4", {"n": 2, "p": 2, "q": 0}, "numeric", trials=5, seed=9).passed
     assert verify("another2", {"n": 2, "p": 2}, "numeric", trials=5, seed=9).passed
+
+
+def test_prod_matches_left_fold():
+    table = VariableTable(["x", "y"])
+    x, y = table.gens()
+    big = Fraction(3, 2**70 + 1)
+    cases = [
+        [],
+        [2, 3],
+        [Fraction(2, 3), 5, Fraction(-9, 4)],
+        [big, -big, Fraction(7, 5)],
+        [big, 0, Fraction(7, 5)],
+        [x, Fraction(1, 2), y],
+        [Fraction(1, 3), 4, x - y, Fraction(3, 7), x + 1],  # a Polynomial after rational factors
+        [3, x * y, 0],
+    ]
+    for items in cases:
+        want = reduce(mul, items, Fraction(1))
+        got = _prod(iter(items))
+        assert got == want and type(got) is type(want)

@@ -5,6 +5,8 @@ from itertools import combinations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detpf.linalg import (
     AlternatingTensor,
@@ -27,6 +29,7 @@ from detpf.linalg import (
     pfaffian_with_denominators,
     permutation_sign,
     sub_pfaffian,
+    _det_cofactor,
     _ordered_block_partitions,
     _pf_elimination,
     _pf_expand,
@@ -103,9 +106,71 @@ def test_pfaffian_elimination_agrees_with_expansion():
     rng = random.Random(3)
     a = random_skew(rng, 16, _draw)
     assert _pf_elimination(a) == _pf_expand(a)
-    assert pfaffian(a) == _pf_elimination(a)  # dispatch for rational dim > 14
+    assert pfaffian(a) == _pf_elimination(a)  # rational dim 16 takes the elimination route
     sparse = SkewMatrix(16, {(0, 1): Fraction(3)})
     assert _pf_elimination(sparse) == 0
+
+
+_INTS = st.integers(-3, 3) | st.integers(-(2**70), 2**70)
+_DENOMINATORS = st.integers(1, 9) | st.integers(2**64 + 1, 2**70)
+_RATIONAL_ENTRIES = {
+    "int": _INTS,
+    "fraction": st.builds(Fraction, _INTS, _DENOMINATORS),
+    "mixed": _INTS | st.builds(Fraction, _INTS, _DENOMINATORS),
+}
+
+
+@st.composite
+def _rational_matrices(draw, entries):
+    """Square matrices up to 6x6; some with a zero leading pivot, some singular."""
+    n = draw(st.integers(1, 6))
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+    shape = draw(st.sampled_from(["random", "zero pivot", "singular"]))
+    if n > 1 and shape == "zero pivot":
+        rows[0][0] = 0
+        rows[1][0] = draw(entries.filter(bool))
+    elif n > 1 and shape == "singular":
+        scale = draw(entries)
+        rows[-1] = [scale * v for v in rows[0]]
+    return RingMatrix(n, n, [v for row in rows for v in row])
+
+
+_SWAP_NEEDED = RingMatrix(3, 3, [0, 2, 1, Fraction(1, 2**64 + 1), 0, 3, 4, 5, 6])
+_SINGULAR = RingMatrix(3, 3, [Fraction(1, 3), 2, 5, Fraction(2, 3), 4, 10, 7, 1, Fraction(-1, 2**65)])
+_HUGE_DENOMINATORS = RingMatrix(
+    2, 2, [Fraction(1, 2**64 + 13), Fraction(3, 2**70 - 1), Fraction(-5, 2**67 + 1), 1]
+)
+
+
+def _check_rational_det(m):
+    d = det(m)
+    assert isinstance(d, Fraction)
+    assert d == det_leibniz(m) == _det_cofactor(m)
+    return d
+
+
+@pytest.mark.parametrize("kind", sorted(_RATIONAL_ENTRIES))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_rational_det_matches_leibniz_and_cofactor(kind, data):
+    _check_rational_det(data.draw(_rational_matrices(_RATIONAL_ENTRIES[kind])))
+
+
+def test_rational_det_edge_cases():
+    assert _check_rational_det(_SWAP_NEEDED) == 24 - Fraction(7, 2**64 + 1)
+    assert _check_rational_det(_SINGULAR) == 0
+    assert _check_rational_det(_HUGE_DENOMINATORS).denominator > 2**128
+
+
+@pytest.mark.parametrize("dim", [6, 8, 10, 14])
+def test_pfaffian_routes_agree_across_the_switch(dim):
+    rng = random.Random(dim)
+    # half the entries of the 14x14 matrix are zero, which keeps the matching sum small
+    zero_share = 0.5 if dim == 14 else 0.0
+    a = random_skew(rng, dim, lambda r: Fraction(0) if r.random() < zero_share else _draw(r))
+    pf = pfaffian(a)
+    assert pf != 0
+    assert pf == _pf_expand(a) == _pf_elimination(a) == pf_matchings(a)
 
 
 def test_pfaffian_elimination_on_int_entries_stays_exact():

@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,16 @@ def test_bruteforce_vs_product_oracle():
             if lam.size() != total:
                 continue
             assert lr_bruteforce(lam, mu, nu) == lr_from_product(lam, mu, nu), (lam, mu, nu)
+
+
+def test_bruteforce_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        assert lr_bruteforce(P([3, 2, 1]), P([2, 1]), P([2, 1])) == 2
+        assert gc.collect() == 0  # the filling state dies with the call
+    finally:
+        gc.enable()
 
 
 def test_rect_rect_indicator():

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -222,6 +223,16 @@ def test_partitions_in_box_counts():
     assert len(partitions_in_box(2, 2)) == comb(4, 2)
     assert len(partitions_in_box(3, 4)) == comb(7, 3)
     assert partitions_in_box(0, 5) == [Partition()]
+
+
+def test_partitions_in_box_leaves_no_reference_cycles():
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(partitions_in_box(3, 3)) == 20
+        assert gc.collect() == 0  # the recursion holds no self-reference
+    finally:
+        gc.enable()
 
 
 def test_power_matrix_minor_is_schur_of_tableau_oracle():
