@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage/config errors (including an exponent above
-the polynomial exponent cap and a numeric run whose guards rejected every
-draw), 2 verification or cross-check failure, 3 internal invariant breach.
+Exit codes: 0 success, 1 usage/config errors (including a missing or
+unreadable file, an exponent above the polynomial exponent cap, a hyperpfaffian above
+its enumeration cap and a numeric run whose guards rejected every draw),
+2 verification or cross-check failure, 3 internal invariant breach.
 """
 
 import argparse
@@ -13,7 +14,7 @@ from fractions import Fraction
 from . import harness, lr
 from .harness import ConfigError, GuardExhaustionError, UnknownIdentityError
 from .identities import InvalidParamsError, get_spec, registry
-from .linalg import SkewMatrix, pfaffian
+from .linalg import EnumerationCapError, IndexBoundsError, SkewMatrix, pfaffian
 from .poly import ExponentCapError, VariableTable
 from .symfunc import Partition, PartitionError, SkewShape, schur
 
@@ -143,6 +144,8 @@ def _cmd_lr(args, out):
     if args.n is None or args.e is None or args.f is None:
         raise InvalidParamsError("rectangle mode needs --n, --e and --f")
     n, e, f = args.n, args.e, args.f
+    if n < 1:
+        raise InvalidParamsError("rectangle mode needs --n >= 1")
     methods = {
         "oracle": lambda: lr.lr_bruteforce(lam, mu, Partition.box(n, f)),
         "pfaffian": lambda: lr.lr_via_pfaffian(lam, n, e, f, mu),
@@ -173,15 +176,19 @@ def _cmd_schur(args, out):
 
 def _cmd_pf(args, out):
     with open(args.matrix, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        text = fh.read()
     try:
+        payload = json.loads(text)
         dim = payload["dim"]
+        if type(dim) is not int or dim < 0:
+            raise ValueError(f"dim must be a nonnegative integer, got {dim!r}")
         upper = {}
-        for i, j, text in payload["upper"]:
-            upper[(int(i), int(j))] = Fraction(text)
-    except (KeyError, TypeError, ValueError) as exc:
+        for i, j, entry in payload["upper"]:
+            upper[(int(i), int(j))] = Fraction(entry)
+        matrix = SkewMatrix(dim, upper)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError, IndexBoundsError) as exc:
         raise ConfigError(f"bad skew-matrix JSON: {exc}") from None
-    out.write(f"{pfaffian(SkewMatrix(dim, upper))}\n")
+    out.write(f"{pfaffian(matrix)}\n")
     return 0
 
 
@@ -210,7 +217,9 @@ def main(argv=None, out=None):
         UnknownIdentityError,
         PartitionError,
         ExponentCapError,
-        FileNotFoundError,
+        EnumerationCapError,
+        OSError,
+        UnicodeDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,7 +13,11 @@ Most of the paper's identities share one shape: det or Pf of num/den equals
 a core over the product of the denominators, generalizing Cauchy's
 det(1/(x_i+y_j)) and Schur's Pf((x_j-x_i)/(x_j+x_i)).  Those are declared
 by `_register_quotient` from (den, num, core) alone; it derives both modes'
-sides and takes the denominators as the guards.
+sides and takes the denominators as the guards.  Eleven of them are
+instances of the paper's two theorems, each stated once for any structured
+determinant family f (two-block V, palindromic-row W, bidegree U, signed
+sums F): `_theorem_det` gives special1, main1, main3, homog2 and variation1,
+`_theorem_pf` gives special2, main2, prop_n2, main4, homog1 and variation2.
 
 Sides are composed exclusively from the matrix builders, exact linear
 algebra and symmetric-function primitives; no identity re-derives a closed
@@ -183,6 +187,23 @@ def _du(p, q, xs, ys, as_, bs):
     return det(build_U(p, q, list(xs), list(ys), list(as_), list(bs)))
 
 
+def _F(pp, qq, xs, as_):
+    return fgh_sum("F", pp, qq, list(xs), list(as_))
+
+
+def _family(build, *sizes, step=1):
+    """f(params, k, vecs): `build` at sizes params[s] + step*k, on k extra points."""
+    return lambda p, k, vecs: build(*(p[s] + step * k for s in sizes), *vecs)
+
+
+def _v_square(p, k, vecs):
+    return _dv(k, k, *vecs)
+
+
+_V = _family(_dv, "p", "q")
+_W = _family(_dw, "p", step=2)
+
+
 def _schur(lam, values):
     return schur_jacobi_trudi(lam, list(values))
 
@@ -264,6 +285,60 @@ def _check_even_block(params):
 
 
 # ---------------------------------------------------------------------------
+# the paper's two theorems
+#
+# f(params, k, vecs) is one structured determinant (_dv, _dw, _du or _F) on k
+# extra points: vecs holds one vector per argument of the builder, the k
+# points' coordinates first and then the fixed tail t.
+
+
+def _theorem_det(f, rows, cols, tail=(), signed=True):
+    """parts of the Cauchy-type determinant theorem
+
+        det(f_1(u_i, v_j; t) / den_ij) = s f_0(t)^(n-1) f_n(u, v; t) / prod den,
+
+    with u, v, t the vectors named by `rows`, `cols`, `tail` (one prefix per
+    builder argument) and s = (-1)^(n(n-1)/2) for V, U and F; the
+    palindromic-row family W has s = 1 (`signed=False`).
+    """
+
+    def parts(p, sc):
+        n = p["n"]
+        u, v = [sc[k] for k in rows], [sc[k] for k in cols]
+        t = [sc[k] for k in tail] if tail else [[]] * len(rows)
+        num = lambda i, j: f(p, 1, [[a[i], b[j]] + c for a, b, c in zip(u, v, t)])
+        core = _pow(f(p, 0, t), n - 1) * f(p, n, [a + b + c for a, b, c in zip(u, v, t)])
+        return num, (_sign(n * (n - 1) // 2) * core if signed else core)
+
+    return parts
+
+
+def _theorem_pf(f, frows, ftail, g, grows, gtail):
+    """parts of the Schur-type Pfaffian theorem
+
+        Pf(f_1(u_i, u_j; t) g_1(u'_i, u'_j; t') / den_ij)
+            = f_0(t)^(n-1) g_0(t')^(n-1) f_n(u; t) g_n(u'; t') / prod den,
+
+    with u, t the vectors named by `frows`, `ftail` and u', t' by `grows`,
+    `gtail`.
+    """
+
+    def factor(h, p, sc, rows, tail):
+        n = p["n"]
+        u = [sc[k] for k in rows]
+        t = [sc[k] for k in tail] if tail else [[]] * len(rows)
+        entry = lambda i, j: h(p, 1, [[a[i], a[j]] + c for a, c in zip(u, t)])
+        return entry, _pow(h(p, 0, t), n - 1) * h(p, n, [a + c for a, c in zip(u, t)])
+
+    def parts(p, sc):
+        fe, fc = factor(f, p, sc, frows, ftail)
+        ge, gc = factor(g, p, sc, grows, gtail)
+        return (lambda i, j: fe(i, j) * ge(i, j)), fc * gc
+
+    return parts
+
+
+# ---------------------------------------------------------------------------
 # classical seeds: Cauchy determinant and Schur Pfaffian
 
 
@@ -302,18 +377,11 @@ _register_quotient(
 )
 
 
-def _special1(p, sc):
-    n = p["n"]
-    x, y, a, b = sc["x"], sc["y"], sc["a"], sc["b"]
-    core = _sign(n * (n - 1) // 2) * _dv(n, n, x + y, a + b)
-    return (lambda i, j: b[j] - a[i]), core
-
-
 _register_quotient(
     "det",
     dim=lambda p: p["n"],
     den=lambda p, sc, i, j: sc["y"][j] - sc["x"][i],
-    parts=_special1,
+    parts=_theorem_det(_v_square, ("x", "a"), ("y", "b")),
     name="special1",
     summary="det((b_j-a_i)/(y_j-x_i)) in terms of one two-block determinant",
     defaults={"n": 2},
@@ -323,18 +391,11 @@ _register_quotient(
 )
 
 
-def _special2(p, sc):
-    n = p["n"]
-    x, a, b = sc["x"], sc["a"], sc["b"]
-    core = _dv(n, n, x, a) * _dv(n, n, x, b)
-    return (lambda i, j: (a[j] - a[i]) * (b[j] - b[i])), core
-
-
 _register_quotient(
     "pf",
     dim=lambda p: 2 * p["n"],
     den=lambda p, sc, i, j: sc["x"][j] - sc["x"][i],
-    parts=_special2,
+    parts=_theorem_pf(_v_square, ("x", "a"), (), _v_square, ("x", "b"), ()),
     name="special2",
     summary="Pf((a_j-a_i)(b_j-b_i)/(x_j-x_i)) as a product of two two-block determinants",
     defaults={"n": 2},
@@ -347,23 +408,11 @@ _register_quotient(
 # the four main identities
 
 
-def _main1(p, sc):
-    n, pp, qq = p["n"], p["p"], p["q"]
-    x, y, a, b, z, c = sc["x"], sc["y"], sc["a"], sc["b"], sc["z"], sc["c"]
-    num = lambda i, j: _dv(pp + 1, qq + 1, [x[i], y[j]] + z, [a[i], b[j]] + c)
-    core = (
-        _sign(n * (n - 1) // 2)
-        * _pow(_dv(pp, qq, z, c), n - 1)
-        * _dv(n + pp, n + qq, x + y + z, a + b + c)
-    )
-    return num, core
-
-
 _register_quotient(
     "det",
     dim=lambda p: p["n"],
     den=lambda p, sc, i, j: sc["y"][j] - sc["x"][i],
-    parts=_main1,
+    parts=_theorem_det(_V, ("x", "a"), ("y", "b"), ("z", "c")),
     name="main1",
     summary="Cauchy-type determinant with two-block-determinant entries",
     defaults={"n": 2, "p": 1, "q": 0},
@@ -377,23 +426,9 @@ _register_quotient(
 )
 
 
-def _main2(p, sc):
-    n, pp, qq, rr, ss = p["n"], p["p"], p["q"], p["r"], p["s"]
-    x, a, b = sc["x"], sc["a"], sc["b"]
-    z, c, w, d = sc["z"], sc["c"], sc["w"], sc["d"]
-
-    def num(i, j):
-        return _dv(pp + 1, qq + 1, [x[i], x[j]] + z, [a[i], a[j]] + c) * _dv(
-            rr + 1, ss + 1, [x[i], x[j]] + w, [b[i], b[j]] + d
-        )
-
-    core = (
-        _pow(_dv(pp, qq, z, c), n - 1)
-        * _pow(_dv(rr, ss, w, d), n - 1)
-        * _dv(n + pp, n + qq, x + z, a + c)
-        * _dv(n + rr, n + ss, x + w, b + d)
-    )
-    return num, core
+_paired_v = _theorem_pf(
+    _V, ("x", "a"), ("z", "c"), _family(_dv, "r", "s"), ("x", "b"), ("w", "d")
+)
 
 
 def _main2_vectors(p):
@@ -408,7 +443,7 @@ _register_quotient(
     "pf",
     dim=lambda p: 2 * p["n"],
     den=_x_gap,
-    parts=_main2,
+    parts=_paired_v,
     name="main2",
     summary="Schur-type Pfaffian with paired two-block-determinant entries",
     defaults={"n": 2, "p": 0, "q": 0, "r": 0, "s": 0},
@@ -422,19 +457,11 @@ _register_quotient(
 )
 
 
-def _main3(p, sc):
-    n, pp = p["n"], p["p"]
-    x, y, a, b, z, c = sc["x"], sc["y"], sc["a"], sc["b"], sc["z"], sc["c"]
-    num = lambda i, j: _dw(pp + 2, [x[i], y[j]] + z, [a[i], b[j]] + c)
-    core = _pow(_dw(pp, z, c), n - 1) * _dw(2 * n + pp, x + y + z, a + b + c)
-    return num, core
-
-
 _register_quotient(
     "det",
     dim=lambda p: p["n"],
     den=_xy_gap_palindromic,
-    parts=_main3,
+    parts=_theorem_det(_W, ("x", "a"), ("y", "b"), ("z", "c"), signed=False),
     name="main3",
     summary="Cauchy-type determinant with palindromic-row determinant entries",
     defaults={"n": 2, "p": 0},
@@ -447,30 +474,13 @@ _register_quotient(
 )
 
 
-def _main4(p, sc):
-    n, pp, qq = p["n"], p["p"], p["q"]
-    x, a, b = sc["x"], sc["a"], sc["b"]
-    z, c, w, d = sc["z"], sc["c"], sc["w"], sc["d"]
-
-    def num(i, j):
-        return _dw(pp + 2, [x[i], x[j]] + z, [a[i], a[j]] + c) * _dw(
-            qq + 2, [x[i], x[j]] + w, [b[i], b[j]] + d
-        )
-
-    core = (
-        _pow(_dw(pp, z, c), n - 1)
-        * _pow(_dw(qq, w, d), n - 1)
-        * _dw(2 * n + pp, x + z, a + c)
-        * _dw(2 * n + qq, x + w, b + d)
-    )
-    return num, core
-
-
 _register_quotient(
     "pf",
     dim=lambda p: 2 * p["n"],
     den=_x_gap_palindromic,
-    parts=_main4,
+    parts=_theorem_pf(
+        _W, ("x", "a"), ("z", "c"), _family(_dw, "q", step=2), ("x", "b"), ("w", "d")
+    ),
     name="main4",
     summary="Schur-type Pfaffian with paired palindromic-row determinant entries",
     defaults={"n": 2, "p": 0, "q": 0},
@@ -547,7 +557,7 @@ _register_quotient(
     "pf",
     dim=lambda p: 4,
     den=_x_gap,
-    parts=lambda p, sc: _main2({**p, "n": 2}, sc),
+    parts=lambda p, sc: _paired_v({**p, "n": 2}, sc),
     name="prop_n2",
     summary="the n=2 base case of the paired-entry Pfaffian identity",
     defaults={"p": 1, "q": 0, "r": 0, "s": 1},
@@ -579,18 +589,12 @@ def _rel_v1_sides(p, sc, numeric):
         lhs = _dv(pp, qq, x, a)
         rhs = lead * _dv(pp - 1, qq, xs, aprime)
         return [(lhs, rhs)]
-    # cleared form: scale row i of the reduced matrix by (x_i - x_m)
-    data = []
-    for i in range(m - 1):
-        dx = xs[i] - xm
-        da = as_[i] - am
-        pw = [Fraction(1)]
-        for _ in range(max(pp - 1, qq)):
-            pw.append(pw[-1] * xs[i])
-        data.extend(dx * pw[k] for k in range(pp - 1))
-        data.extend(da * pw[k] for k in range(qq))
-    reduced = det(RingMatrix(m - 1, m - 1, data))
-    lhs = _dv(pp, qq, x, a) * _prod(xs[i] - xm for i in range(m - 1))
+    # cleared form: row i of the reduced matrix scaled by (x_i - x_m), which is
+    # U^{p-1,q} at (x, y, a, b) = (1, x_i, x_i - x_m, a_i - a_m)
+    ones = [Fraction(1)] * (m - 1)
+    dxs = [xs[i] - xm for i in range(m - 1)]
+    reduced = _du(pp - 1, qq, ones, xs, dxs, [as_[i] - am for i in range(m - 1)])
+    lhs = _dv(pp, qq, x, a) * _prod(dxs)
     rhs = lead * reduced
     return [(lhs, rhs)]
 
@@ -619,16 +623,10 @@ def _rel_v2_sides(p, sc, numeric):
         lhs = _dv(pp, qq, x, a)
         rhs = sign * _prod(a) * _dv(qq, pp, x, [Fraction(1) / ai for ai in a])
         return [(lhs, rhs)]
-    data = []
-    for i in range(m):
-        pw = [Fraction(1)]
-        for _ in range(max(pp, qq)):
-            pw.append(pw[-1] * x[i])
-        data.extend(a[i] * pw[k] for k in range(qq))
-        data.extend(pw[k] for k in range(pp))
-    lhs = _dv(pp, qq, x, a)
-    rhs = sign * det(RingMatrix(m, m, data))
-    return [(lhs, rhs)]
+    # cleared form: rows (a_i x_i^k, k < q | x_i^k, k < p), which is U^{q,p}
+    # at (x, y, a, b) = (1, x_i, a_i, 1)
+    ones = [Fraction(1)] * m
+    return [(_dv(pp, qq, x, a), sign * _du(qq, pp, ones, x, a, ones))]
 
 
 _register(
@@ -703,37 +701,14 @@ _register(
 # homogeneous two-variable-pair versions
 
 
-def _homog1(p, sc):
-    n, pp, qq, rr, ss = p["n"], p["p"], p["q"], p["r"], p["s"]
-    x, y, a, b, c, d = sc["x"], sc["y"], sc["a"], sc["b"], sc["c"], sc["d"]
-    xi, eta, alpha, beta = sc["xi"], sc["eta"], sc["alpha"], sc["beta"]
-    zeta, omega, gamma, delta = sc["zeta"], sc["omega"], sc["gamma"], sc["delta"]
-
-    def num(i, j):
-        return _du(
-            pp + 1, qq + 1,
-            [x[i], x[j]] + xi, [y[i], y[j]] + eta,
-            [a[i], a[j]] + alpha, [b[i], b[j]] + beta,
-        ) * _du(
-            rr + 1, ss + 1,
-            [x[i], x[j]] + zeta, [y[i], y[j]] + omega,
-            [c[i], c[j]] + gamma, [d[i], d[j]] + delta,
-        )
-
-    core = (
-        _pow(_du(pp, qq, xi, eta, alpha, beta), n - 1)
-        * _pow(_du(rr, ss, zeta, omega, gamma, delta), n - 1)
-        * _du(n + pp, n + qq, x + xi, y + eta, a + alpha, b + beta)
-        * _du(n + rr, n + ss, x + zeta, y + omega, c + gamma, d + delta)
-    )
-    return num, core
-
-
 _register_quotient(
     "pf",
     dim=lambda p: 2 * p["n"],
     den=lambda p, sc, i, j: sc["x"][i] * sc["y"][j] - sc["x"][j] * sc["y"][i],
-    parts=_homog1,
+    parts=_theorem_pf(
+        _family(_du, "p", "q"), ("x", "y", "a", "b"), ("xi", "eta", "alpha", "beta"),
+        _family(_du, "r", "s"), ("x", "y", "c", "d"), ("zeta", "omega", "gamma", "delta"),
+    ),
     name="homog1",
     summary="homogeneous Pfaffian identity over variable pairs (x_i, y_i)",
     defaults={"n": 2, "p": 0, "q": 0, "r": 0, "s": 0},
@@ -750,32 +725,14 @@ _register_quotient(
 )
 
 
-def _homog2(p, sc):
-    n, pp, qq = p["n"], p["p"], p["q"]
-    x, y, z, w = sc["x"], sc["y"], sc["z"], sc["w"]
-    a, b, c, d = sc["a"], sc["b"], sc["c"], sc["d"]
-    xi, eta, alpha, beta = sc["xi"], sc["eta"], sc["alpha"], sc["beta"]
-
-    def num(i, j):
-        return _du(
-            pp + 1, qq + 1,
-            [x[i], z[j]] + xi, [y[i], w[j]] + eta,
-            [a[i], c[j]] + alpha, [b[i], d[j]] + beta,
-        )
-
-    core = (
-        _sign(n * (n - 1) // 2)
-        * _pow(_du(pp, qq, xi, eta, alpha, beta), n - 1)
-        * _du(n + pp, n + qq, x + z + xi, y + w + eta, a + c + alpha, b + d + beta)
-    )
-    return num, core
-
-
 _register_quotient(
     "det",
     dim=lambda p: p["n"],
     den=lambda p, sc, i, j: sc["x"][i] * sc["w"][j] - sc["z"][j] * sc["y"][i],
-    parts=_homog2,
+    parts=_theorem_det(
+        _family(_du, "p", "q"),
+        ("x", "y", "a", "b"), ("z", "w", "c", "d"), ("xi", "eta", "alpha", "beta"),
+    ),
     name="homog2",
     summary="homogeneous determinant identity over variable pairs",
     defaults={"n": 2, "p": 0, "q": 0},
@@ -840,19 +797,10 @@ def _rel_uv1_sides(p, sc, numeric):
         lhs = _du(pp, qq, x, y, a, b)
         rhs = _prod(a[k] * x[k] ** (pp - 1) for k in range(m)) * _dv(pp, qq, u, v)
         return [(lhs, rhs)]
-    big = max(pp, qq)
-    data = []
-    for i in range(m):
-        px = [Fraction(1)]
-        for _ in range(big + qq):
-            px.append(px[-1] * x[i])
-        py = [Fraction(1)]
-        for _ in range(big):
-            py.append(py[-1] * y[i])
-        data.extend(a[i] * px[big - 1 - k] * py[k] for k in range(pp))
-        data.extend(b[i] * px[qq - pp + big - 1 - k] * py[k] for k in range(qq))
-    lhs = _du(pp, qq, x, y, a, b) * _prod(x[i] ** (big - pp) for i in range(m))
-    rhs = det(RingMatrix(m, m, data))
+    # cleared form: row i of U scaled by x_i^(max(p, q) - p)
+    scale = [_pow(xi, max(pp, qq) - pp) for xi in x]
+    lhs = _du(pp, qq, x, y, a, b) * _prod(scale)
+    rhs = _du(pp, qq, x, y, [ai * s for ai, s in zip(a, scale)], [bi * s for bi, s in zip(b, scale)])
     return [(lhs, rhs)]
 
 
@@ -937,27 +885,11 @@ _register(
 # the signed partition-sum variation
 
 
-def _F(pp, qq, xs, as_):
-    return fgh_sum("F", pp, qq, list(xs), list(as_))
-
-
-def _variation1(p, sc):
-    n, pp, qq = p["n"], p["p"], p["q"]
-    x, y, a, b, z, c = sc["x"], sc["y"], sc["a"], sc["b"], sc["z"], sc["c"]
-    num = lambda i, j: _F(pp + 1, qq + 1, [x[i], y[j]] + z, [a[i], b[j]] + c)
-    core = (
-        _sign(n * (n - 1) // 2)
-        * _pow(_F(pp, qq, z, c), n - 1)
-        * _F(n + pp, n + qq, x + y + z, a + b + c)
-    )
-    return num, core
-
-
 _register_quotient(
     "det",
     dim=lambda p: p["n"],
     den=_xy_gap_palindromic,
-    parts=_variation1,
+    parts=_theorem_det(_family(_F, "p", "q"), ("x", "a"), ("y", "b"), ("z", "c")),
     name="variation1",
     summary="determinant identity for the signed partition-family sums",
     defaults={"n": 2, "p": 0, "q": 0},
@@ -970,30 +902,13 @@ _register_quotient(
 )
 
 
-def _variation2(p, sc):
-    n, pp, qq, rr, ss = p["n"], p["p"], p["q"], p["r"], p["s"]
-    x, a, b = sc["x"], sc["a"], sc["b"]
-    z, c, w, d = sc["z"], sc["c"], sc["w"], sc["d"]
-
-    def num(i, j):
-        return _F(pp + 1, qq + 1, [x[i], x[j]] + z, [a[i], a[j]] + c) * _F(
-            rr + 1, ss + 1, [x[i], x[j]] + w, [b[i], b[j]] + d
-        )
-
-    core = (
-        _pow(_F(pp, qq, z, c), n - 1)
-        * _pow(_F(rr, ss, w, d), n - 1)
-        * _F(n + pp, n + qq, x + z, a + c)
-        * _F(n + rr, n + ss, x + w, b + d)
-    )
-    return num, core
-
-
 _register_quotient(
     "pf",
     dim=lambda p: 2 * p["n"],
     den=_x_gap_palindromic,
-    parts=_variation2,
+    parts=_theorem_pf(
+        _family(_F, "p", "q"), ("x", "a"), ("z", "c"), _family(_F, "r", "s"), ("x", "b"), ("w", "d")
+    ),
     name="variation2",
     summary="Pfaffian identity for the signed partition-family sums",
     defaults={"n": 2, "p": 0, "q": 0, "r": 0, "s": 0},
@@ -1193,21 +1108,25 @@ _register(
 
 
 # ---------------------------------------------------------------------------
-# reciprocal-entry Cauchy-type determinants: den_ij = f(x_i, y_j, a_i, b_j)
+# reciprocal-entry Cauchy-type determinants: den_ij = f_1(x_i, y_j; z)
+
+
+def _pair(f, p, sc, u1, u2, s1, s2):
+    return f(p, 1, [[u1, u2] + sc["z"], [s1, s2] + sc["c"]])
 
 
 def _reciprocal_den(f):
-    return lambda p, sc, i, j: f(p, sc, sc["x"][i], sc["y"][j], sc["a"][i], sc["b"][j])
+    return lambda p, sc, i, j: _pair(f, p, sc, sc["x"][i], sc["y"][j], sc["a"][i], sc["b"][j])
 
 
 def _reciprocal_parts(f):
-    """det(1/f(x_i, y_j, a_i, b_j)) = sign * prod_{i<j} f(x_i, x_j, ..) f(y_i, y_j, ..) / prod den."""
+    """det(1/f_1(x_i, y_j; z)) = sign * prod_{i<j} f_1(x_i, x_j; z) f_1(y_i, y_j; z) / prod den."""
 
     def parts(p, sc):
         n = p["n"]
         x, y, a, b = sc["x"], sc["y"], sc["a"], sc["b"]
         core = _sign(n * (n - 1) // 2) * _prod(
-            f(p, sc, x[i], x[j], a[i], a[j]) * f(p, sc, y[i], y[j], b[i], b[j])
+            _pair(f, p, sc, x[i], x[j], a[i], a[j]) * _pair(f, p, sc, y[i], y[j], b[i], b[j])
             for i, j in _all_pairs(n)
         )
         return _one, core
@@ -1215,19 +1134,11 @@ def _reciprocal_parts(f):
     return parts
 
 
-def _pair_dv(p, sc, u1, u2, s1, s2):
-    return _dv(p["p"] + 1, p["q"] + 1, [u1, u2] + sc["z"], [s1, s2] + sc["c"])
-
-
-def _pair_dw(p, sc, u1, u2, s1, s2):
-    return _dw(p["p"] + 2, [u1, u2] + sc["z"], [s1, s2] + sc["c"])
-
-
 _register_quotient(
     "det",
     dim=lambda p: p["n"],
-    den=_reciprocal_den(_pair_dv),
-    parts=_reciprocal_parts(_pair_dv),
+    den=_reciprocal_den(_V),
+    parts=_reciprocal_parts(_V),
     name="another1",
     summary="det of reciprocals of two-block determinants factors over all pairs",
     defaults={"n": 2, "p": 0, "q": 0},
@@ -1243,8 +1154,8 @@ _register_quotient(
 _register_quotient(
     "det",
     dim=lambda p: p["n"],
-    den=_reciprocal_den(_pair_dw),
-    parts=_reciprocal_parts(_pair_dw),
+    den=_reciprocal_den(_W),
+    parts=_reciprocal_parts(_W),
     name="another2",
     summary="det of reciprocals of palindromic-row determinants factors over all pairs",
     defaults={"n": 2, "p": 0},

@@ -63,7 +63,11 @@ class Partition:
         body = text[1:-1].strip()
         if not body:
             return cls()
-        return cls(int(tok) for tok in body.split(","))
+        try:
+            parts = [int(tok) for tok in body.split(",")]
+        except ValueError:
+            raise PartitionError(f"bad partition text {text!r}") from None
+        return cls(parts)
 
     @classmethod
     def from_frobenius(cls, arms, legs):

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from detpf.cli import main
 from detpf.poly import EXPONENT_CAP
 
@@ -158,3 +160,42 @@ def test_campaign_workers_flag(tmp_path):
         "campaign", "--config", str(config), "--json", str(out2), "--workers", "2"
     )[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# each case: argv with {file} standing for a temporary file holding `content`
+# (text, or raw bytes), or for a directory when `content` is None
+USAGE_ERRORS = {
+    "pf_not_json": (["pf", "--matrix", "{file}"], "not json"),
+    "pf_dim_text": (["pf", "--matrix", "{file}"], '{"dim": "4", "upper": []}'),
+    "pf_dim_negative": (["pf", "--matrix", "{file}"], '{"dim": -2, "upper": []}'),
+    "pf_dim_fractional": (["pf", "--matrix", "{file}"], '{"dim": 3.5, "upper": []}'),
+    "pf_zero_denominator": (["pf", "--matrix", "{file}"], '{"dim": 4, "upper": [[0, 1, "1/0"]]}'),
+    "pf_lower_key": (["pf", "--matrix", "{file}"], '{"dim": 4, "upper": [[1, 0, "1"]]}'),
+    "lr_bad_part": (["lr", "--lambda", "[1,x]", "--mu", "[1]", "--nu", "[1]"], ""),
+    "campaign_config_dir": (["campaign", "--config", "{file}"], None),
+    "campaign_config_not_utf8": (["campaign", "--config", "{file}"], b"\xff\xfe"),
+    "hyperpfaffian_cap": (
+        ["verify", "--name", "hyper_v", "--param", "n=8", "--mode", "numeric", "--trials", "1"],
+        "",
+    ),
+    "lr_rect_n_zero": (
+        ["lr", "--rect", "--n", "0", "--e", "1", "--f", "1", "--lambda", "[]", "--mu", "[]"],
+        "",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_exit_one_with_one_line(case, tmp_path, capsys):
+    argv, content = USAGE_ERRORS[case]
+    target = tmp_path / "input"
+    if content is None:
+        target.mkdir()
+    elif isinstance(content, bytes):
+        target.write_bytes(content)
+    else:
+        target.write_text(content)
+    code, text = run_cli(*(arg.replace("{file}", str(target)) for arg in argv))
+    err = capsys.readouterr().err
+    assert code == 1 and text == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -5,10 +5,17 @@ every failure record with its assignment, so a digest changes when the
 random samples, the guard accept/reject decisions or any verdict change.
 A refactor of the registry, the harness or the polynomial kernel must keep
 every digest.
+
+A fourth digest pins the registry itself: every spec's declared fields, its
+variable vectors and `main_dim` at each declared parameter set, and the
+`detpf list` text.  The campaign digests cannot see a reordered vector list
+or a changed `main_dim` as long as every block still passes.
 """
 
 import hashlib
+import io
 
+from detpf.cli import main
 from detpf.harness import (
     CampaignBlock,
     CampaignConfig,
@@ -28,6 +35,8 @@ NUMERIC_DIGEST = "89cee3fc5e7c2370a094b803174bf68209f6f363547a7ec917802ed096ccaf
 SYMBOLIC_DIGEST = "b9ba6c4fdb4c78a87350905ad39f40490bea05d1cd84a4a1d38c8bf3ff286c1c"
 # main4's default-grid symbolic case (n=2), recorded with the Fraction/tuple kernel
 MAIN4_DIGEST = "718d10be258a75fda89be84e39523b473517d2332ba1a78a19936e129b37d6d3"
+# the registry's declarations and the `detpf list` text
+SPEC_DIGEST = "df5748cab29e6f461257443032b0ad57a4ed85852469007162d4f57709abca8e"
 
 
 def _digest(blocks):
@@ -63,3 +72,19 @@ def test_main4_symbolic_digest():
     ]
     assert [b.params for b in blocks] == [{"n": 2, "p": 0, "q": 0}]
     assert _digest(blocks) == MAIN4_DIGEST
+
+
+def test_spec_digest():
+    lines = []
+    for name in registry():
+        spec = get_spec(name)
+        lines.append(
+            repr((spec.name, spec.summary, spec.defaults, spec.numeric_defaults, spec.symbolic_cases))
+        )
+        for params in (spec.defaults, spec.numeric_defaults, *spec.symbolic_cases):
+            lines.append(repr((params, spec.vectors(dict(params)), spec.main_dim(dict(params)))))
+    out = io.StringIO()
+    assert main(["list"], out=out) == 0
+    lines.append(out.getvalue())
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SPEC_DIGEST

@@ -98,6 +98,37 @@ def test_failure_detection_and_report_shape():
         del REGISTRY["_broken"]
 
 
+# the identities declared through identities._register_quotient
+QUOTIENT_IDENTITIES = (
+    "cauchy", "schur", "special1", "special2", "main1", "main2", "main3", "main4",
+    "cauchy1", "schur1", "prop_n2", "homog1", "homog2", "variation1", "variation2",
+    "sundquist", "another1", "another2", "special_pf",
+)
+
+
+@pytest.mark.parametrize("name", QUOTIENT_IDENTITIES)
+def test_doubled_right_side_fails_in_both_modes(name):
+    # a derived pair (lhs, rhs) that is not 0 = 0 must fail once rhs is doubled;
+    # special_pf's right side is 0 for more than one block, so it still passes
+    spec = REGISTRY[name]
+
+    def doubled(params, sc, numeric):
+        return [(lhs, 2 * rhs) for lhs, rhs in spec.sides(params, sc, numeric)]
+
+    def vanishing(params):
+        return name == "special_pf" and params["r"] >= 2
+
+    REGISTRY[name] = dataclasses.replace(spec, sides=doubled)
+    try:
+        for case in symbolic_cases(spec):
+            assert verify(name, dict(case), "symbolic").passed == vanishing(case)
+        params = dict(spec.numeric_defaults)
+        report = verify(name, params, "numeric", trials=3, seed=2024, bound=30)
+        assert report.passed == vanishing(params)
+    finally:
+        REGISTRY[name] = spec
+
+
 def test_guard_exhaustion():
     spec = REGISTRY["cauchy"]
     REGISTRY["_guarded"] = dataclasses.replace(
