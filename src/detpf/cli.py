@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage/config errors (including a missing or
 unreadable file, an exponent above the polynomial exponent cap, a hyperpfaffian above
-its enumeration cap and a numeric run whose guards rejected every draw),
+its enumeration cap, a numeric run whose guards rejected every draw and a run
+that ran out of memory),
 2 verification or cross-check failure, 3 internal invariant breach.
 """
 
@@ -228,6 +229,13 @@ def main(argv=None, out=None):
         print(
             "hint: a larger --bound (or campaign bound) draws from more rationals, "
             "so fewer draws hit a guard",
+            file=sys.stderr,
+        )
+        return 1
+    except MemoryError:
+        print(
+            "error: out of memory; --mode numeric checks large parameters "
+            "without expanding polynomials",
             file=sys.stderr,
         )
         return 1

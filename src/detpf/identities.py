@@ -164,7 +164,20 @@ def _prod(items):
 
 
 def _delta(xs):
-    return _prod(xs[j] - xs[i] for i in range(len(xs)) for j in range(i + 1, len(xs)))
+    """The Vandermonde product prod_{i<j} (x_j - x_i).
+
+    Over the rationals each difference c/d - a/b is carried as the int pair
+    (c*b - a*d, b*d) and the product is normalized once at the end.
+    """
+    if not all(isinstance(x, (int, Fraction)) for x in xs):
+        return _prod(xs[j] - xs[i] for i in range(len(xs)) for j in range(i + 1, len(xs)))
+    num = den = 1
+    for i, xi in enumerate(xs):
+        a, b = xi.numerator, xi.denominator
+        for xj in xs[i + 1 :]:
+            num *= xj.numerator * b - a * xj.denominator
+            den *= b * xj.denominator
+    return Fraction(num, den)
 
 
 def _sign(exponent):
@@ -1019,11 +1032,13 @@ def _cauchy_binet_sides(p, sc, numeric):
     a = _matrix_from(sc["a"], nn, nn)
     lhs = det(x.mul(a).mul(y.transpose()))
     rows = tuple(range(n))
+    col_sets = list(combinations(range(nn), n))
+    dys = [det(y.minor(rows, j_set)) for j_set in col_sets]
     rhs = Fraction(0)
-    for i_set in combinations(range(nn), n):
+    for i_set in col_sets:
         dx = det(x.minor(rows, i_set))
-        for j_set in combinations(range(nn), n):
-            rhs = rhs + det(a.minor(i_set, j_set)) * dx * det(y.minor(rows, j_set))
+        for j_set, dy in zip(col_sets, dys):
+            rhs = rhs + det(a.minor(i_set, j_set)) * dx * dy
     return [(lhs, rhs)]
 
 

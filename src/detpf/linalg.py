@@ -8,12 +8,16 @@ of the row scales once.  Determinants of polynomial matrices use cofactor
 expansion with memoized minors up to dimension 12 and the same Bareiss loop,
 dividing exactly in the polynomial ring, beyond.  Pfaffians use
 division-free first-row expansion with memoization on index subsets up to
-dimension 6; rational matrices beyond that take skew Gaussian elimination.
+dimension 6; rational matrices beyond that scale row and column i by the
+lcm of row i's denominators and run fraction-free skew elimination on
+plain ints, whose entries are sub-Pfaffians.  A skew matrix with a zero
+row is 0 before either route runs.  Hyperpfaffians sum over unordered set
+partitions, each enumerated once with its sign carried down the recursion.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm
+from math import lcm, prod
 
 from .poly import Polynomial
 
@@ -390,42 +394,63 @@ def _pf_sub(a, idx, memo):
 
 
 def _pf_elimination(a):
-    """Pfaffian of a rational skew matrix by skew Gaussian elimination."""
+    """Pfaffian of a rational skew matrix by fraction-free skew elimination.
+
+    Row and column i are scaled by the lcm l_i of row i's denominators, which
+    makes every entry an int and multiplies the Pfaffian by prod(l_i).  Step
+    k pivots on the pair (k, k+1) and overwrites each entry (i, j) with
+    i, j > k+1 by the sub-Pfaffian on {0..k+1, i, j}; the division by the
+    previous pivot, itself the sub-Pfaffian on {0..k-1}, is exact (Knuth's
+    overlapping-Pfaffian identity).  The last pivot is the Pfaffian.  Only
+    the upper triangle is kept current, except when a zero pivot forces a swap.
+    """
     n = a.dim
-    m = [[a.entry(i, j) for j in range(n)] for i in range(n)]
-    pf = Fraction(1)
+    scales = [1] * n
+    for (i, j), v in a.upper.items():
+        scales[i] = lcm(scales[i], v.denominator)
+        scales[j] = lcm(scales[j], v.denominator)
+    m = [[0] * n for _ in range(n)]
+    for (i, j), v in a.upper.items():
+        m[i][j] = v.numerator * (scales[i] // v.denominator) * scales[j]
+    sign = 1
+    prev = 1
     for k in range(0, n, 2):
-        pivot_col = None
-        for j in range(k + 1, n):
-            if m[k][j]:
-                pivot_col = j
-                break
-        if pivot_col is None:
-            return Fraction(0)
-        if pivot_col != k + 1:
-            m[k + 1], m[pivot_col] = m[pivot_col], m[k + 1]
-            for row in m:
-                row[k + 1], row[pivot_col] = row[pivot_col], row[k + 1]
-            pf = -pf
-        p = Fraction(m[k][k + 1])  # int entries must not fall back to float division
-        pf *= p
+        if not m[k][k + 1]:
+            for c in range(k + 2, n):
+                if m[k][c]:
+                    break
+            else:
+                return Fraction(0)
+            for i in range(k, n):
+                for j in range(i + 1, n):
+                    m[j][i] = -m[i][j]
+            m[k + 1], m[c] = m[c], m[k + 1]
+            for row in m[k:]:
+                row[k + 1], row[c] = row[c], row[k + 1]
+            sign = -sign
+        rk, rk1 = m[k], m[k + 1]
+        p = rk[k + 1]
         for i in range(k + 2, n):
+            row, ki, k1i = m[i], rk[i], rk1[i]
             for j in range(i + 1, n):
-                m[i][j] -= (m[k][i] * m[k + 1][j] - m[k][j] * m[k + 1][i]) / p
-                m[j][i] = -m[i][j]
-    return pf
+                row[j] = (p * row[j] - ki * rk1[j] + rk[j] * k1i) // prev
+        prev = p
+    return Fraction(sign * prev, prod(scales))
 
 
 def pfaffian(a):
     """Exact Pfaffian of a SkewMatrix.
 
-    Odd dimensions return 0 (the empty perfect-matching sum); dimension 0
-    returns 1.  Rational matrices beyond dimension 6 switch to elimination.
+    Odd dimensions return 0 (the empty perfect-matching sum) and dimension
+    0 returns 1.  A matrix with an index that no stored entry touches has a
+    zero row, so it returns 0 before any dense matrix is built.  Rational
+    matrices beyond dimension 6 take the fraction-free elimination,
+    everything else the memoized expansion.
     """
     n = a.dim
     if n == 0:
         return Fraction(1)
-    if n % 2:
+    if n % 2 or len({i for pair in a.upper for i in pair}) < n:
         return Fraction(0)
     if n > PF_EXPANSION_MAX_DIM and a._rational_entries():
         return _pf_elimination(a)
@@ -460,52 +485,56 @@ def congruence_pfaffian(x, a):
     return pfaffian(congruence_product(x, a))
 
 
-def _ordered_block_partitions(n_letters, block, tensor):
-    """Yield (blocks, sign) over ordered partitions into sorted blocks of size `block`.
+def _partition_sum(t, remaining):
+    """Signed sum over the partitions of `remaining` into sorted blocks of size t.order.
 
-    Subtrees whose block has a zero tensor value are pruned (their products
-    vanish).  The sign is that of the concatenated sequence as a permutation.
+    Each partition is enumerated once, with the block that holds the
+    smallest remaining index first; its sign is that of the concatenated
+    blocks as a permutation.  A block at positions 0 = p_0 < p_1 < ... of
+    `remaining` leaves sum(p_s - s) smaller indices to be placed after it,
+    so the parity of that count is the sign it contributes.  Blocks with a
+    zero tensor value are pruned.
     """
-    yield from _block_partitions(list(range(n_letters)), [], [], block, tensor)
-
-
-def _block_partitions(remaining, placed, blocks, block, tensor):
-    if not remaining:
-        yield tuple(blocks), permutation_sign(placed)
-        return
-    for combo in combinations(remaining, block):
-        if _is_zero(tensor.value(combo)):
+    n = t.order
+    first = remaining[0]
+    acc = None
+    for pos in combinations(range(1, len(remaining)), n - 1):
+        value = t.value((first, *(remaining[q] for q in pos)))
+        if _is_zero(value):
             continue
-        rest = [v for v in remaining if v not in set(combo)]
-        blocks.append(combo)
-        yield from _block_partitions(rest, placed + list(combo), blocks, block, tensor)
-        blocks.pop()
+        taken = set(pos)
+        rest = tuple(v for q, v in enumerate(remaining) if q and q not in taken)
+        if rest:
+            sub = _partition_sum(t, rest)
+            if _is_zero(sub):
+                continue
+            value = value * sub
+        if (sum(pos) - n * (n - 1) // 2) % 2:
+            value = -value
+        acc = value if acc is None else acc + value
+    return Fraction(0) if acc is None else acc
 
 
 def hyperpfaffian(t):
     """Hyperpfaffian of an alternating tensor of order n on dim = n*r indices.
 
-    Sums sgn(sigma) times the product of tensor values over all ordered
-    partitions of the index set into r internally sorted blocks of size n,
-    then divides by r!.  Enumeration only; dimension capped at 12.
+    The sum over ordered partitions of the index set into r sorted blocks of
+    size n of sgn(sigma) times the product of tensor values, divided by r!.
+    For even n the r! orderings of one partition share a sign, so the result
+    is the signed sum over unordered partitions, each enumerated once; for
+    odd n and r >= 2 the orderings cancel in pairs and the result is 0.
+    Dimension capped at 12.
     """
     n = t.order
     if t.dim % n:
         raise DimNotDivisibleError(f"dim {t.dim} not a multiple of order {n}")
     if t.dim > HYPERPFAFFIAN_DIM_CAP:
         raise EnumerationCapError(f"hyperpfaffian capped at dim {HYPERPFAFFIAN_DIM_CAP}")
-    r = t.dim // n
-    total = None
-    for blocks, sign in _ordered_block_partitions(t.dim, n, t):
-        prod = t.value(blocks[0])
-        for b in blocks[1:]:
-            prod = prod * t.value(b)
-        if sign < 0:
-            prod = -prod
-        total = prod if total is None else total + prod
-    if total is None:
+    if t.dim == 0:
+        return Fraction(1)
+    if n % 2 and t.dim > n:
         return Fraction(0)
-    return total * Fraction(1, factorial(r))
+    return _partition_sum(t, tuple(range(t.dim)))
 
 
 def blocked_tensor(a, n):

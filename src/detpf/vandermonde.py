@@ -18,9 +18,9 @@ class LengthMismatchError(ValueError):
 
 
 def _powers(x, top):
-    """[x^0, x^1, ..., x^top]."""
-    out = [Fraction(1)]
-    for _ in range(top):
+    """[x^0, x^1, ..., x^top], with x^0 = Fraction(1) and x^1 = x itself."""
+    out = [Fraction(1), x][: top + 1]
+    for _ in range(top - 1):
         out.append(out[-1] * x)
     return out
 

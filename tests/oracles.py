@@ -10,7 +10,7 @@ coefficient a Fraction, independently of the packed-int kernel it checks.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from operator import add
 
 from detpf.poly import ExactDivisionError, Monomial, Polynomial, VariableTable
@@ -62,6 +62,28 @@ def pf_matchings(a):
 
     rec(list(range(n)), [])
     return total
+
+
+def ordered_block_partitions(n_letters, block, tensor):
+    """Yield (blocks, sign) over ordered partitions into sorted blocks of size `block`.
+
+    Every ordering of the blocks is its own partition here, so the signed
+    sum of value products over them is r! times the hyperpfaffian.  Subtrees
+    whose block has a zero tensor value are pruned (their products vanish).
+    The sign is that of the concatenated sequence as a permutation.
+    """
+
+    def rec(remaining, blocks):
+        if not remaining:
+            yield tuple(blocks), inversion_sign(sum(blocks, ()))
+            return
+        for combo in combinations(remaining, block):
+            if not tensor.value(combo):
+                continue
+            rest = [v for v in remaining if v not in combo]
+            yield from rec(rest, blocks + [combo])
+
+    yield from rec(list(range(n_letters)), [])
 
 
 def random_skew(rng, dim, draw):

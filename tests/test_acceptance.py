@@ -21,7 +21,6 @@ from detpf.identities import REGISTRY, registry
 from detpf.linalg import (
     AlternatingTensor,
     SkewMatrix,
-    _ordered_block_partitions,
     blocked_tensor,
     congruence_pfaffian,
     det,
@@ -44,7 +43,7 @@ from detpf.symfunc import (
     schur_jacobi_trudi,
 )
 
-from oracles import coefficient_of_powers, random_matrix, random_skew
+from oracles import coefficient_of_powers, ordered_block_partitions, random_matrix, random_skew
 
 SEED = 20240801
 
@@ -166,7 +165,7 @@ def test_criterion_5_pfaffian_correctness():
 @criterion(6, "hyperpfaffian: census, order-2 reduction, composition, expressions")
 def test_criterion_6_hyperpfaffian():
     ones = AlternatingTensor.from_function(2, 4, lambda idx: Fraction(1))
-    perms = {sum(blocks, ()) for blocks, _ in _ordered_block_partitions(4, 2, ones)}
+    perms = {sum(blocks, ()) for blocks, _ in ordered_block_partitions(4, 2, ones)}
     assert len(perms) == 6
     assert perms == {
         (0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2),

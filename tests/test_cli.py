@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from detpf import harness
 from detpf.cli import main
 from detpf.poly import EXPONENT_CAP
 
@@ -199,3 +200,15 @@ def test_usage_errors_exit_one_with_one_line(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1 and text == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_out_of_memory_exits_one_and_suggests_numeric_mode(monkeypatch, capsys):
+    def exhaust(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(harness, "verify", exhaust)
+    code, text = run_cli("verify", "--name", "main4", "--param", "n=3")
+    err = capsys.readouterr().err
+    assert code == 1 and text == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "--mode numeric" in err

@@ -6,7 +6,11 @@ random samples, the guard accept/reject decisions or any verdict change.
 A refactor of the registry, the harness or the polynomial kernel must keep
 every digest.
 
-A fourth digest pins the registry itself: every spec's declared fields, its
+A large-parameter numeric digest covers the routes the default grid does not
+reach: rational Pfaffians by elimination (dims 8-16), hyperpfaffians of order
+6, and Cauchy-Binet and minor summation at N = 6 and 8.
+
+A fifth digest pins the registry itself: every spec's declared fields, its
 variable vectors and `main_dim` at each declared parameter set, and the
 `detpf list` text.  The campaign digests cannot see a reordered vector list
 or a changed `main_dim` as long as every block still passes.
@@ -35,6 +39,16 @@ NUMERIC_DIGEST = "89cee3fc5e7c2370a094b803174bf68209f6f363547a7ec917802ed096ccaf
 SYMBOLIC_DIGEST = "b9ba6c4fdb4c78a87350905ad39f40490bea05d1cd84a4a1d38c8bf3ff286c1c"
 # main4's default-grid symbolic case (n=2), recorded with the Fraction/tuple kernel
 MAIN4_DIGEST = "718d10be258a75fda89be84e39523b473517d2332ba1a78a19936e129b37d6d3"
+# numeric blocks at large parameters, 3 trials each
+LARGE_NUMERIC_DIGEST = "ddebec160ddf67b7b7e94ddde41306a481189257e209cfaedbb7b5d1a0ba478b"
+LARGE_NUMERIC = [("schur", {"n": n}) for n in range(4, 9)] + [
+    ("special2", {"n": 5}),
+    ("pf_det", {"n": 7}),
+    ("sundquist", {"n": 4}),
+    ("hyper_v", {"n": 6}),
+    ("cauchy_binet", {"n": 3, "N": 6}),
+    ("minor_sum", {"n": 3, "N": 8}),
+]
 # the registry's declarations and the `detpf list` text
 SPEC_DIGEST = "df5748cab29e6f461257443032b0ad57a4ed85852469007162d4f57709abca8e"
 
@@ -52,6 +66,11 @@ def test_numeric_grid_digest():
     ]
     assert len(blocks) == 45
     assert _digest(blocks) == NUMERIC_DIGEST
+
+
+def test_large_numeric_digest():
+    blocks = [CampaignBlock(name, "numeric", 3, BOUND, SEED, dict(p)) for name, p in LARGE_NUMERIC]
+    assert _digest(blocks) == LARGE_NUMERIC_DIGEST
 
 
 def test_symbolic_grid_digest():

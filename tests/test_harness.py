@@ -5,6 +5,8 @@ from functools import reduce
 from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detpf.harness import (
     SYMBOLIC_DIM_CAP,
@@ -22,7 +24,7 @@ from detpf.harness import (
     symbolic_cases,
     verify,
 )
-from detpf.identities import REGISTRY, InvalidParamsError, _prod, registry
+from detpf.identities import REGISTRY, InvalidParamsError, _delta, _prod, registry
 from detpf.poly import VariableTable
 
 
@@ -306,3 +308,27 @@ def test_prod_matches_left_fold():
         want = reduce(mul, items, Fraction(1))
         got = _prod(iter(items))
         assert got == want and type(got) is type(want)
+
+
+_POINTS = st.integers(-5, 5) | st.builds(
+    Fraction,
+    st.integers(-(2**70), 2**70),
+    st.integers(1, 9) | st.integers(2**64 + 1, 2**70),
+)
+
+
+@given(xs=st.lists(_POINTS, max_size=7), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_rational_delta_matches_left_fold(xs, data):
+    if xs and data.draw(st.booleans()):  # a repeated point makes the product 0
+        xs.insert(data.draw(st.integers(0, len(xs))), data.draw(st.sampled_from(xs)))
+    diffs = [xs[j] - xs[i] for i in range(len(xs)) for j in range(i + 1, len(xs))]
+    want = reduce(mul, diffs, Fraction(1))
+    got = _delta(xs)
+    assert got == want and type(got) is Fraction
+
+
+def test_delta_on_repeated_and_polynomial_points():
+    assert _delta([Fraction(1, 3), 2, Fraction(1, 3)]) == 0
+    x, y = VariableTable(["x", "y"]).gens()
+    assert _delta([x, Fraction(1, 2), y]) == (Fraction(1, 2) - x) * (y - x) * (y - Fraction(1, 2))

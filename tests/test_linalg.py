@@ -2,9 +2,11 @@ import gc
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
+
+import detpf.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,13 +32,18 @@ from detpf.linalg import (
     permutation_sign,
     sub_pfaffian,
     _det_cofactor,
-    _ordered_block_partitions,
     _pf_elimination,
     _pf_expand,
 )
 from detpf.poly import VariableTable, random_rational
 
-from oracles import det_leibniz, pf_matchings, random_matrix, random_skew
+from oracles import (
+    det_leibniz,
+    ordered_block_partitions,
+    pf_matchings,
+    random_matrix,
+    random_skew,
+)
 
 
 def _draw(rng):
@@ -162,6 +169,42 @@ def test_rational_det_edge_cases():
     assert _check_rational_det(_HUGE_DENOMINATORS).denominator > 2**128
 
 
+@st.composite
+def _rational_skews(draw, entries):
+    """Skew matrices of dims 8-12; some with a zero first pivot, some with a zero row."""
+    n = draw(st.sampled_from([8, 10, 12]))
+    upper = {(i, j): draw(entries) for i in range(n) for j in range(i + 1, n)}
+    shape = draw(st.sampled_from(["random", "zero pivot", "zero row"]))
+    if shape == "zero pivot":
+        upper[(0, 1)] = 0
+        upper[(0, draw(st.integers(2, n - 1)))] = draw(entries.filter(bool))
+    elif shape == "zero row":
+        k = draw(st.integers(0, n - 1))
+        upper = {key: (0 if k in key else v) for key, v in upper.items()}
+    return SkewMatrix(n, upper)
+
+
+@pytest.mark.parametrize("kind", sorted(_RATIONAL_ENTRIES))
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_integer_pf_elimination_matches_expansion_and_matchings(kind, data):
+    a = data.draw(_rational_skews(_RATIONAL_ENTRIES[kind]))
+    pf = _pf_elimination(a)
+    assert isinstance(pf, Fraction)
+    assert pf == _pf_expand(a) == pf_matchings(a)
+
+
+def test_pfaffian_of_a_zero_row_builds_no_matrix(monkeypatch):
+    def refuse(a):
+        raise AssertionError("a matrix with a zero row reached a Pfaffian route")
+
+    monkeypatch.setattr(detpf.linalg, "_pf_elimination", refuse)
+    monkeypatch.setattr(detpf.linalg, "_pf_expand", refuse)
+    assert pfaffian(SkewMatrix(3000, {})) == 0
+    assert pfaffian(SkewMatrix(3000, {(0, 1): Fraction(1, 3)})) == 0
+    assert pfaffian(SkewMatrix(8, {(i, 7): Fraction(i + 1) for i in range(6)})) == 0
+
+
 @pytest.mark.parametrize("dim", [6, 8, 10, 14])
 def test_pfaffian_routes_agree_across_the_switch(dim):
     rng = random.Random(dim)
@@ -242,7 +285,7 @@ def _block_census(n_letters, block):
     ones = AlternatingTensor.from_function(block, n_letters, lambda idx: Fraction(1))
     return [
         (sum(blocks, ()), sign)
-        for blocks, sign in _ordered_block_partitions(n_letters, block, ones)
+        for blocks, sign in ordered_block_partitions(n_letters, block, ones)
     ]
 
 
@@ -261,6 +304,35 @@ def test_block_permutation_census():
     assert len(_block_census(6, 2)) == factorial(6) // 2**3
 
 
+# (order, r) with order * r <= 12 whose ordered enumeration, dim! / (order!)^r
+# sequences, stays under a few thousand
+_HYPER_SHAPES = [
+    (n, r)
+    for n in range(1, 7)
+    for r in range(1, 4)
+    if n * r <= 12 and factorial(n * r) // factorial(n) ** r <= 2000
+]
+
+
+@pytest.mark.parametrize("order, r", _HYPER_SHAPES)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_hyperpfaffian_matches_ordered_oracle(order, r, data):
+    dim = order * r
+    values = data.draw(
+        st.lists(_RATIONAL_ENTRIES["mixed"], min_size=comb(dim, order), max_size=comb(dim, order))
+    )
+    t = AlternatingTensor(order, dim, dict(zip(combinations(range(dim), order), values)))
+    ordered = sum(
+        sign * prod(t.value(b) for b in blocks)
+        for blocks, sign in ordered_block_partitions(dim, order, t)
+    )
+    hpf = hyperpfaffian(t)
+    assert hpf == Fraction(ordered) / factorial(r)
+    if order % 2 and r > 1:
+        assert hpf == 0
+
+
 def test_hyperpfaffian_single_block():
     table = VariableTable(["u"])
     (u,) = table.gens()
@@ -274,6 +346,7 @@ def test_hyperpfaffian_order_two_is_pfaffian():
         a = random_skew(rng, dim, _draw)
         t = AlternatingTensor(2, dim, dict(a.upper))
         assert hyperpfaffian(t) == pfaffian(a)
+    assert hyperpfaffian(AlternatingTensor(2, 0, {})) == pfaffian(SkewMatrix(0)) == 1
 
 
 def test_hyperpfaffian_errors():
