@@ -294,64 +294,28 @@ def default_campaign_config(seed=2024, bound=30, trials=20):
     return CampaignConfig(blocks)
 
 
-def _campaign_task(args):
-    name, params, mode, trials, seed, bound, trial = args
-    spec = get_spec(name)
-    params = resolve_params(spec, params)
-    if mode == "symbolic":
-        report = verify(name, params, "symbolic", 1, seed, bound)
-        return report.failures, report.elapsed
-    start = time.perf_counter()
-    failures = _run_numeric_trial(spec, name, params, seed, bound, trial, 100 * trials)
-    return failures, time.perf_counter() - start
+def _run_block(b):
+    """One campaign block as a VerificationReport; its trials run in order."""
+    return verify(b.name, b.params, b.mode, b.trials, b.seed, b.bound)
 
 
 def run_campaign(config, workers=1):
-    """Run all blocks; trial outcomes merge in (block, trial) order regardless of workers."""
+    """Run all blocks; reports come back in block order regardless of workers.
+
+    With a pool, each block is one task: a numeric block runs its trials in
+    order inside that task, so its failures are those of the serial run and
+    its elapsed time is the time its trials took.  Every block is checked
+    before any task starts.
+    """
     if workers <= 1:
-        return [
-            verify(b.name, b.params, b.mode, b.trials, b.seed, b.bound)
-            for b in config.blocks
-        ]
-    tasks = []
-    task_keys = []
-    for bi, b in enumerate(config.blocks):
-        spec = get_spec(b.name)
-        resolve_params(spec, b.params)
+        return [_run_block(b) for b in config.blocks]
+    for b in config.blocks:
+        resolve_params(get_spec(b.name), b.params)
         _check_run(b.mode, b.trials, b.bound)
-        if b.mode == "numeric":
-            for t in range(b.trials):
-                tasks.append((b.name, b.params, b.mode, b.trials, b.seed, b.bound, t))
-                task_keys.append((bi, t))
-        else:
-            tasks.append((b.name, b.params, b.mode, b.trials, b.seed, b.bound, 0))
-            task_keys.append((bi, 0))
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_campaign_task, tasks))
-    per_block = {}
-    for (bi, t), (failures, elapsed) in zip(task_keys, results):
-        per_block.setdefault(bi, []).append((t, failures, elapsed))
-    reports = []
-    for bi, b in enumerate(config.blocks):
-        chunks = sorted(per_block.get(bi, []))
-        failures = [f for _, fs, _ in chunks for f in fs]
-        elapsed = sum(e for _, _, e in chunks)
-        spec = get_spec(b.name)
-        reports.append(
-            VerificationReport(
-                identity=b.name,
-                params=resolve_params(spec, b.params),
-                mode=b.mode,
-                trials=b.trials if b.mode == "numeric" else 1,
-                seed=b.seed,
-                bound=b.bound,
-                failures=failures,
-                elapsed=elapsed,
-            )
-        )
-    return reports
+        return list(pool.map(_run_block, config.blocks))
 
 
 def reports_to_json(reports):

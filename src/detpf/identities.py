@@ -27,20 +27,23 @@ form of its own.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, prod
 
 from .linalg import (
     AlternatingTensor,
     RingMatrix,
     SkewMatrix,
     blocked_tensor,
+    clear_rows,
     congruence_pfaffian,
     det,
+    det_int,
     det_with_denominators,
     hyperpfaffian,
     pfaffian,
     pfaffian_with_denominators,
     sub_pfaffian,
+    sub_pfaffians,
 )
 from .lr import b_principal, lr_bruteforce
 from .symfunc import Partition, h_complete, index_set, partitions_in_box, schur_jacobi_trudi
@@ -1033,13 +1036,30 @@ def _cauchy_binet_sides(p, sc, numeric):
     lhs = det(x.mul(a).mul(y.transpose()))
     rows = tuple(range(n))
     col_sets = list(combinations(range(nn), n))
-    dys = [det(y.minor(rows, j_set)) for j_set in col_sets]
-    rhs = Fraction(0)
+    if not numeric:
+        dys = [det(y.minor(rows, j_set)) for j_set in col_sets]
+        rhs = Fraction(0)
+        for i_set in col_sets:
+            dx = det(x.minor(rows, i_set))
+            for j_set, dy in zip(col_sets, dys):
+                rhs = rhs + det(a.minor(i_set, j_set)) * dx * dy
+        return [(lhs, rhs)]
+    # X and Y cleared row by row, A by the lcm of all its entries
+    xi, sx = clear_rows(x.row_list(i) for i in rows)
+    yi, sy = clear_rows(y.row_list(i) for i in rows)
+    (flat,), la = clear_rows([a.data])
+    ai = [flat[i * nn : (i + 1) * nn] for i in range(nn)]
+    dys = [det_int(yi, j_set) for j_set in col_sets]
+    rhs = 0
     for i_set in col_sets:
-        dx = det(x.minor(rows, i_set))
+        dx = det_int(xi, i_set)
+        if not dx:
+            continue
+        a_rows = [ai[i] for i in i_set]
         for j_set, dy in zip(col_sets, dys):
-            rhs = rhs + det(a.minor(i_set, j_set)) * dx * dy
-    return [(lhs, rhs)]
+            if dy:
+                rhs += det_int(a_rows, j_set) * dx * dy
+    return [(lhs, Fraction(rhs, la**n * sx * sy))]
 
 
 _register(
@@ -1298,12 +1318,25 @@ _register(
 def _hyper_v_sides(p, sc, numeric):
     n = p["n"]
     x, a = sc["x"], sc["a"]
+    rhs = _dv(n, n, x, a)
+    if not numeric:
 
-    def entry(idx):
-        return (1 + _prod(a[i] for i in idx)) * _delta([x[i] for i in idx])
+        def entry(idx):
+            return (1 + _prod(a[i] for i in idx)) * _delta([x[i] for i in idx])
 
-    tensor = AlternatingTensor.from_function(n, 2 * n, entry)
-    return [(hyperpfaffian(tensor), _dv(n, n, x, a))]
+        return [(hyperpfaffian(AlternatingTensor.from_function(n, 2 * n, entry)), rhs)]
+    # x = X / lx and a = A / la with int X, A: every entry is an int over
+    # la^n lx^C(n,2), and the hyperpfaffian has degree 2 in the entries
+    (xi,), lx = clear_rows([x])
+    (ai,), la = clear_rows([a])
+    gaps = {(i, j): xi[j] - xi[i] for i, j in _all_pairs(2 * n)}
+    one = la**n
+
+    def int_entry(idx):
+        return (one + prod(ai[i] for i in idx)) * prod(gaps[pair] for pair in combinations(idx, 2))
+
+    tensor = AlternatingTensor.from_function(n, 2 * n, int_entry)
+    return [(Fraction(hyperpfaffian(tensor), (one * lx ** (n * (n - 1) // 2)) ** 2), rhs)]
 
 
 _register(
@@ -1497,11 +1530,21 @@ def _minor_sum_sides(p, sc, numeric):
     n, nn = p["n"], p["N"]
     x = _matrix_from(sc["x"], 2 * n, nn)
     a = _skew_from(sc["a"], nn)
+    rhs = congruence_pfaffian(x, a)
     rows = tuple(range(2 * n))
-    lhs = Fraction(0)
-    for idx in combinations(range(nn), 2 * n):
-        lhs = lhs + sub_pfaffian(a, idx) * det(x.minor(rows, idx))
-    return [(lhs, congruence_pfaffian(x, a))]
+    if not numeric:
+        lhs = Fraction(0)
+        for idx in combinations(range(nn), 2 * n):
+            lhs = lhs + sub_pfaffian(a, idx) * det(x.minor(rows, idx))
+        return [(lhs, rhs)]
+    # A scaled by the lcm of its entries, so every sub-Pfaffian on 2n indices
+    # is an int times la^n; X cleared row by row; one memo for all index sets
+    (upper,), la = clear_rows([sc["a"]])
+    ai = _skew_from(upper, nn)
+    xi, sx = clear_rows(x.row_list(i) for i in rows)
+    pfs = sub_pfaffians(ai, combinations(range(nn), 2 * n))
+    lhs = sum(pf * det_int(xi, idx) for idx, pf in pfs.items() if pf)
+    return [(Fraction(lhs, la**n * sx), rhs)]
 
 
 _register(

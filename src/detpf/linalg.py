@@ -4,7 +4,9 @@ Scalars are int, Fraction or Polynomial (see poly.py); every algorithm here
 uses ring operations only, except the rational fast paths which may divide.
 A rational determinant scales each row by the lcm of its denominators, runs
 fraction-free Bareiss elimination on plain ints and divides by the product
-of the row scales once.  Determinants of polynomial matrices use cofactor
+of the row scales once; `clear_rows` and `det_int` expose that route, so
+that a family of minors of one rational table is cleared once and taken
+over the integers.  Determinants of polynomial matrices use cofactor
 expansion with memoized minors up to dimension 12 and the same Bareiss loop,
 dividing exactly in the polynomial ring, beyond.  Pfaffians use
 division-free first-row expansion with memoization on index subsets up to
@@ -298,19 +300,33 @@ def _bareiss(a, div):
     return -result if sign < 0 else result
 
 
-def _det_rational(m):
-    """Determinant of an int/Fraction matrix as a Fraction, by integer Bareiss.
+def clear_rows(rows):
+    """Rows of ints/Fractions as int rows, and the product of the row scales.
 
-    Row i is scaled by the lcm of its denominators, which makes it integral
-    and multiplies the determinant by that lcm.
+    Row i is multiplied by the lcm of its denominators, which makes it
+    integral; a minor on all the rows, any columns, is the rational minor
+    times the returned scale.  A family of minors of one rational table is
+    cleared once and then taken over the integers.
     """
-    rows = []
+    out = []
     scale = 1
-    for i in range(m.rows):
-        row = m.row_list(i)
+    for row in rows:
         row_lcm = lcm(*[v.denominator for v in row])
         scale *= row_lcm
-        rows.append([v.numerator * (row_lcm // v.denominator) for v in row])
+        out.append([v.numerator * (row_lcm // v.denominator) for v in row])
+    return out, scale
+
+
+def det_int(rows, cols):
+    """Determinant of the columns `cols` of the int rows `rows`, by integer Bareiss."""
+    if not rows:
+        return 1
+    return _bareiss([[row[j] for j in cols] for row in rows], int.__floordiv__)
+
+
+def _det_rational(m):
+    """Determinant of an int/Fraction matrix as a Fraction, by integer Bareiss on cleared rows."""
+    rows, scale = clear_rows(m.row_list(i) for i in range(m.rows))
     return Fraction(_bareiss(rows, int.__floordiv__), scale)
 
 
@@ -465,6 +481,22 @@ def sub_pfaffian(a, idx):
     return pfaffian(a.principal(idx))
 
 
+def sub_pfaffians(a, index_sets):
+    """{idx: Pf of the principal submatrix on idx} over even strictly increasing index sets.
+
+    Memoized expansion along the smallest index, with one memo shared by
+    all the index sets, so a sub-Pfaffian they have in common is taken once.
+    """
+    memo = {(): 1}
+    out = {}
+    for idx in index_sets:
+        idx = _check_index_set(idx, a.dim)
+        if len(idx) % 2:
+            raise OddIndexSetError("subpfaffian needs an even index set")
+        out[idx] = _pf_sub(a, idx, memo)
+    return out
+
+
 def congruence_product(x, a):
     """The exactly-skew product X A X^T as a SkewMatrix."""
     if x.cols != a.dim:
@@ -596,14 +628,15 @@ def _pf_cleared(num, den, idx, memo):
         entry = num(first, j)
         if _is_zero(entry):
             continue
+        # pairs inside idx that touch `first` or `j`, except (first, j) itself;
+        # the small factors go onto the entry before the sub-Pfaffian
+        for u in rest:
+            if u != j:
+                entry = entry * den(first, u)
+        for u in rest:
+            if u != j:
+                entry = entry * den(min(u, j), max(u, j))
         term = entry * _pf_cleared(num, den, rest[:t] + rest[t + 1 :], memo)
-        # pairs inside idx that touch `first` or `j`, except (first, j) itself
-        for u in rest:
-            if u != j:
-                term = term * den(first, u)
-        for u in rest:
-            if u != j:
-                term = term * den(min(u, j), max(u, j))
         if t % 2:
             term = -term
         acc = term if acc is None else acc + term

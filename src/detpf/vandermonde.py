@@ -9,7 +9,7 @@ scalars and pure.
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import RingMatrix, det
+from .linalg import RingMatrix, det, det_int
 from .symfunc import Partition, TooLongError
 
 
@@ -69,6 +69,15 @@ def build_U(p, q, xs, ys, as_, bs):
     return RingMatrix(n, n, data)
 
 
+def _shift_exponents(p, q, lam, mu):
+    """Column exponents of the shifted matrix: lam_{p-k} + k, then mu_{q-k} + k."""
+    if lam.length() > p:
+        raise TooLongError(f"{lam} longer than p={p}")
+    if mu.length() > q:
+        raise TooLongError(f"{mu} longer than q={q}")
+    return [lam.part(p - 1 - k) + k for k in range(p)], [mu.part(q - 1 - k) + k for k in range(q)]
+
+
 def build_V_shifted(p, q, lam, mu, xs, as_):
     """Exponent-shifted variant: row i = (x_i^{lam_p}, x_i^{lam_{p-1}+1}, .., a_i x_i^{mu_1+q-1}).
 
@@ -79,12 +88,7 @@ def build_V_shifted(p, q, lam, mu, xs, as_):
     n = p + q
     _require_length("xs", xs, n)
     _require_length("as_", as_, n)
-    if lam.length() > p:
-        raise TooLongError(f"{lam} longer than p={p}")
-    if mu.length() > q:
-        raise TooLongError(f"{mu} longer than q={q}")
-    exps_x = [lam.part(p - 1 - k) + k for k in range(p)]
-    exps_a = [mu.part(q - 1 - k) + k for k in range(q)]
+    exps_x, exps_a = _shift_exponents(p, q, lam, mu)
     top = max(exps_x + exps_a, default=0)
     data = []
     for x, a in zip(xs, as_):
@@ -120,14 +124,21 @@ def partition_family(tag, n):
 
 
 def fgh_sum(tag, p, q, xs, as_):
-    """The signed sums F/G/H of shifted-matrix determinants over the P/Q/R families."""
+    """The signed sums F/G/H of shifted-matrix determinants over the P/Q/R families.
+
+    On rational points every shifted matrix selects its columns from one
+    table: x_i^e and a_i x_i^e for e up to the largest exponent `top` of the
+    family.  Row i of that table times den(x_i)^top den(a_i) is integral,
+    so each term is an integer determinant and the sum is divided once by
+    the product of the row scales.
+    """
     family = {"F": "P", "G": "Q", "H": "R"}.get(tag)
     if family is None:
         raise ValueError(f"unknown sum {tag!r}")
     n = p + q
     _require_length("xs", xs, n)
     _require_length("as_", as_, n)
-    total = Fraction(0)
+    terms = []
     for lam in partition_family(family, p):
         for mu in partition_family(family, q):
             if tag == "H":
@@ -135,11 +146,34 @@ def fgh_sum(tag, p, q, xs, as_):
             else:
                 exponent = lam.size() + mu.size()
             assert exponent % 2 == 0, "family member breaks the sign parity"
-            term = det(build_V_shifted(p, q, lam, mu, xs, as_))
-            if (exponent // 2) % 2:
-                term = -term
-            total = total + term
+            terms.append((lam, mu, (exponent // 2) % 2))
+    if all(isinstance(v, (int, Fraction)) for v in (*xs, *as_)):
+        return _fgh_rational(p, q, terms, xs, as_)
+    total = Fraction(0)
+    for lam, mu, odd in terms:
+        term = det(build_V_shifted(p, q, lam, mu, xs, as_))
+        if odd:
+            term = -term
+        total = total + term
     return total
+
+
+def _fgh_rational(p, q, terms, xs, as_):
+    """fgh_sum's signed terms at rational points, over the integers."""
+    shifts = [(_shift_exponents(p, q, lam, mu), odd) for lam, mu, odd in terms]
+    top = max((e for (ex, ea), _ in shifts for e in ex + ea), default=0)
+    rows = []
+    scale = 1
+    for x, a in zip(xs, as_):
+        nx, dx = x.numerator, x.denominator
+        pw = [nx**e * dx ** (top - e) for e in range(top + 1)]
+        rows.append([a.denominator * w for w in pw] + [a.numerator * w for w in pw])
+        scale *= a.denominator * dx**top
+    total = 0
+    for (exps_x, exps_a), odd in shifts:
+        term = det_int(rows, exps_x + [top + 1 + e for e in exps_a])
+        total += -term if odd else term
+    return Fraction(total, scale)
 
 
 def build_DBC(tag, r):

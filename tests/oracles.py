@@ -86,6 +86,71 @@ def ordered_block_partitions(n_letters, block, tensor):
     yield from rec(list(range(n_letters)), [])
 
 
+def fgh_by_shifted_dets(tag, p, q, xs, as_):
+    """F/G/H as the signed sum of Leibniz determinants of the shifted matrices."""
+    from detpf.vandermonde import build_V_shifted, partition_family
+
+    family = {"F": "P", "G": "Q", "H": "R"}[tag]
+    total = Fraction(0)
+    for lam in partition_family(family, p):
+        for mu in partition_family(family, q):
+            exponent = lam.size() + mu.size()
+            if tag == "H":
+                exponent += lam.diagonal() + mu.diagonal()
+            term = det_leibniz(build_V_shifted(p, q, lam, mu, xs, as_))
+            total = total - term if (exponent // 2) % 2 else total + term
+    return total
+
+
+def hyper_v_by_ordered_partitions(n, xs, as_):
+    """The order-n hyperpfaffian of (1 + prod a_i) prod (x_j - x_i) on 2n points.
+
+    Summed over ordered partitions into two blocks and halved, with every
+    entry taken in plain Fraction arithmetic.
+    """
+    from detpf.linalg import AlternatingTensor
+
+    def entry(idx):
+        weight = Fraction(1)
+        for i in idx:
+            weight = weight * as_[i]
+        value = 1 + weight
+        for s, i in enumerate(idx):
+            for j in idx[s + 1 :]:
+                value = value * (xs[j] - xs[i])
+        return value
+
+    tensor = AlternatingTensor.from_function(n, 2 * n, entry)
+    total = Fraction(0)
+    for blocks, sign in ordered_block_partitions(2 * n, n, tensor):
+        total = total + sign * tensor.value(blocks[0]) * tensor.value(blocks[1])
+    return total / 2
+
+
+def cauchy_binet_by_minors(x, a, y):
+    """sum over n-sets I, J of det A[I, J] det X[:, I] det Y[:, J], by Leibniz."""
+    n, nn = x.rows, x.cols
+    rows = tuple(range(n))
+    total = Fraction(0)
+    for i_set in combinations(range(nn), n):
+        for j_set in combinations(range(nn), n):
+            total = total + (
+                det_leibniz(a.minor(i_set, j_set))
+                * det_leibniz(x.minor(rows, i_set))
+                * det_leibniz(y.minor(rows, j_set))
+            )
+    return total
+
+
+def minor_sum_by_matchings(x, a):
+    """sum over 2n-sets I of Pf A[I] det X[:, I], by matchings and Leibniz."""
+    rows = tuple(range(x.rows))
+    total = Fraction(0)
+    for idx in combinations(range(x.cols), x.rows):
+        total = total + pf_matchings(a.principal(idx)) * det_leibniz(x.minor(rows, idx))
+    return total
+
+
 def random_skew(rng, dim, draw):
     from detpf.linalg import SkewMatrix
 

@@ -24,8 +24,18 @@ from detpf.harness import (
     symbolic_cases,
     verify,
 )
-from detpf.identities import REGISTRY, InvalidParamsError, _delta, _prod, registry
+from detpf.identities import (
+    REGISTRY,
+    InvalidParamsError,
+    _delta,
+    _matrix_from,
+    _prod,
+    _skew_from,
+    registry,
+)
 from detpf.poly import VariableTable
+
+from oracles import cauchy_binet_by_minors, hyper_v_by_ordered_partitions, minor_sum_by_matchings
 
 
 def test_registry_contract():
@@ -108,7 +118,12 @@ QUOTIENT_IDENTITIES = (
 )
 
 
-@pytest.mark.parametrize("name", QUOTIENT_IDENTITIES)
+# identities whose numeric sides take an integer route of their own; a PASS
+# records no values, so only a mutant shows that a side still means something
+INTEGER_ROUTE_IDENTITIES = ("hyper_v", "cauchy_binet", "minor_sum", "rel_fv", "rel_gh")
+
+
+@pytest.mark.parametrize("name", QUOTIENT_IDENTITIES + INTEGER_ROUTE_IDENTITIES)
 def test_doubled_right_side_fails_in_both_modes(name):
     # a derived pair (lhs, rhs) that is not 0 = 0 must fail once rhs is doubled;
     # special_pf's right side is 0 for more than one block, so it still passes
@@ -326,6 +341,46 @@ def test_rational_delta_matches_left_fold(xs, data):
     want = reduce(mul, diffs, Fraction(1))
     got = _delta(xs)
     assert got == want and type(got) is Fraction
+
+
+def _oracle_side(name, p, sc):
+    """(index of the side the integer route computes, its Fraction oracle)."""
+    if name == "hyper_v":
+        return 0, hyper_v_by_ordered_partitions(p["n"], sc["x"], sc["a"])
+    n, nn = p["n"], p["N"]
+    if name == "cauchy_binet":
+        x, y = _matrix_from(sc["x"], n, nn), _matrix_from(sc["y"], n, nn)
+        return 1, cauchy_binet_by_minors(x, _matrix_from(sc["a"], nn, nn), y)
+    x = _matrix_from(sc["x"], 2 * n, nn)
+    return 0, minor_sum_by_matchings(x, _skew_from(sc["a"], nn))
+
+
+_SIDE_PARAMS = {
+    "hyper_v": st.fixed_dictionaries({"n": st.sampled_from([2, 4])}),
+    "cauchy_binet": st.integers(1, 2).flatmap(
+        lambda n: st.fixed_dictionaries({"n": st.just(n), "N": st.integers(n, 4)})
+    ),
+    "minor_sum": st.integers(1, 2).flatmap(
+        lambda n: st.fixed_dictionaries({"n": st.just(n), "N": st.integers(2 * n, 5)})
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIDE_PARAMS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_integer_route_side_matches_fraction_oracle(name, data):
+    spec = REGISTRY[name]
+    params = data.draw(_SIDE_PARAMS[name])
+    sc = {
+        prefix: data.draw(st.lists(_POINTS, min_size=count, max_size=count))
+        for prefix, count in spec.vectors(params)
+    }
+    ((lhs, rhs),) = spec.sides(params, sc, True)
+    side, want = _oracle_side(name, params, sc)
+    got = (lhs, rhs)[side]
+    assert got == want and type(got) is Fraction
+    assert lhs == rhs
 
 
 def test_delta_on_repeated_and_polynomial_points():

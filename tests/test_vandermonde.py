@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detpf.linalg import det
 from detpf.poly import VariableTable
@@ -15,6 +17,8 @@ from detpf.vandermonde import (
     fgh_sum,
     partition_family,
 )
+
+from oracles import fgh_by_shifted_dets
 
 
 def _gens(spec):
@@ -167,6 +171,46 @@ def test_gh_are_multiples_of_f():
         prod_lin = prod_lin * (1 - x)
     assert fgh_sum("G", 2, 1, xs, as_) == prod_sq * f
     assert fgh_sum("H", 2, 1, xs, as_) == prod_lin * f
+
+
+# small ints give zero and negative points and, repeated, zero determinants
+_POINTS = st.integers(-5, 5) | st.builds(
+    Fraction,
+    st.integers(-(2**70), 2**70),
+    st.integers(1, 9) | st.integers(2**64 + 1, 2**70),
+)
+
+
+def _check_rational_fgh(tag, p, q, xs, as_):
+    got = fgh_sum(tag, p, q, xs, as_)
+    assert got == fgh_by_shifted_dets(tag, p, q, xs, as_)
+    assert type(got) is Fraction
+    return got
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_rational_fgh_sum_matches_shifted_determinant_oracle(data):
+    tag = data.draw(st.sampled_from("FGH"))
+    p = data.draw(st.integers(0, 3))
+    q = data.draw(st.integers(0, 4 - p))
+    xs = data.draw(st.lists(_POINTS, min_size=p + q, max_size=p + q))
+    as_ = data.draw(st.lists(_POINTS, min_size=p + q, max_size=p + q))
+    _check_rational_fgh(tag, p, q, xs, as_)
+
+
+def test_rational_fgh_sum_at_every_small_size():
+    big = 2**64 + 13
+    points = [Fraction(-7, big), Fraction(5, 3), -2, Fraction(2**66 + 1, big + 2), 0]
+    weights = [Fraction(3, big + 4), 1, Fraction(-4, 9), Fraction(-1, big), Fraction(5, 2)]
+    for tag in "FGH":
+        for p in range(4):
+            for q in range(5 - p):
+                _check_rational_fgh(tag, p, q, points[: p + q], weights[: p + q])
+    assert _check_rational_fgh("F", 0, 0, [], []) == 1
+    # a repeated (x, a) pair repeats a row of every shifted matrix
+    repeated = [Fraction(1, 3), 2, Fraction(1, 3)]
+    assert _check_rational_fgh("G", 2, 1, repeated, [weights[0], 1, weights[0]]) == 0
 
 
 def test_dbc_shapes_and_d2_minor():
