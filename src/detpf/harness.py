@@ -17,6 +17,8 @@ from .poly import Polynomial, VariableTable, random_rational
 
 
 SYMBOLIC_DIM_CAP = 8
+# a failing Polynomial side with more terms is recorded by its term count
+TEXT_TERM_CAP = 1000
 
 
 class UnknownIdentityError(KeyError):
@@ -84,6 +86,8 @@ class VerificationReport:
 
 def _scalar_text(value):
     if isinstance(value, Polynomial):
+        if len(value.terms) > TEXT_TERM_CAP:
+            return f"<polynomial, {len(value.terms)} terms>"
         return value.text()
     return str(value)
 

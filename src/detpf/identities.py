@@ -13,11 +13,16 @@ Most of the paper's identities share one shape: det or Pf of num/den equals
 a core over the product of the denominators, generalizing Cauchy's
 det(1/(x_i+y_j)) and Schur's Pf((x_j-x_i)/(x_j+x_i)).  Those are declared
 by `_register_quotient` from (den, num, core) alone; it derives both modes'
-sides and takes the denominators as the guards.  Eleven of them are
-instances of the paper's two theorems, each stated once for any structured
-determinant family f (two-block V, palindromic-row W, bidegree U, signed
-sums F): `_theorem_det` gives special1, main1, main3, homog2 and variation1,
-`_theorem_pf` gives special2, main2, prop_n2, main4, homog1 and variation2.
+sides and takes the denominators as the guards.  Twenty-two identities are
+declared that way, three of them (det_schur, pf_schur, pf_schur2) with unit
+denominators.  Sixteen are instances of the paper's two theorems, each
+stated once for any structured determinant family f (two-block V,
+palindromic-row W, bidegree U, signed sums F, Schur polynomials of a shape
+family): `_theorem_det` gives special1, main1, main3, homog2, variation1,
+cauchy1 and det_schur, `_theorem_pf` gives special2, main2, prop_n2, main4,
+homog1, variation2, schur1, pf_schur and pf_schur2.  `_product` multiplies
+the (num, core) of such parts, so a Schur-function corollary is a seed
+times a theorem instance.
 
 Sides are composed exclusively from the matrix builders, exact linear
 algebra and symmetric-function primitives; no identity re-derives a closed
@@ -26,8 +31,10 @@ form of its own.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import factorial, prod
+from operator import mul
 
 from .linalg import (
     AlternatingTensor,
@@ -46,7 +53,7 @@ from .linalg import (
     sub_pfaffians,
 )
 from .lr import b_principal, lr_bruteforce
-from .symfunc import Partition, h_complete, index_set, partitions_in_box, schur_jacobi_trudi
+from .symfunc import Partition, index_set, partitions_in_box, schur_jacobi_trudi
 from .vandermonde import build_DBC, build_U, build_V, build_W, fgh_sum, partition_family
 
 
@@ -224,11 +231,49 @@ def _schur(lam, values):
     return schur_jacobi_trudi(lam, list(values))
 
 
+def _schur_family(shape):
+    """f(params, k, vecs) = s_{shape(params, k)}(vecs[0])."""
+    return lambda p, k, vecs: _schur(shape(p, k), vecs[0])
+
+
+def _staircase(size):
+    return _schur_family(lambda p, k: Partition.staircase(p[size]))
+
+
+def _box(rows, cols):
+    """The rectangle family box(rows + k, cols + n - k)."""
+    return _schur_family(lambda p, k: Partition.box(p[rows] + k, p[cols] + p["n"] - k))
+
+
 def _one(i, j):
     return Fraction(1)
 
 
+def _product(*factors):
+    """parts(params, sc) whose num and core multiply those of the `factors` parts."""
+
+    def parts(p, sc):
+        nums, cores = zip(*(factor(p, sc) for factor in factors))
+        return (lambda i, j: reduce(mul, [num(i, j) for num in nums])), reduce(mul, cores)
+
+    return parts
+
+
+def _at(parts, **fixed):
+    """`parts` with the parameters in `fixed` held at those values."""
+    return lambda p, sc: parts({**p, **fixed}, sc)
+
+
+def _vectors(*groups):
+    """[(prefix, size)] from groups (prefixes, size), the prefixes space-separated."""
+    return [(prefix, size) for prefixes, size in groups for prefix in prefixes.split()]
+
+
 # denominators shared by several quotient identities
+def _unit_den(p, sc, i, j):
+    return 1
+
+
 def _x_gap(p, sc, i, j):
     return sc["x"][j] - sc["x"][i]
 
@@ -260,12 +305,6 @@ def _skew_from(sc_values, dim):
             upper[(i, j)] = values[pos]
             pos += 1
     return SkewMatrix(dim, upper)
-
-
-def _check_even_n(params):
-    _check_nonneg(params)
-    if params["n"] % 2:
-        raise InvalidParamsError("n must be even")
 
 
 def _check_min(params, key, minimum):
@@ -338,18 +377,18 @@ def _theorem_pf(f, frows, ftail, g, grows, gtail):
     with u, t the vectors named by `frows`, `ftail` and u', t' by `grows`,
     `gtail`.
     """
+    return _product(_pf_factor(f, frows, ftail), _pf_factor(g, grows, gtail))
 
-    def factor(h, p, sc, rows, tail):
+
+def _pf_factor(f, rows, tail):
+    """One family's part of `_theorem_pf`: entries f_1(u_i, u_j; t), core f_0^(n-1) f_n."""
+
+    def parts(p, sc):
         n = p["n"]
         u = [sc[k] for k in rows]
         t = [sc[k] for k in tail] if tail else [[]] * len(rows)
-        entry = lambda i, j: h(p, 1, [[a[i], a[j]] + c for a, c in zip(u, t)])
-        return entry, _pow(h(p, 0, t), n - 1) * h(p, n, [a + c for a, c in zip(u, t)])
-
-    def parts(p, sc):
-        fe, fc = factor(f, p, sc, frows, ftail)
-        ge, gc = factor(g, p, sc, grows, gtail)
-        return (lambda i, j: fe(i, j) * ge(i, j)), fc * gc
+        entry = lambda i, j: f(p, 1, [[a[i], a[j]] + c for a, c in zip(u, t)])
+        return entry, _pow(f(p, 0, t), n - 1) * f(p, n, [a + c for a, c in zip(u, t)])
 
     return parts
 
@@ -433,10 +472,7 @@ _register_quotient(
     summary="Cauchy-type determinant with two-block-determinant entries",
     defaults={"n": 2, "p": 1, "q": 0},
     numeric_defaults={"n": 2, "p": 1, "q": 2},
-    vectors=lambda p: [
-        ("x", p["n"]), ("y", p["n"]), ("a", p["n"]), ("b", p["n"]),
-        ("z", p["p"] + p["q"]), ("c", p["p"] + p["q"]),
-    ],
+    vectors=lambda p: _vectors(("x y a b", p["n"]), ("z c", p["p"] + p["q"])),
     main_dim=lambda p: 2 * p["n"] + p["p"] + p["q"],
     symbolic_cases=({"n": 2, "p": 1, "q": 0}, {"n": 3, "p": 0, "q": 0}),
 )
@@ -448,11 +484,7 @@ _paired_v = _theorem_pf(
 
 
 def _main2_vectors(p):
-    return [
-        ("x", 2 * p["n"]), ("a", 2 * p["n"]), ("b", 2 * p["n"]),
-        ("z", p["p"] + p["q"]), ("c", p["p"] + p["q"]),
-        ("w", p["r"] + p["s"]), ("d", p["r"] + p["s"]),
-    ]
+    return _vectors(("x a b", 2 * p["n"]), ("z c", p["p"] + p["q"]), ("w d", p["r"] + p["s"]))
 
 
 _register_quotient(
@@ -482,10 +514,7 @@ _register_quotient(
     summary="Cauchy-type determinant with palindromic-row determinant entries",
     defaults={"n": 2, "p": 0},
     numeric_defaults={"n": 2, "p": 1},
-    vectors=lambda p: [
-        ("x", p["n"]), ("y", p["n"]), ("a", p["n"]), ("b", p["n"]),
-        ("z", p["p"]), ("c", p["p"]),
-    ],
+    vectors=lambda p: _vectors(("x y a b", p["n"]), ("z c", p["p"])),
     main_dim=lambda p: 2 * p["n"] + p["p"],
 )
 
@@ -501,10 +530,7 @@ _register_quotient(
     summary="Schur-type Pfaffian with paired palindromic-row determinant entries",
     defaults={"n": 2, "p": 0, "q": 0},
     numeric_defaults={"n": 2, "p": 1, "q": 1},
-    vectors=lambda p: [
-        ("x", 2 * p["n"]), ("a", 2 * p["n"]), ("b", 2 * p["n"]),
-        ("z", p["p"]), ("c", p["p"]), ("w", p["q"]), ("d", p["q"]),
-    ],
+    vectors=lambda p: _vectors(("x a b", 2 * p["n"]), ("z c", p["p"]), ("w d", p["q"])),
     main_dim=lambda p: 2 * p["n"] + max(p["p"], p["q"]),
 )
 
@@ -513,20 +539,13 @@ _register_quotient(
 # staircase Schur-function corollaries
 
 
-def _cauchy1(p, sc):
-    n = p["n"]
-    x, y, z = sc["x"], sc["y"], sc["z"]
-    stair = Partition.staircase(p["k"])
-    num = lambda i, j: _schur(stair, [x[i], y[j]] + z)
-    core = _delta(x) * _delta(y) * _pow(_schur(stair, z), n - 1) * _schur(stair, x + y + z)
-    return num, core
-
-
 _register_quotient(
     "det",
     dim=lambda p: p["n"],
     den=lambda p, sc, i, j: sc["x"][i] + sc["y"][j],
-    parts=_cauchy1,
+    parts=_product(
+        _cauchy, _theorem_det(_staircase("k"), ("x",), ("y",), ("z",), signed=False)
+    ),
     name="cauchy1",
     summary="Cauchy determinant dressed with staircase Schur polynomials",
     defaults={"n": 2, "k": 1, "zlen": 1},
@@ -536,27 +555,13 @@ _register_quotient(
 )
 
 
-def _schur1(p, sc):
-    n = p["n"]
-    x, z, w = sc["x"], sc["z"], sc["w"]
-    sk = Partition.staircase(p["k"])
-    sl = Partition.staircase(p["l"])
-    num = lambda i, j: (x[j] - x[i]) * _schur(sk, [x[i], x[j]] + z) * _schur(sl, [x[i], x[j]] + w)
-    core = (
-        _delta(x)
-        * _pow(_schur(sk, z), n - 1)
-        * _pow(_schur(sl, w), n - 1)
-        * _schur(sk, x + z)
-        * _schur(sl, x + w)
-    )
-    return num, core
-
-
 _register_quotient(
     "pf",
     dim=lambda p: 2 * p["n"],
     den=lambda p, sc, i, j: sc["x"][j] + sc["x"][i],
-    parts=_schur1,
+    parts=_product(
+        _schur_id, _theorem_pf(_staircase("k"), ("x",), ("z",), _staircase("l"), ("x",), ("w",))
+    ),
     name="schur1",
     summary="Schur Pfaffian dressed with two staircase Schur polynomials",
     defaults={"n": 2, "k": 1, "l": 0, "zlen": 1, "wlen": 0},
@@ -573,7 +578,7 @@ _register_quotient(
     "pf",
     dim=lambda p: 4,
     den=_x_gap,
-    parts=lambda p, sc: _paired_v({**p, "n": 2}, sc),
+    parts=_at(_paired_v, n=2),
     name="prop_n2",
     summary="the n=2 base case of the paired-entry Pfaffian identity",
     defaults={"p": 1, "q": 0, "r": 0, "s": 1},
@@ -729,14 +734,11 @@ _register_quotient(
     summary="homogeneous Pfaffian identity over variable pairs (x_i, y_i)",
     defaults={"n": 2, "p": 0, "q": 0, "r": 0, "s": 0},
     numeric_defaults={"n": 2, "p": 1, "q": 1, "r": 0, "s": 0},
-    vectors=lambda p: [
-        ("x", 2 * p["n"]), ("y", 2 * p["n"]), ("a", 2 * p["n"]),
-        ("b", 2 * p["n"]), ("c", 2 * p["n"]), ("d", 2 * p["n"]),
-        ("xi", p["p"] + p["q"]), ("eta", p["p"] + p["q"]),
-        ("alpha", p["p"] + p["q"]), ("beta", p["p"] + p["q"]),
-        ("zeta", p["r"] + p["s"]), ("omega", p["r"] + p["s"]),
-        ("gamma", p["r"] + p["s"]), ("delta", p["r"] + p["s"]),
-    ],
+    vectors=lambda p: _vectors(
+        ("x y a b c d", 2 * p["n"]),
+        ("xi eta alpha beta", p["p"] + p["q"]),
+        ("zeta omega gamma delta", p["r"] + p["s"]),
+    ),
     main_dim=lambda p: 2 * p["n"] + max(p["p"] + p["q"], p["r"] + p["s"]),
 )
 
@@ -753,12 +755,9 @@ _register_quotient(
     summary="homogeneous determinant identity over variable pairs",
     defaults={"n": 2, "p": 0, "q": 0},
     numeric_defaults={"n": 2, "p": 1, "q": 1},
-    vectors=lambda p: [
-        ("x", p["n"]), ("y", p["n"]), ("z", p["n"]), ("w", p["n"]),
-        ("a", p["n"]), ("b", p["n"]), ("c", p["n"]), ("d", p["n"]),
-        ("xi", p["p"] + p["q"]), ("eta", p["p"] + p["q"]),
-        ("alpha", p["p"] + p["q"]), ("beta", p["p"] + p["q"]),
-    ],
+    vectors=lambda p: _vectors(
+        ("x y z w a b c d", p["n"]), ("xi eta alpha beta", p["p"] + p["q"])
+    ),
     main_dim=lambda p: 2 * p["n"] + p["p"] + p["q"],
 )
 
@@ -825,7 +824,7 @@ _register(
     summary="dehomogenizes the bidegree matrix back to the two-block one",
     defaults={"p": 1, "q": 2},
     numeric_defaults={"p": 2, "q": 1},
-    vectors=lambda p: [(pre, p["p"] + p["q"]) for pre in ("x", "y", "a", "b")],
+    vectors=lambda p: _vectors(("x y a b", p["p"] + p["q"])),
     sides=_rel_uv1_sides,
     main_dim=lambda p: p["p"] + p["q"],
     guards=lambda p, sc: list(sc["x"]) + list(sc["a"]),
@@ -910,10 +909,7 @@ _register_quotient(
     summary="determinant identity for the signed partition-family sums",
     defaults={"n": 2, "p": 0, "q": 0},
     numeric_defaults={"n": 2, "p": 0, "q": 1},
-    vectors=lambda p: [
-        ("x", p["n"]), ("y", p["n"]), ("a", p["n"]), ("b", p["n"]),
-        ("z", p["p"] + p["q"]), ("c", p["p"] + p["q"]),
-    ],
+    vectors=lambda p: _vectors(("x y a b", p["n"]), ("z c", p["p"] + p["q"])),
     main_dim=lambda p: 2 * p["n"] + p["p"] + p["q"],
 )
 
@@ -1074,20 +1070,26 @@ _register(
 )
 
 
+def _band_minors(tag, r, cols, family, exponent):
+    """Maximal minors of band matrix `tag` on I(lam), for lam in the r x cols box.
+
+    Each is paired with (-1)^exponent(lam) when lam is in `family`, else with 0.
+    """
+    band = build_DBC(tag, r)
+    members = {lam.parts for lam in partition_family(family, r)}
+    rows = tuple(range(r))
+    return [
+        (
+            det(band.minor(rows, index_set(lam, r))),
+            Fraction(_sign(exponent(lam))) if lam.parts in members else Fraction(0),
+        )
+        for lam in partitions_in_box(r, cols)
+    ]
+
+
 def _minor_dr_sides(p, sc, numeric):
     r = p["r"]
-    d = build_DBC("D", r)
-    members = {lam.parts for lam in partition_family("P", r)}
-    rows = tuple(range(r))
-    pairs = []
-    for lam in partitions_in_box(r, r - 1):
-        lhs = det(d.minor(rows, index_set(lam, r)))
-        if lam.parts in members:
-            rhs = Fraction(_sign(r * (r - 1) // 2 + lam.size() // 2))
-        else:
-            rhs = Fraction(0)
-        pairs.append((lhs, rhs))
-    return pairs
+    return _band_minors("D", r, r - 1, "P", lambda lam: r * (r - 1) // 2 + lam.size() // 2)
 
 
 _register(
@@ -1105,28 +1107,10 @@ _register(
 
 def _minor_bc_sides(p, sc, numeric):
     r = p["r"]
-    pairs = []
-    rows = tuple(range(r))
-    b = build_DBC("B", r)
-    r_members = {lam.parts for lam in partition_family("R", r)}
-    for lam in partitions_in_box(r, r):
-        lhs = det(b.minor(rows, index_set(lam, r)))
-        if lam.parts in r_members:
-            exp = (r + 1) * r // 2 + (lam.size() + lam.diagonal()) // 2
-            rhs = Fraction(_sign(exp))
-        else:
-            rhs = Fraction(0)
-        pairs.append((lhs, rhs))
-    c = build_DBC("C", r)
-    q_members = {lam.parts for lam in partition_family("Q", r)}
-    for lam in partitions_in_box(r, r + 1):
-        lhs = det(c.minor(rows, index_set(lam, r)))
-        if lam.parts in q_members:
-            rhs = Fraction(_sign((r + 1) * r // 2 + lam.size() // 2))
-        else:
-            rhs = Fraction(0)
-        pairs.append((lhs, rhs))
-    return pairs
+    base = (r + 1) * r // 2
+    b_exponent = lambda lam: base + (lam.size() + lam.diagonal()) // 2
+    c_exponent = lambda lam: base + lam.size() // 2
+    return _band_minors("B", r, r, "R", b_exponent) + _band_minors("C", r, r + 1, "Q", c_exponent)
 
 
 _register(
@@ -1178,10 +1162,7 @@ _register_quotient(
     summary="det of reciprocals of two-block determinants factors over all pairs",
     defaults={"n": 2, "p": 0, "q": 0},
     numeric_defaults={"n": 2, "p": 1, "q": 1},
-    vectors=lambda p: [
-        ("x", p["n"]), ("y", p["n"]), ("a", p["n"]), ("b", p["n"]),
-        ("z", p["p"] + p["q"]), ("c", p["p"] + p["q"]),
-    ],
+    vectors=lambda p: _vectors(("x y a b", p["n"]), ("z c", p["p"] + p["q"])),
     main_dim=lambda p: max(p["n"], p["p"] + p["q"] + 2),
 )
 
@@ -1195,10 +1176,7 @@ _register_quotient(
     summary="det of reciprocals of palindromic-row determinants factors over all pairs",
     defaults={"n": 2, "p": 0},
     numeric_defaults={"n": 2, "p": 1},
-    vectors=lambda p: [
-        ("x", p["n"]), ("y", p["n"]), ("a", p["n"]), ("b", p["n"]),
-        ("z", p["p"]), ("c", p["p"]),
-    ],
+    vectors=lambda p: _vectors(("x y a b", p["n"]), ("z c", p["p"])),
     main_dim=lambda p: max(p["n"], p["p"] + 2),
 )
 
@@ -1254,11 +1232,7 @@ _register(
     summary="quadratic relation among the pairwise structured determinants",
     defaults={"p": 0, "q": 0},
     numeric_defaults={"p": 1, "q": 1},
-    vectors=lambda p: [
-        ("x", 2), ("y", 2), ("a", 2), ("b", 2),
-        ("z", p["p"] + p["q"]), ("c", p["p"] + p["q"]),
-        ("w", p["p"]), ("d", p["p"]),
-    ],
+    vectors=lambda p: _vectors(("x y a b", 2), ("z c", p["p"] + p["q"]), ("w d", p["p"])),
     sides=_plucker_vw_sides,
     main_dim=lambda p: p["p"] + p["q"] + 2,
     symbolic_cases=({"p": 0, "q": 0}, {"p": 1, "q": 0}),
@@ -1347,7 +1321,7 @@ _register(
     vectors=lambda p: [("x", 2 * p["n"]), ("a", 2 * p["n"])],
     sides=_hyper_v_sides,
     main_dim=lambda p: 2 * p["n"],
-    check=_check_even_n,
+    check=_check_even_block,
 )
 
 
@@ -1373,10 +1347,10 @@ _register(
     summary="the square bidegree determinant as an order-n hyperpfaffian",
     defaults={"n": 2},
     numeric_defaults={"n": 4},
-    vectors=lambda p: [("x", 2 * p["n"]), ("y", 2 * p["n"]), ("a", 2 * p["n"]), ("b", 2 * p["n"])],
+    vectors=lambda p: _vectors(("x y a b", 2 * p["n"])),
     sides=_hyper_u_sides,
     main_dim=lambda p: 2 * p["n"],
-    check=_check_even_n,
+    check=_check_even_block,
 )
 
 
@@ -1406,92 +1380,50 @@ _register(
 # rectangle Schur-function corollaries and the coefficient matrix
 
 
-def _det_schur_sides(p, sc, numeric):
-    n, q, e = p["n"], p["q"], p["e"]
-    x, y, z = sc["x"], sc["y"], sc["z"]
-    cell = Partition.box(q + 1, e + n - 1)
-    nmat = RingMatrix(
-        n, n, [_schur(cell, [x[i], y[j]] + z) for i in range(n) for j in range(n)]
-    )
-    lhs = det(nmat)
-    rhs = (
-        _sign(n * (n - 1) // 2)
-        * _delta(x)
-        * _delta(y)
-        * _pow(_schur(Partition.box(q, e + n), z), n - 1)
-        * _schur(Partition.box(q + n, e), x + y + z)
-    )
-    return [(lhs, rhs)]
-
-
-_register(
+_register_quotient(
+    "det",
+    dim=lambda p: p["n"],
+    den=_unit_den,
+    parts=_product(_cauchy, _theorem_det(_box("q", "e"), ("x",), ("y",), ("z",))),
     name="det_schur",
     summary="determinant of rectangle Schur polynomials at merged alphabets",
     defaults={"n": 2, "q": 0, "e": 1, "zlen": 1},
     numeric_defaults={"n": 2, "q": 1, "e": 1, "zlen": 2},
     vectors=lambda p: [("x", p["n"]), ("y", p["n"]), ("z", p["zlen"])],
-    sides=_det_schur_sides,
     main_dim=lambda p: p["n"] + p["q"],
 )
 
 
-def _pf_schur_sides(p, sc, numeric):
-    n, q, s, e, f = p["n"], p["q"], p["s"], p["e"], p["f"]
-    x, z, w = sc["x"], sc["z"], sc["w"]
-    cz = Partition.box(q + 1, e + n - 1)
-    cw = Partition.box(s + 1, f + n - 1)
-    skew = SkewMatrix.from_upper_function(
-        2 * n,
-        lambda i, j: (x[j] - x[i]) * _schur(cz, [x[i], x[j]] + z) * _schur(cw, [x[i], x[j]] + w),
-    )
-    lhs = pfaffian(skew)
-    rhs = (
-        _delta(x)
-        * _pow(_schur(Partition.box(q, e + n), z), n - 1)
-        * _pow(_schur(Partition.box(s, f + n), w), n - 1)
-        * _schur(Partition.box(n + q, e), x + z)
-        * _schur(Partition.box(n + s, f), x + w)
-    )
-    return [(lhs, rhs)]
+# at q = s = 0 the k = 1 boxes are the single rows h_{e+n-1}, h_{f+n-1}
+_pf_schur = _product(
+    _schur_id, _theorem_pf(_box("q", "e"), ("x",), ("z",), _box("s", "f"), ("x",), ("w",))
+)
 
 
-_register(
+_register_quotient(
+    "pf",
+    dim=lambda p: 2 * p["n"],
+    den=_unit_den,
+    parts=_pf_schur,
     name="pf_schur",
     summary="Pfaffian of rectangle Schur entries factors into four rectangle Schurs",
     defaults={"n": 2, "q": 0, "s": 0, "e": 1, "f": 0, "zlen": 1, "wlen": 0},
     numeric_defaults={"n": 2, "q": 1, "s": 0, "e": 1, "f": 1, "zlen": 2, "wlen": 1},
     vectors=lambda p: [("x", 2 * p["n"]), ("z", p["zlen"]), ("w", p["wlen"])],
-    sides=_pf_schur_sides,
     main_dim=lambda p: max(2 * p["n"], p["n"] + p["q"], p["n"] + p["s"]),
 )
 
 
-def _pf_schur2_sides(p, sc, numeric):
-    n, e, f = p["n"], p["e"], p["f"]
-    x, z, w = sc["x"], sc["z"], sc["w"]
-    skew = SkewMatrix.from_upper_function(
-        2 * n,
-        lambda i, j: (x[j] - x[i])
-        * h_complete(e + n - 1, [x[i], x[j]] + z)
-        * h_complete(f + n - 1, [x[i], x[j]] + w),
-    )
-    lhs = pfaffian(skew)
-    rhs = (
-        _delta(x)
-        * _schur(Partition.box(n, e), x + z)
-        * _schur(Partition.box(n, f), x + w)
-    )
-    return [(lhs, rhs)]
-
-
-_register(
+_register_quotient(
+    "pf",
+    dim=lambda p: 2 * p["n"],
+    den=_unit_den,
+    parts=_at(_pf_schur, q=0, s=0),
     name="pf_schur2",
     summary="complete-homogeneous specialization: two rectangle Schurs on the right",
     defaults={"n": 2, "e": 1, "f": 0, "zlen": 1, "wlen": 0},
     numeric_defaults={"n": 2, "e": 1, "f": 1, "zlen": 2, "wlen": 2},
     vectors=lambda p: [("x", 2 * p["n"]), ("z", p["zlen"]), ("w", p["wlen"])],
-    sides=_pf_schur2_sides,
-    main_dim=lambda p: 2 * p["n"],
 )
 
 

@@ -97,10 +97,6 @@ class RingMatrix:
     def at(self, i, j):
         return self.data[i * self.cols + j]
 
-    def __getitem__(self, key):
-        i, j = key
-        return self.at(i, j)
-
     def row_list(self, i):
         return self.data[i * self.cols : (i + 1) * self.cols]
 
@@ -226,9 +222,11 @@ class AlternatingTensor:
 
     @classmethod
     def from_function(cls, order, dim, value):
-        return cls(
-            order, dim, {idx: value(idx) for idx in combinations(range(dim), order)}
-        )
+        """The tensor with value(idx) at each sorted idx; `combinations` keys need no check."""
+        tensor = cls(order, dim)
+        values = ((idx, value(idx)) for idx in combinations(range(dim), order))
+        tensor.values = {idx: v for idx, v in values if not _is_zero(v)}
+        return tensor
 
     def value(self, sorted_idx):
         return self.values.get(tuple(sorted_idx), Fraction(0))

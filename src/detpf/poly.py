@@ -192,9 +192,6 @@ class VariableTable:
         """Register prefix1..prefixN and return the list of ids."""
         return [self.add(f"{prefix}{i + 1}") for i in range(count)]
 
-    def id(self, name):
-        return self._ids[name]
-
     def name(self, vid):
         return self.names[vid]
 

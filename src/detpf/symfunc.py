@@ -180,11 +180,6 @@ class SkewShape:
     def size(self):
         return self.outer.size() - self.inner.size()
 
-    def cells(self):
-        for i in range(self.outer.length()):
-            for j in range(self.inner.part(i), self.outer.part(i)):
-                yield (i, j)
-
     def is_horizontal_strip(self):
         """At most one cell per column."""
         oc, ic = self.outer.conjugate(), self.inner.conjugate()

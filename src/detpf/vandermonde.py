@@ -184,25 +184,13 @@ def build_DBC(tag, r):
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if tag == "D":
-        cols = 2 * r - 1
-        data = [Fraction(0)] * (r * cols)
-        for i in range(r):
-            data[i * cols + (r - 1 - i)] = Fraction(1)
-            data[i * cols + (r - 1 + i)] = Fraction(1)
-        return RingMatrix(r, cols, data)
-    if tag == "B":
-        cols = 2 * r
-        data = [Fraction(0)] * (r * cols)
-        for i in range(r):
-            data[i * cols + (r - 1 - i)] = Fraction(-1)
-            data[i * cols + (r + i)] = Fraction(1)
-        return RingMatrix(r, cols, data)
-    if tag == "C":
-        cols = 2 * r + 1
-        data = [Fraction(0)] * (r * cols)
-        for i in range(r):
-            data[i * cols + (r - 1 - i)] = Fraction(-1)
-            data[i * cols + (r + 1 + i)] = Fraction(1)
-        return RingMatrix(r, cols, data)
-    raise ValueError(f"unknown band matrix {tag!r}")
+    shift = {"D": 0, "B": 1, "C": 2}.get(tag)
+    if shift is None:
+        raise ValueError(f"unknown band matrix {tag!r}")
+    left = Fraction(1) if tag == "D" else Fraction(-1)
+    cols = 2 * r - 1 + shift
+    data = [Fraction(0)] * (r * cols)
+    for i in range(r):
+        data[i * cols + (r - 1 - i)] = left
+        data[i * cols + (r - 1 + shift + i)] = Fraction(1)
+    return RingMatrix(r, cols, data)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from detpf.harness import (
     SYMBOLIC_DIM_CAP,
+    TEXT_TERM_CAP,
     CampaignBlock,
     CampaignConfig,
     ConfigError,
@@ -110,11 +111,34 @@ def test_failure_detection_and_report_shape():
         del REGISTRY["_broken"]
 
 
+def test_failure_record_caps_large_polynomial_text():
+    spec = REGISTRY["cauchy"]
+    lhs_seen = []
+
+    def broken(params, sc, numeric):
+        pairs = spec.sides(params, sc, numeric)
+        lhs_seen.extend(lhs for lhs, _ in pairs)
+        big = (1 + sum(sc["x"]) + sum(sc["y"])) ** 12
+        return [(lhs, rhs + big) for lhs, rhs in pairs]
+
+    REGISTRY["_broken"] = dataclasses.replace(spec, name="_broken", sides=broken)
+    try:
+        report = verify("_broken", {"n": 2}, "symbolic")
+    finally:
+        del REGISTRY["_broken"]
+    (record,) = report.failures
+    # (1 + x1 + x2 + y1 + y2)^12 has C(16, 4) = 1820 terms; the cleared lhs has 4
+    assert TEXT_TERM_CAP < 1820
+    assert record["rhs"] == "<polynomial, 1820 terms>"
+    assert record["lhs"] == lhs_seen[0].text()
+
+
 # the identities declared through identities._register_quotient
 QUOTIENT_IDENTITIES = (
     "cauchy", "schur", "special1", "special2", "main1", "main2", "main3", "main4",
     "cauchy1", "schur1", "prop_n2", "homog1", "homog2", "variation1", "variation2",
-    "sundquist", "another1", "another2", "special_pf",
+    "sundquist", "another1", "another2", "special_pf", "det_schur", "pf_schur",
+    "pf_schur2",
 )
 
 
@@ -122,8 +146,13 @@ QUOTIENT_IDENTITIES = (
 # records no values, so only a mutant shows that a side still means something
 INTEGER_ROUTE_IDENTITIES = ("hyper_v", "cauchy_binet", "minor_sum", "rel_fv", "rel_gh")
 
+# band-matrix minors: most pairs are 0 = 0, but every case has a +-1 pair
+BAND_MINOR_IDENTITIES = ("minor_Dr", "minor_BC")
 
-@pytest.mark.parametrize("name", QUOTIENT_IDENTITIES + INTEGER_ROUTE_IDENTITIES)
+
+@pytest.mark.parametrize(
+    "name", QUOTIENT_IDENTITIES + INTEGER_ROUTE_IDENTITIES + BAND_MINOR_IDENTITIES
+)
 def test_doubled_right_side_fails_in_both_modes(name):
     # a derived pair (lhs, rhs) that is not 0 = 0 must fail once rhs is doubled;
     # special_pf's right side is 0 for more than one block, so it still passes
@@ -296,6 +325,15 @@ def test_staircase_dressings_degenerate_to_seeds():
     # empty staircases reduce the dressed identities to the classical seeds
     assert verify("cauchy1", {"n": 2, "k": 0, "zlen": 0}, "symbolic").passed
     assert verify("schur1", {"n": 2, "k": 0, "l": 0, "zlen": 0, "wlen": 0}, "symbolic").passed
+
+
+def test_pf_schur2_is_pf_schur_without_row_offsets():
+    params = dict(REGISTRY["pf_schur2"].numeric_defaults)
+    vectors = REGISTRY["pf_schur2"].vectors(params)
+    sc = {prefix: [Fraction(3 * k + 1, k + 2) for k in range(size)] for prefix, size in vectors}
+    sides = REGISTRY["pf_schur2"].sides(params, sc, True)
+    assert sides == REGISTRY["pf_schur"].sides({**params, "q": 0, "s": 0}, sc, True)
+    assert sides[0][1] != 0
 
 
 def test_palindromic_identities_even_parameters():
