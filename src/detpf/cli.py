@@ -8,6 +8,7 @@ that ran out of memory),
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -20,7 +21,9 @@ from .poly import ExponentCapError, VariableTable
 from .symfunc import Partition, PartitionError, SkewShape, schur
 
 
+@functools.cache
 def _build_parser():
+    """The one argparse parser of the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="detpf",
         description="Exact determinant/Pfaffian identity verification, "

@@ -1,11 +1,13 @@
 """Littlewood-Richardson coefficients, two independent ways.
 
 The oracle route counts lattice-word skew tableaux directly.  The
-subpfaffian route builds the skew matrix of h-polynomial coefficients,
-takes the principal Pfaffian on the index set of the target partition and
-reads the answer off a Schur-basis expansion; a third route rewrites the
-near-rectangle problem through the complementation theorem.  All three
-agree on the common domain, which is the package's central cross-check.
+subpfaffian route builds the skew matrix B of h-polynomial coefficients
+(Okada 1998), each entry a short sum read from one table of h_0..h_top per
+alphabet, takes the principal Pfaffian on the index set of the target
+partition and reads the answer off a Schur-basis expansion; a third route
+rewrites the near-rectangle problem through the complementation theorem.
+All three agree on the common domain, which is the package's central
+cross-check.
 """
 
 from fractions import Fraction
@@ -17,7 +19,7 @@ from .symfunc import (
     Partition,
     SkewShape,
     TooLongError,
-    h_complete,
+    h_table,
     index_set,
     schur_jacobi_trudi,
 )
@@ -98,38 +100,29 @@ def lr_complement(mu, nu, n, e):
     return 1 if nu == mu.complement(n, e) else 0
 
 
-def b_coeff(k, l, n, e, f, z_values, w_values):
-    """Closed-form coefficient of x^k y^l in (y-x) h_{e+n-1}(x,y,z) h_{f+n-1}(x,y,w).
+def b_principal(idx, n, e, f, z_values, w_values):
+    """Principal submatrix of the coefficient matrix B on the index set idx.
 
-    For k < l it is the sum of h_i(z) h_j(w) over i+j = (e+n-1)+(f+n-1)+1-k-l
-    with 0 <= i <= (e+n-1)-k and 0 <= j <= (f+n-1)-k; the matrix of these
-    coefficients is skew-symmetric and vanishes outside 0 <= k,l <= e+f+2n-1.
+    idx is strictly increasing.  B_{k,l} is the coefficient of x^k y^l in
+    (y-x) h_{e+n-1}(x,y,z) h_{f+n-1}(x,y,w).  For k < l it is the sum of
+    h_i(z) h_j(w) over i+j = (e+n-1)+(f+n-1)+1-k-l with 0 <= i <= (e+n-1)-k
+    and 0 <= j <= (f+n-1)-k, read from one h table per alphabet.  B vanishes
+    outside 0..e+f+2n-1, so idx = range(e+f+2n) gives all of it.
     """
-    if k == l:
-        return Fraction(0)
-    if k > l:
-        return -b_coeff(l, k, n, e, f, z_values, w_values)
     top_z = e + n - 1
     top_w = f + n - 1
-    degree = top_z + top_w + 1 - k - l
-    total = Fraction(0)
-    for i in range(0, top_z - k + 1):
-        j = degree - i
-        if j < 0 or j > top_w - k:
-            continue
-        total = total + h_complete(i, z_values) * h_complete(j, w_values)
-    return total
+    hz = h_table(top_z, z_values)
+    hw = h_table(top_w, w_values)
 
+    def entry(s, t):
+        k, l = idx[s], idx[t]
+        degree = top_z + top_w + 1 - k - l
+        total = Fraction(0)
+        for i in range(max(0, degree - top_w + k), min(top_z - k, degree) + 1):
+            total = total + hz[i] * hw[degree - i]
+        return total
 
-def b_principal(idx, n, e, f, z_values, w_values):
-    """Principal submatrix of the coefficient matrix on the index set idx.
-
-    The full matrix vanishes outside 0..e+f+2n-1, so idx = range(e+f+2n)
-    gives all of it.
-    """
-    return SkewMatrix.from_upper_function(
-        len(idx), lambda s, t: b_coeff(idx[s], idx[t], n, e, f, z_values, w_values)
-    )
+    return SkewMatrix.from_upper_function(len(idx), entry)
 
 
 _Z_TABLES = {}

@@ -3,12 +3,15 @@
 Partitions carry the combinatorics (conjugates, Frobenius coordinates,
 rectangle complements, strips); Schur functions are computed in finitely
 many variables, by Jacobi-Trudi determinants of complete homogeneous
-polynomials (works for skew shapes and any number of variables) or by the
-bialternant quotient (straight shapes, enough variables).  All evaluators
-accept arbitrary ring scalars, so the same code produces polynomials from
-generators and exact values from rationals.
+polynomials (works for skew shapes and any number of variables; straight
+shapes lose their full columns first) or by the bialternant quotient
+(straight shapes, enough variables), which the tests and the benchmark keep
+as the cross-check.  All evaluators accept arbitrary ring scalars, so the
+same code produces polynomials from generators and exact values from
+rationals.
 """
 
+import math
 from fractions import Fraction
 
 from . import linalg
@@ -196,45 +199,70 @@ class SkewShape:
         return f"SkewShape({self.outer!r}/{self.inner!r})"
 
 
+def _check_degree(r):
+    if r > EXPONENT_CAP:
+        raise ExponentCapError(f"degree {r} exceeds the exponent cap {EXPONENT_CAP}")
+
+
+def h_table(top, values):
+    """[h_0, ..., h_top] of the given ring scalars, by one pass of the recurrence.
+
+    Adds one variable at a time, so the cost is len(values) * top ring
+    operations; a degree above the polynomial exponent cap raises
+    ExponentCapError up front.
+    """
+    _check_degree(top)
+    h = [Fraction(1)] + [Fraction(0)] * top
+    for v in values:
+        for j in range(1, top + 1):
+            h[j] = h[j] + v * h[j - 1]
+    return h
+
+
 def h_complete(r, values):
     """Complete homogeneous polynomial of degree r in the given ring scalars.
 
-    h_0 = 1 and h_r = 0 for r < 0.  Incremental one-variable-at-a-time
-    recurrence, so the cost is len(values) * r ring operations; a degree
-    above the polynomial exponent cap raises ExponentCapError up front.
+    h_0 = 1 and h_r = 0 for r < 0; otherwise the last entry of h_table(r).
     """
     if r < 0:
         return Fraction(0)
-    if r > EXPONENT_CAP:
-        raise ExponentCapError(f"degree {r} exceeds the exponent cap {EXPONENT_CAP}")
-    h = [Fraction(1)] + [Fraction(0)] * r
-    for v in values:
-        for j in range(1, r + 1):
-            h[j] = h[j] + v * h[j - 1]
-    return h[r]
+    return h_table(r, values)[r]
 
 
 def schur_jacobi_trudi(shape, values):
-    """Skew or straight Schur function as the Jacobi-Trudi determinant of h's."""
+    """Skew or straight Schur function as the Jacobi-Trudi determinant of h's.
+
+    The h's come from one h_table.  A straight shape in N = len(values)
+    variables first loses its full columns (Macdonald I.3): s_lam is 0 when
+    lam has more than N parts, and (x_1...x_N)^{lam_N} s_{lam - lam_N} when
+    it has exactly N.  The exponent cap is checked as for the unstripped
+    determinant, so the same shapes raise ExponentCapError either way.
+    """
     if isinstance(shape, Partition):
         shape = SkewShape(shape)
     outer, inner = shape.outer, shape.inner
     m = outer.length()
     if m == 0:
         return Fraction(1)
-    hs = {}
-
-    def h(r):
-        if r not in hs:
-            hs[r] = h_complete(r, values)
-        return hs[r]
-
-    entries = [
-        h(outer.part(i) - inner.part(j) - (i + 1) + (j + 1))
-        for i in range(m)
-        for j in range(m)
-    ]
-    return linalg.det(RingMatrix(m, m, entries))
+    factor = None
+    if not inner.parts and m >= len(values):
+        _check_degree(outer.part(0) + m - 1)
+        if m > len(values):
+            return Fraction(0)
+        low = outer.part(m - 1)
+        factor = math.prod(values) ** low
+        outer = Partition(p - low for p in outer.parts)
+        m = outer.length()
+        if m == 0:
+            return factor
+    hs = h_table(outer.part(0) - inner.part(m - 1) + m - 1, values)
+    entries = []
+    for i in range(m):
+        for j in range(m):
+            r = outer.part(i) - inner.part(j) - i + j
+            entries.append(hs[r] if r >= 0 else Fraction(0))
+    det = linalg.det(RingMatrix(m, m, entries))
+    return det if factor is None else factor * det
 
 
 def schur_bialternant(lam, values):
@@ -264,5 +292,10 @@ def schur_bialternant(lam, values):
 
 
 def schur(shape, values):
-    """Schur (or skew Schur) function of the shape in the given scalars, by Jacobi-Trudi."""
+    """Schur (or skew Schur) function of the shape in the given scalars.
+
+    Jacobi-Trudi from one h table; a straight shape with at least as many
+    rows as variables is first stripped of its full columns, which makes it
+    0 or a monomial times a shorter determinant.
+    """
     return schur_jacobi_trudi(shape, values)

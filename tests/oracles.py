@@ -4,9 +4,11 @@ These deliberately avoid the algorithms under test: determinants come from
 the full permutation sum with inversion-counted signs, Pfaffians from the
 explicit perfect-matching sum, LR coefficients from dominant-monomial
 extraction out of s_mu * s_nu * Vandermonde, and coefficient-matrix entries
-by peeling the expanded product term by term.  The reference polynomial
-arithmetic at the end keys terms by exponent tuples and keeps every
-coefficient a Fraction, independently of the packed-int kernel it checks.
+by peeling the expanded product term by term or, one entry at a time, from
+the closed form `b_coeff` with h's computed afresh.  The reference
+polynomial arithmetic at the end keys terms by exponent tuples and keeps
+every coefficient a Fraction, independently of the packed-int kernel it
+checks.
 """
 
 from fractions import Fraction
@@ -14,7 +16,7 @@ from itertools import combinations, permutations
 from operator import add
 
 from detpf.poly import ExactDivisionError, Monomial, Polynomial, VariableTable
-from detpf.symfunc import Partition
+from detpf.symfunc import Partition, h_complete
 
 
 def inversion_sign(seq):
@@ -251,6 +253,29 @@ def coefficient_of_powers(p, powers):
         if all(exps[v] == e for v, e in powers.items()):
             out[tuple(0 if v in powers else e for v, e in enumerate(exps))] = coeff
     return Polynomial(p.table, out)
+
+
+def b_coeff(k, l, n, e, f, z_values, w_values):
+    """Closed-form coefficient of x^k y^l in (y-x) h_{e+n-1}(x,y,z) h_{f+n-1}(x,y,w).
+
+    For k < l it is the sum of h_i(z) h_j(w) over i+j = (e+n-1)+(f+n-1)+1-k-l
+    with 0 <= i <= (e+n-1)-k and 0 <= j <= (f+n-1)-k; the matrix of these
+    coefficients is skew-symmetric and vanishes outside 0 <= k,l <= e+f+2n-1.
+    """
+    if k == l:
+        return Fraction(0)
+    if k > l:
+        return -b_coeff(l, k, n, e, f, z_values, w_values)
+    top_z = e + n - 1
+    top_w = f + n - 1
+    degree = top_z + top_w + 1 - k - l
+    total = Fraction(0)
+    for i in range(0, top_z - k + 1):
+        j = degree - i
+        if j < 0 or j > top_w - k:
+            continue
+        total = total + h_complete(i, z_values) * h_complete(j, w_values)
+    return total
 
 
 def pieri_mu(n, e, k, direction):

@@ -29,7 +29,6 @@ from detpf.linalg import (
     sub_pfaffian,
 )
 from detpf.lr import (
-    b_coeff,
     lr_bruteforce,
     lr_rectangle_theorem,
     lr_via_pfaffian,
@@ -43,7 +42,13 @@ from detpf.symfunc import (
     schur_jacobi_trudi,
 )
 
-from oracles import coefficient_of_powers, ordered_block_partitions, random_matrix, random_skew
+from oracles import (
+    b_coeff,
+    coefficient_of_powers,
+    ordered_block_partitions,
+    random_matrix,
+    random_skew,
+)
 
 SEED = 20240801
 

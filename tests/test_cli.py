@@ -4,7 +4,8 @@ import json
 import pytest
 
 from detpf import harness
-from detpf.cli import main
+from detpf.cli import _build_parser, main
+from detpf.identities import get_spec
 from detpf.poly import EXPONENT_CAP
 
 
@@ -100,6 +101,19 @@ def test_schur_exponent_cap(capsys):
     code, text = run_cli("schur", "--shape", f"[{EXPONENT_CAP + 1}]", "--vars", "1")
     assert code == 1 and text == ""
     assert "exponent cap" in capsys.readouterr().err
+
+
+def test_parser_is_reused_without_leaking_arguments(capsys):
+    assert _build_parser() is _build_parser()
+    code, text = run_cli("verify", "--name", "cauchy", "--param", "n=3", "--mode", "numeric")
+    assert code == 0 and text == "cauchy [n=3] numeric: PASS\n"
+    code, text = run_cli("verify", "--mode", "numeric")
+    assert code == 1 and text == ""
+    assert "--name" in capsys.readouterr().err
+    code, text = run_cli("verify", "--name", "cauchy", "--mode", "numeric")
+    default_n = get_spec("cauchy").defaults["n"]
+    assert default_n != 3
+    assert code == 0 and text == f"cauchy [n={default_n}] numeric: PASS\n"
 
 
 def test_guard_exhaustion_exits_one_with_bound_hint(capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from detpf.lr import (
     ConditionViolatedError,
-    b_coeff,
     b_principal,
     condition_holds,
     lr_bruteforce,
@@ -26,7 +25,7 @@ from detpf.symfunc import (
     schur_jacobi_trudi,
 )
 
-from oracles import coefficient_of_powers, lr_from_product, pieri_mu
+from oracles import b_coeff, coefficient_of_powers, lr_from_product, pieri_mu
 
 P = Partition
 
@@ -133,6 +132,26 @@ def test_build_b_block_structure():
     small = b_principal(range(2), 1, 0, 0, [], [])
     assert small.dim == 2 and small.entry(0, 1) == 1
     assert small.entry(1, 0) == -1
+
+
+@pytest.mark.parametrize("alphabets", ["z and w", "w only", "z only"])
+def test_b_principal_matches_closed_form_oracle(alphabets):
+    table = VariableTable()
+    z_ids = table.add_vector("z", 2)
+    w_ids = table.add_vector("w", 2)
+    gens = table.gens()
+    zs = [gens[i] for i in z_ids] if "z" in alphabets else []
+    ws = [gens[i] for i in w_ids] if "w" in alphabets else []
+    for n in (1, 2):
+        for e in range(3):
+            for f in range(3):
+                # one index past e+f+2n-1, where B vanishes
+                dim = e + f + 2 * n + 1
+                mat = b_principal(range(dim), n, e, f, zs, ws)
+                for k in range(dim):
+                    for l in range(dim):
+                        want = b_coeff(k, l, n, e, f, zs, ws)
+                        assert mat.entry(k, l) == want, (n, e, f, k, l)
 
 
 def test_via_pfaffian_examples():

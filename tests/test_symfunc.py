@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from detpf.linalg import det
-from detpf.poly import VariableTable
+from detpf.linalg import RingMatrix, det
+from detpf.poly import EXPONENT_CAP, ExponentCapError, VariableTable
 from detpf.symfunc import (
     NotInBoxError,
     Partition,
@@ -136,6 +136,51 @@ def test_schur_routes_agree():
             assert schur_jacobi_trudi(lam, xs) == schur_bialternant(lam, xs)
 
 
+def _unstripped_jacobi_trudi(shape, xs):
+    m = shape.outer.length()
+    return det(
+        RingMatrix(
+            m,
+            m,
+            [
+                h_complete(shape.outer.part(i) - shape.inner.part(j) - i + j, xs)
+                for i in range(m)
+                for j in range(m)
+            ],
+        )
+    )
+
+
+@pytest.mark.parametrize("nvars", range(5))
+def test_jacobi_trudi_strips_full_columns(nvars):
+    xs = _gens("x", nvars)
+    for lam in partitions_in_box(nvars + 1, 4):
+        got = schur_jacobi_trudi(lam, xs)
+        if lam.length() <= nvars:
+            assert got == schur_bialternant(lam, xs), lam
+        else:
+            assert got == 0 and _unstripped_jacobi_trudi(SkewShape(lam), xs) == 0, lam
+        assert schur_jacobi_trudi(SkewShape(lam, Partition()), xs) == got, lam
+
+
+@pytest.mark.parametrize("nvars", range(1, 4))
+def test_skew_jacobi_trudi_is_not_stripped(nvars):
+    xs = _gens("x", nvars)
+    for lam in partitions_in_box(nvars + 1, 3):
+        for mu in partitions_in_box(lam.length(), lam.part(0)):
+            if mu.parts and lam.contains(mu):
+                shape = SkewShape(lam, mu)
+                assert schur_jacobi_trudi(shape, xs) == _unstripped_jacobi_trudi(shape, xs)
+
+
+def test_jacobi_trudi_strip_keeps_the_exponent_cap():
+    xs = _gens("x", 1)
+    for parts in ([EXPONENT_CAP + 1], [EXPONENT_CAP, 1]):
+        with pytest.raises(ExponentCapError, match="exponent cap"):
+            schur_jacobi_trudi(Partition(parts), xs)
+    assert schur_jacobi_trudi(Partition([EXPONENT_CAP]), xs) == xs[0] ** EXPONENT_CAP
+
+
 def test_schur_staircase():
     xs = _gens("x", 3)
     lam = Partition.staircase(2)
@@ -238,7 +283,6 @@ def test_partitions_in_box_leaves_no_reference_cycles():
 def test_power_matrix_minor_is_schur_of_tableau_oracle():
     # det of the I(lam)-columns of (x_i^k), divided by the Vandermonde,
     # equals the semistandard-tableau monomial sum
-    from detpf.linalg import RingMatrix
     from oracles import schur_by_tableaux
 
     xs = _gens("x", 3)
