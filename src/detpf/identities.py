@@ -44,9 +44,9 @@ from .linalg import (
     clear_rows,
     congruence_pfaffian,
     det,
-    det_int,
     det_with_denominators,
     hyperpfaffian,
+    minors_int,
     pfaffian,
     pfaffian_with_denominators,
     sub_pfaffian,
@@ -54,7 +54,17 @@ from .linalg import (
 )
 from .lr import b_principal, lr_bruteforce
 from .symfunc import Partition, index_set, partitions_in_box, schur_jacobi_trudi
-from .vandermonde import build_DBC, build_U, build_V, build_W, fgh_sum, partition_family
+from .vandermonde import (
+    build_DBC,
+    build_U,
+    build_V,
+    build_W,
+    fgh_sum,
+    partition_family,
+    row_U,
+    row_V,
+    row_W,
+)
 
 
 class InvalidParamsError(ValueError):
@@ -214,15 +224,36 @@ def _F(pp, qq, xs, as_):
     return fgh_sum("F", pp, qq, list(xs), list(as_))
 
 
-def _family(build, *sizes, step=1):
+# the determinants of one row per point, and that row
+_POINT_ROWS = {_dv: row_V, _dw: row_W, _du: row_U}
+
+
+@dataclass(frozen=True)
+class _Family:
+    """f(params, k, vecs) = build(*sizes(params, k), *vecs) on k extra points.
+
+    When `build` is the determinant of one row per point, `row(*sizes(params,
+    k), *point)` is the row of the point with coordinates `point` (one per
+    vector); otherwise `row` is None.
+    """
+
+    build: object
+    sizes: object
+
+    @property
+    def row(self):
+        return _POINT_ROWS.get(self.build)
+
+    def __call__(self, p, k, vecs):
+        return self.build(*self.sizes(p, k), *vecs)
+
+
+def _family(build, *names, step=1):
     """f(params, k, vecs): `build` at sizes params[s] + step*k, on k extra points."""
-    return lambda p, k, vecs: build(*(p[s] + step * k for s in sizes), *vecs)
+    return _Family(build, lambda p, k: [p[s] + step * k for s in names])
 
 
-def _v_square(p, k, vecs):
-    return _dv(k, k, *vecs)
-
-
+_v_square = _Family(_dv, lambda p, k: (k, k))
 _V = _family(_dv, "p", "q")
 _W = _family(_dw, "p", step=2)
 
@@ -233,7 +264,7 @@ def _schur(lam, values):
 
 def _schur_family(shape):
     """f(params, k, vecs) = s_{shape(params, k)}(vecs[0])."""
-    return lambda p, k, vecs: _schur(shape(p, k), vecs[0])
+    return _Family(_schur, lambda p, k: (shape(p, k),))
 
 
 def _staircase(size):
@@ -344,7 +375,43 @@ def _check_even_block(params):
 #
 # f(params, k, vecs) is one structured determinant (_dv, _dw, _du or _F) on k
 # extra points: vecs holds one vector per argument of the builder, the k
-# points' coordinates first and then the fixed tail t.
+# points' coordinates first and then the fixed tail t.  At rational points
+# the entries of the V, W and U families are minors of one point table.
+
+
+def _points(vectors):
+    """The points of `vectors` (one vector per coordinate), each a tuple of coordinates."""
+    return list(zip(*vectors))
+
+
+def _point_rows(f, *vectors):
+    """True when f has point rows and every coordinate in `vectors` is rational."""
+    return f.row is not None and all(
+        isinstance(v, (int, Fraction)) for vec in vectors for v in vec
+    )
+
+
+def _point_minors(f, p, points, tail, pairs):
+    """[f_1(points[i], points[j]; tail) for (i, j) in pairs] at rational points.
+
+    f_1(u, v; t) is the determinant of the rows of u, v and the tail points
+    at k = 1.  The rows of all points are cleared once and transposed into
+    one table, and each entry is its integer minor on the columns
+    tail + [i, j]: moving the two point rows past the tail is an even
+    permutation.  The tail is eliminated once, and each entry is one 2 x 2
+    completion divided by the row scales of its points.
+    """
+    sizes = f.sizes(p, 1)
+    int_rows, scales = [], []
+    for point in points + tail:
+        (row,), scale = clear_rows([f.row(*sizes, *point)])
+        int_rows.append(row)
+        scales.append(scale)
+    m = len(points)
+    tail_cols = list(range(m, len(int_rows)))
+    minors = minors_int(list(zip(*int_rows)), [tail_cols + [i, j] for i, j in pairs])
+    tail_scale = prod(scales[m:])
+    return [Fraction(d, tail_scale * scales[i] * scales[j]) for d, (i, j) in zip(minors, pairs)]
 
 
 def _theorem_det(f, rows, cols, tail=(), signed=True):
@@ -361,7 +428,12 @@ def _theorem_det(f, rows, cols, tail=(), signed=True):
         n = p["n"]
         u, v = [sc[k] for k in rows], [sc[k] for k in cols]
         t = [sc[k] for k in tail] if tail else [[]] * len(rows)
-        num = lambda i, j: f(p, 1, [[a[i], b[j]] + c for a, b, c in zip(u, v, t)])
+        if _point_rows(f, *u, *v, *t):
+            pairs = [(i, n + j) for i in range(n) for j in range(n)]
+            values = _point_minors(f, p, _points(u) + _points(v), _points(t), pairs)
+            num = lambda i, j: values[i * n + j]
+        else:
+            num = lambda i, j: f(p, 1, [[a[i], b[j]] + c for a, b, c in zip(u, v, t)])
         core = _pow(f(p, 0, t), n - 1) * f(p, n, [a + b + c for a, b, c in zip(u, v, t)])
         return num, (_sign(n * (n - 1) // 2) * core if signed else core)
 
@@ -387,7 +459,12 @@ def _pf_factor(f, rows, tail):
         n = p["n"]
         u = [sc[k] for k in rows]
         t = [sc[k] for k in tail] if tail else [[]] * len(rows)
-        entry = lambda i, j: f(p, 1, [[a[i], a[j]] + c for a, c in zip(u, t)])
+        if _point_rows(f, *u, *t):
+            pairs = _all_pairs(2 * n)
+            values = dict(zip(pairs, _point_minors(f, p, _points(u), _points(t), pairs)))
+            entry = lambda i, j: values[(i, j)]
+        else:
+            entry = lambda i, j: f(p, 1, [[a[i], a[j]] + c for a, c in zip(u, t)])
         return entry, _pow(f(p, 0, t), n - 1) * f(p, n, [a + c for a, c in zip(u, t)])
 
     return parts
@@ -1045,16 +1122,13 @@ def _cauchy_binet_sides(p, sc, numeric):
     yi, sy = clear_rows(y.row_list(i) for i in rows)
     (flat,), la = clear_rows([a.data])
     ai = [flat[i * nn : (i + 1) * nn] for i in range(nn)]
-    dys = [det_int(yi, j_set) for j_set in col_sets]
+    live = [(j_set, dy) for j_set, dy in zip(col_sets, minors_int(yi, col_sets)) if dy]
+    j_sets = [j_set for j_set, _ in live]
     rhs = 0
-    for i_set in col_sets:
-        dx = det_int(xi, i_set)
-        if not dx:
-            continue
-        a_rows = [ai[i] for i in i_set]
-        for j_set, dy in zip(col_sets, dys):
-            if dy:
-                rhs += det_int(a_rows, j_set) * dx * dy
+    for i_set, dx in zip(col_sets, minors_int(xi, col_sets)):
+        if dx:
+            das = minors_int([ai[i] for i in i_set], j_sets)
+            rhs += dx * sum(da * dy for da, (_, dy) in zip(das, live))
     return [(lhs, Fraction(rhs, la**n * sx * sy))]
 
 
@@ -1077,13 +1151,15 @@ def _band_minors(tag, r, cols, family, exponent):
     """
     band = build_DBC(tag, r)
     members = {lam.parts for lam in partition_family(family, r)}
-    rows = tuple(range(r))
+    shapes = partitions_in_box(r, cols)
+    rows, _ = clear_rows(band.row_list(i) for i in range(r))  # unit entries, scale 1
+    minors = minors_int(rows, [index_set(lam, r) for lam in shapes])
     return [
         (
-            det(band.minor(rows, index_set(lam, r))),
+            Fraction(minor),
             Fraction(_sign(exponent(lam))) if lam.parts in members else Fraction(0),
         )
-        for lam in partitions_in_box(r, cols)
+        for lam, minor in zip(shapes, minors)
     ]
 
 
@@ -1328,18 +1404,36 @@ _register(
 def _hyper_u_sides(p, sc, numeric):
     n = p["n"]
     x, y, a, b = sc["x"], sc["y"], sc["a"], sc["b"]
+    rhs = _du(n, n, x, y, a, b)
+    if not numeric:
 
-    def entry(idx):
-        weight = _prod(a[i] for i in idx) + _prod(b[i] for i in idx)
-        cross = _prod(
-            y[idx[s]] * x[idx[t]] - x[idx[s]] * y[idx[t]]
-            for s in range(n)
-            for t in range(s + 1, n)
-        )
-        return weight * cross
+        def entry(idx):
+            weight = _prod(a[i] for i in idx) + _prod(b[i] for i in idx)
+            cross = _prod(
+                y[idx[s]] * x[idx[t]] - x[idx[s]] * y[idx[t]]
+                for s in range(n)
+                for t in range(s + 1, n)
+            )
+            return weight * cross
 
-    tensor = AlternatingTensor.from_function(n, 2 * n, entry)
-    return [(hyperpfaffian(tensor), _du(n, n, x, y, a, b))]
+        return [(hyperpfaffian(AlternatingTensor.from_function(n, 2 * n, entry)), rhs)]
+    # x, y, a, b = X / lx, Y / ly, A / la, B / lb with int X, Y, A, B: every
+    # entry is an int over (la lb)^n (lx ly)^C(n,2), and the hyperpfaffian
+    # has degree 2 in the entries
+    (xi,), lx = clear_rows([x])
+    (yi,), ly = clear_rows([y])
+    (ai,), la = clear_rows([a])
+    (bi,), lb = clear_rows([b])
+    cross = {(s, t): yi[s] * xi[t] - xi[s] * yi[t] for s, t in _all_pairs(2 * n)}
+    la_n, lb_n = la**n, lb**n
+
+    def int_entry(idx):
+        weight = prod(ai[i] for i in idx) * lb_n + prod(bi[i] for i in idx) * la_n
+        return weight * prod(cross[pair] for pair in combinations(idx, 2))
+
+    tensor = AlternatingTensor.from_function(n, 2 * n, int_entry)
+    scale = (la * lb) ** n * (lx * ly) ** (n * (n - 1) // 2)
+    return [(Fraction(hyperpfaffian(tensor), scale**2), rhs)]
 
 
 _register(
@@ -1474,8 +1568,8 @@ def _minor_sum_sides(p, sc, numeric):
     (upper,), la = clear_rows([sc["a"]])
     ai = _skew_from(upper, nn)
     xi, sx = clear_rows(x.row_list(i) for i in rows)
-    pfs = sub_pfaffians(ai, combinations(range(nn), 2 * n))
-    lhs = sum(pf * det_int(xi, idx) for idx, pf in pfs.items() if pf)
+    pfs = {idx: pf for idx, pf in sub_pfaffians(ai, combinations(range(nn), 2 * n)).items() if pf}
+    lhs = sum(pf * d for pf, d in zip(pfs.values(), minors_int(xi, list(pfs))))
     return [(Fraction(lhs, la**n * sx), rhs)]
 
 

@@ -4,17 +4,19 @@ Scalars are int, Fraction or Polynomial (see poly.py); every algorithm here
 uses ring operations only, except the rational fast paths which may divide.
 A rational determinant scales each row by the lcm of its denominators, runs
 fraction-free Bareiss elimination on plain ints and divides by the product
-of the row scales once; `clear_rows` and `det_int` expose that route, so
-that a family of minors of one rational table is cleared once and taken
-over the integers.  Determinants of polynomial matrices use cofactor
-expansion with memoized minors up to dimension 12 and the same Bareiss loop,
+of the row scales once.  `clear_rows` and `minors_int` expose that route:
+a family of minors of one rational table is cleared once and taken over
+the integers in one elimination, whose steps the minors share along
+common column prefixes.  Determinants of polynomial matrices use cofactor
+expansion with memoized minors up to dimension 12 and Bareiss elimination,
 dividing exactly in the polynomial ring, beyond.  Pfaffians use
 division-free first-row expansion with memoization on index subsets up to
 dimension 6; rational matrices beyond that scale row and column i by the
 lcm of row i's denominators and run fraction-free skew elimination on
 plain ints, whose entries are sub-Pfaffians.  A skew matrix with a zero
 row is 0 before either route runs.  Hyperpfaffians sum over unordered set
-partitions, each enumerated once with its sign carried down the recursion.
+partitions, each enumerated once with its sign carried down the recursion
+and its last block read off directly.
 """
 
 from fractions import Fraction
@@ -267,12 +269,11 @@ def _exact_div(num, den):
     return num.exact_div(den)
 
 
-def _bareiss(a, div):
-    """Determinant of the square row list `a` by fraction-free Bareiss elimination.
+def _bareiss(a):
+    """Determinant of the square row list `a` of polynomials by fraction-free Bareiss elimination.
 
-    Pivots by row swaps and overwrites `a`.  Every division is exact, so
-    `div(num, den)` is the exact division of the entries' ring: `//` over the
-    integers, `_exact_div` over polynomials.
+    Pivots by row swaps and overwrites `a`.  Every division is exact in
+    the polynomial ring.
     """
     n = len(a)
     sign = 1
@@ -292,7 +293,7 @@ def _bareiss(a, div):
             row = a[i]
             lead = row[k]
             for j in range(k + 1, n):
-                row[j] = div(row[j] * pivot - lead * pivot_row[j], prev)
+                row[j] = _exact_div(row[j] * pivot - lead * pivot_row[j], prev)
         prev = pivot
     result = a[n - 1][n - 1]
     return -result if sign < 0 else result
@@ -315,22 +316,80 @@ def clear_rows(rows):
     return out, scale
 
 
-def det_int(rows, cols):
-    """Determinant of the columns `cols` of the int rows `rows`, by integer Bareiss."""
-    if not rows:
-        return 1
-    return _bareiss([[row[j] for j in cols] for row in rows], int.__floordiv__)
+def minors_int(rows, col_lists):
+    """The determinant of the int rows `rows` on each column list in `col_lists`.
+
+    Fraction-free Bareiss elimination shared along common column prefixes.
+    After k steps, entry (i, j) of a remaining row is the minor on the k
+    pivot rows and columns plus row i and column j (Sylvester's identity),
+    so the lists that begin with the same k columns share those k steps,
+    row swaps included.  The lists are grouped by their next column, each
+    group takes one step, and only the columns its lists still need are
+    updated.  A group whose column is zero on every remaining row has only
+    zero minors.  With two rows left, each list is finished by one 2 x 2
+    determinant divided by the last pivot.  Zero rows give 1 on every list.
+    """
+    n = len(rows)
+    col_lists = [tuple(cols) for cols in col_lists]
+    for cols in col_lists:
+        if len(cols) != n:
+            raise DimensionMismatchError(f"column list of length {len(cols)} for {n} rows")
+    if n == 0:
+        return [1] * len(col_lists)
+    if n == 1:
+        return [rows[0][c] for (c,) in col_lists]
+    out = [0] * len(col_lists)
+    where = {j: j for cols in col_lists for j in cols}
+    _minors_step(list(rows), where, 0, 1, 1, list(enumerate(col_lists)), out)
+    return out
+
+
+def _minors_step(a, where, k, sign, prev, group, out):
+    """Write into `out` the minors of the (position, columns) pairs in `group`.
+
+    Every list in `group` begins with the k columns already eliminated.  `a`
+    holds the rows not yet pivoted, with column j at position where[j];
+    `prev` is the last pivot and `sign` the sign of the row swaps so far.
+    """
+    if len(a) == 2:
+        r0, r1 = a
+        for pos, cols in group:
+            c, d = where[cols[k]], where[cols[k + 1]]
+            out[pos] = sign * ((r0[c] * r1[d] - r1[c] * r0[d]) // prev)
+        return
+    by_column = {}
+    for item in group:
+        by_column.setdefault(item[1][k], []).append(item)
+    for c, sub in by_column.items():
+        c = where[c]
+        for i, pivot_row in enumerate(a):
+            if pivot_row[c]:
+                break
+        else:
+            continue
+        # the swap of rows 0 and i, with the pivot row taken out
+        rest = a[1:] if i == 0 else a[1:i] + [a[0]] + a[i + 1 :]
+        pivot = pivot_row[c]
+        needed = list(dict.fromkeys(j for _, cols in sub for j in cols[k + 1 :]))
+        at = [where[j] for j in needed]
+        new = []
+        for row in rest:
+            lead = row[c]
+            new.append([(row[t] * pivot - lead * pivot_row[t]) // prev for t in at])
+        where_new = {j: t for t, j in enumerate(needed)}
+        _minors_step(new, where_new, k + 1, sign if i == 0 else -sign, pivot, sub, out)
 
 
 def _det_rational(m):
     """Determinant of an int/Fraction matrix as a Fraction, by integer Bareiss on cleared rows."""
     rows, scale = clear_rows(m.row_list(i) for i in range(m.rows))
-    return Fraction(_bareiss(rows, int.__floordiv__), scale)
+    (value,) = minors_int(rows, [range(m.cols)])
+    return Fraction(value, scale)
 
 
 def _det_bareiss(m):
     """Determinant of a polynomial matrix by Bareiss elimination."""
-    return _bareiss([m.row_list(i) for i in range(m.rows)], _exact_div)
+    return _bareiss([m.row_list(i) for i in range(m.rows)])
 
 
 def _det_cofactor(m):
@@ -515,34 +574,36 @@ def congruence_pfaffian(x, a):
     return pfaffian(congruence_product(x, a))
 
 
-def _partition_sum(t, remaining):
-    """Signed sum over the partitions of `remaining` into sorted blocks of size t.order.
+def _partition_sum(values, n, remaining):
+    """Signed sum over the partitions of `remaining` into sorted blocks of size n.
 
-    Each partition is enumerated once, with the block that holds the
-    smallest remaining index first; its sign is that of the concatenated
-    blocks as a permutation.  A block at positions 0 = p_0 < p_1 < ... of
-    `remaining` leaves sum(p_s - s) smaller indices to be placed after it,
-    so the parity of that count is the sign it contributes.  Blocks with a
-    zero tensor value are pruned.
+    `values` maps each sorted block to its nonzero tensor value.  Each
+    partition is enumerated once, with the block that holds the smallest
+    remaining index first; its sign is that of the concatenated blocks as a
+    permutation.  A block at positions 0 = p_0 < p_1 < ... of `remaining`
+    leaves sum(p_s - s) smaller indices to be placed after it, so the parity
+    of that count is the sign it contributes.  The last block is `remaining`
+    itself.  Blocks with a zero value are pruned; None stands for a sum
+    with no nonzero term.
     """
-    n = t.order
+    if len(remaining) == n:
+        return values.get(remaining)
     first = remaining[0]
     acc = None
     for pos in combinations(range(1, len(remaining)), n - 1):
-        value = t.value((first, *(remaining[q] for q in pos)))
-        if _is_zero(value):
+        value = values.get((first, *[remaining[q] for q in pos]))
+        if not value:
             continue
         taken = set(pos)
         rest = tuple(v for q, v in enumerate(remaining) if q and q not in taken)
-        if rest:
-            sub = _partition_sum(t, rest)
-            if _is_zero(sub):
-                continue
-            value = value * sub
+        sub = _partition_sum(values, n, rest)
+        if not sub:
+            continue
+        value = value * sub
         if (sum(pos) - n * (n - 1) // 2) % 2:
             value = -value
         acc = value if acc is None else acc + value
-    return Fraction(0) if acc is None else acc
+    return acc
 
 
 def hyperpfaffian(t):
@@ -564,7 +625,8 @@ def hyperpfaffian(t):
         return Fraction(1)
     if n % 2 and t.dim > n:
         return Fraction(0)
-    return _partition_sum(t, tuple(range(t.dim)))
+    total = _partition_sum(t.values, n, tuple(range(t.dim)))
+    return Fraction(0) if total is None else total
 
 
 def blocked_tensor(a, n):

@@ -2,14 +2,16 @@
 
 Column orders follow the explicit small displays (the 5x5 two-block matrix
 and the 5x5 palindromic-row matrix), which fix the conventions the row
-descriptions leave ambiguous.  All constructors are generic over ring
-scalars and pure.
+descriptions leave ambiguous.  The two-block, palindromic-row and bidegree
+matrices are built from one row per point (`row_V`, `row_W`, `row_U`), so
+a family of such matrices on shared points can take its rows from one
+point table.  All constructors are generic over ring scalars and pure.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import RingMatrix, det, det_int
+from .linalg import RingMatrix, det, minors_int
 from .symfunc import Partition, TooLongError
 
 
@@ -30,43 +32,53 @@ def _require_length(name, values, expected):
         raise LengthMismatchError(f"{name} must have length {expected}, got {len(values)}")
 
 
+def row_V(p, q, x, a):
+    """One point's row of build_V: (1, x, .., x^{p-1}, a, a x, .., a x^{q-1})."""
+    pw = _powers(x, max(p, q))
+    return pw[:p] + [a * pw[k] for k in range(q)]
+
+
+def row_W(n, x, a):
+    """One point's row of build_W: column j (0-based) holds x^j + a x^{n-1-j}."""
+    pw = _powers(x, n - 1 if n else 0)
+    return [pw[j] + a * pw[n - 1 - j] for j in range(n)]
+
+
+def row_U(p, q, x, y, a, b):
+    """One point's row of build_U: (a x^{p-1}, .., a y^{p-1}, b x^{q-1}, .., b y^{q-1})."""
+    top = max(p, q, 1) - 1
+    px = _powers(x, top)
+    py = _powers(y, top)
+    return [a * px[p - 1 - k] * py[k] for k in range(p)] + [
+        b * px[q - 1 - k] * py[k] for k in range(q)
+    ]
+
+
+def _square(rows):
+    return RingMatrix(len(rows), len(rows), [v for row in rows for v in row])
+
+
 def build_V(p, q, xs, as_):
-    """(p+q) x (p+q) matrix, row i = (1, x_i, .., x_i^{p-1}, a_i, a_i x_i, .., a_i x_i^{q-1})."""
+    """(p+q) x (p+q) two-block matrix, row i = row_V(p, q, x_i, a_i)."""
     n = p + q
     _require_length("xs", xs, n)
     _require_length("as_", as_, n)
-    data = []
-    for x, a in zip(xs, as_):
-        pw = _powers(x, max(p, q))
-        data.extend(pw[:p])
-        data.extend(a * pw[k] for k in range(q))
-    return RingMatrix(n, n, data)
+    return _square([row_V(p, q, x, a) for x, a in zip(xs, as_)])
 
 
 def build_W(n, xs, as_):
-    """n x n matrix, column j (0-based) entry x_i^j + a_i x_i^{n-1-j}."""
+    """n x n palindromic-row matrix, row i = row_W(n, x_i, a_i)."""
     _require_length("xs", xs, n)
     _require_length("as_", as_, n)
-    data = []
-    for x, a in zip(xs, as_):
-        pw = _powers(x, n - 1 if n else 0)
-        data.extend(pw[j] + a * pw[n - 1 - j] for j in range(n))
-    return RingMatrix(n, n, data)
+    return _square([row_W(n, x, a) for x, a in zip(xs, as_)])
 
 
 def build_U(p, q, xs, ys, as_, bs):
-    """Homogeneous bidegree matrix, row i = (a_i x_i^{p-1}, .., a_i y_i^{p-1}, b_i x_i^{q-1}, .., b_i y_i^{q-1})."""
+    """Homogeneous bidegree matrix, row i = row_U(p, q, x_i, y_i, a_i, b_i)."""
     n = p + q
     for name, vec in (("xs", xs), ("ys", ys), ("as_", as_), ("bs", bs)):
         _require_length(name, vec, n)
-    data = []
-    top = max(p, q) - 1 if n else 0
-    for x, y, a, b in zip(xs, ys, as_, bs):
-        px = _powers(x, max(top, 0))
-        py = _powers(y, max(top, 0))
-        data.extend(a * px[p - 1 - k] * py[k] for k in range(p))
-        data.extend(b * px[q - 1 - k] * py[k] for k in range(q))
-    return RingMatrix(n, n, data)
+    return _square([row_U(p, q, *point) for point in zip(xs, ys, as_, bs)])
 
 
 def _shift_exponents(p, q, lam, mu):
@@ -129,8 +141,9 @@ def fgh_sum(tag, p, q, xs, as_):
     On rational points every shifted matrix selects its columns from one
     table: x_i^e and a_i x_i^e for e up to the largest exponent `top` of the
     family.  Row i of that table times den(x_i)^top den(a_i) is integral,
-    so each term is an integer determinant and the sum is divided once by
-    the product of the row scales.
+    so each term is an integer minor of that table, all of them are taken
+    in one shared elimination, and the sum is divided once by the product
+    of the row scales.
     """
     family = {"F": "P", "G": "Q", "H": "R"}.get(tag)
     if family is None:
@@ -169,10 +182,11 @@ def _fgh_rational(p, q, terms, xs, as_):
         pw = [nx**e * dx ** (top - e) for e in range(top + 1)]
         rows.append([a.denominator * w for w in pw] + [a.numerator * w for w in pw])
         scale *= a.denominator * dx**top
-    total = 0
-    for (exps_x, exps_a), odd in shifts:
-        term = det_int(rows, exps_x + [top + 1 + e for e in exps_a])
-        total += -term if odd else term
+    # the lambda-block columns come first, so the terms of one lambda share
+    # its elimination steps
+    col_lists = [exps_x + [top + 1 + e for e in exps_a] for (exps_x, exps_a), _ in shifts]
+    terms = minors_int(rows, col_lists)
+    total = sum(-term if odd else term for term, (_, odd) in zip(terms, shifts))
     return Fraction(total, scale)
 
 

@@ -129,6 +129,32 @@ def hyper_v_by_ordered_partitions(n, xs, as_):
     return total / 2
 
 
+def hyper_u_by_ordered_partitions(n, xs, ys, as_, bs):
+    """The order-n hyperpfaffian of (prod a_i + prod b_i) prod (y_i x_j - x_i y_j) on 2n points.
+
+    Summed over ordered partitions into two blocks and halved, with every
+    entry taken in plain Fraction arithmetic.
+    """
+    from detpf.linalg import AlternatingTensor
+
+    def entry(idx):
+        wa = wb = Fraction(1)
+        for i in idx:
+            wa = wa * as_[i]
+            wb = wb * bs[i]
+        value = wa + wb
+        for s, i in enumerate(idx):
+            for j in idx[s + 1 :]:
+                value = value * (ys[i] * xs[j] - xs[i] * ys[j])
+        return value
+
+    tensor = AlternatingTensor.from_function(n, 2 * n, entry)
+    total = Fraction(0)
+    for blocks, sign in ordered_block_partitions(2 * n, n, tensor):
+        total = total + sign * tensor.value(blocks[0]) * tensor.value(blocks[1])
+    return total / 2
+
+
 def cauchy_binet_by_minors(x, a, y):
     """sum over n-sets I, J of det A[I, J] det X[:, I] det Y[:, J], by Leibniz."""
     n, nn = x.rows, x.cols

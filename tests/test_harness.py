@@ -29,14 +29,29 @@ from detpf.identities import (
     REGISTRY,
     InvalidParamsError,
     _delta,
+    _du,
+    _family,
     _matrix_from,
+    _pf_factor,
+    _point_rows,
     _prod,
     _skew_from,
+    _theorem_det,
+    _v_square,
+    _V,
+    _W,
     registry,
 )
+from detpf.linalg import det
 from detpf.poly import VariableTable
+from detpf.vandermonde import build_U, build_V, build_W
 
-from oracles import cauchy_binet_by_minors, hyper_v_by_ordered_partitions, minor_sum_by_matchings
+from oracles import (
+    cauchy_binet_by_minors,
+    hyper_u_by_ordered_partitions,
+    hyper_v_by_ordered_partitions,
+    minor_sum_by_matchings,
+)
 
 
 def test_registry_contract():
@@ -144,7 +159,9 @@ QUOTIENT_IDENTITIES = (
 
 # identities whose numeric sides take an integer route of their own; a PASS
 # records no values, so only a mutant shows that a side still means something
-INTEGER_ROUTE_IDENTITIES = ("hyper_v", "cauchy_binet", "minor_sum", "rel_fv", "rel_gh")
+INTEGER_ROUTE_IDENTITIES = (
+    "hyper_v", "hyper_u", "cauchy_binet", "minor_sum", "rel_fv", "rel_gh"
+)
 
 # band-matrix minors: most pairs are 0 = 0, but every case has a +-1 pair
 BAND_MINOR_IDENTITIES = ("minor_Dr", "minor_BC")
@@ -385,6 +402,8 @@ def _oracle_side(name, p, sc):
     """(index of the side the integer route computes, its Fraction oracle)."""
     if name == "hyper_v":
         return 0, hyper_v_by_ordered_partitions(p["n"], sc["x"], sc["a"])
+    if name == "hyper_u":
+        return 0, hyper_u_by_ordered_partitions(p["n"], sc["x"], sc["y"], sc["a"], sc["b"])
     n, nn = p["n"], p["N"]
     if name == "cauchy_binet":
         x, y = _matrix_from(sc["x"], n, nn), _matrix_from(sc["y"], n, nn)
@@ -395,6 +414,7 @@ def _oracle_side(name, p, sc):
 
 _SIDE_PARAMS = {
     "hyper_v": st.fixed_dictionaries({"n": st.sampled_from([2, 4])}),
+    "hyper_u": st.fixed_dictionaries({"n": st.sampled_from([2, 4])}),
     "cauchy_binet": st.integers(1, 2).flatmap(
         lambda n: st.fixed_dictionaries({"n": st.just(n), "N": st.integers(n, 4)})
     ),
@@ -425,3 +445,71 @@ def test_delta_on_repeated_and_polynomial_points():
     assert _delta([Fraction(1, 3), 2, Fraction(1, 3)]) == 0
     x, y = VariableTable(["x", "y"]).gens()
     assert _delta([x, Fraction(1, 2), y]) == (Fraction(1, 2) - x) * (y - x) * (y - Fraction(1, 2))
+
+
+# (family, its matrix builder, params, coordinates per point, tail length):
+# V, W and U, each with and without a tail of fixed points
+_POINT_FAMILIES = {
+    "V tail": (_V, build_V, {"n": 3, "p": 1, "q": 2}, 2, 3),
+    "V square": (_v_square, build_V, {"n": 3}, 2, 0),
+    "W tail": (_W, build_W, {"n": 3, "p": 2}, 2, 2),
+    "W": (_W, build_W, {"n": 3, "p": 0}, 2, 0),
+    "U tail": (_family(_du, "p", "q"), build_U, {"n": 2, "p": 1, "q": 1}, 4, 2),
+    "U": (_family(_du, "p", "q"), build_U, {"n": 2, "p": 0, "q": 0}, 4, 0),
+}
+
+
+def _entry_by_builder(f, build, params, u, v, tail):
+    """det(build(sizes at k = 1, the rows of the points u, v and the tail points))."""
+    vecs = [[u[c], v[c]] + [t[c] for t in tail] for c in range(len(u))]
+    return det(build(*f.sizes(params, 1), *vecs))
+
+
+def _coordinates(prefix, pts):
+    """{prefix + c: the c-th coordinate of every point}."""
+    return {f"{prefix}{c}": [pt[c] for pt in pts] for c in range(len(pts[0]))} if pts else {}
+
+
+@pytest.mark.parametrize("case", sorted(_POINT_FAMILIES))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_point_table_entries_match_builder_determinants(case, data):
+    f, build, params, coords, tail_len = _POINT_FAMILIES[case]
+    n = params["n"]
+
+    def points(count):
+        point = st.lists(_POINTS, min_size=coords, max_size=coords)
+        return [data.draw(point) for _ in range(count)]
+
+    tail = points(tail_len)
+    if tail_len >= 2 and data.draw(st.booleans()):
+        tail[1] = tail[0]  # two equal tail points: every entry is 0
+    us, vs, ws = points(n), points(n), points(2 * n)
+    u_names, v_names = [f"u{c}" for c in range(coords)], [f"v{c}" for c in range(coords)]
+    t_names = list(_coordinates("t", tail))
+    sc = {**_coordinates("u", us), **_coordinates("v", vs), **_coordinates("t", tail)}
+    assert _point_rows(f, *sc.values())
+    num, _ = _theorem_det(f, u_names, v_names, t_names)(params, sc)
+    for i in range(n):
+        for j in range(n):
+            assert num(i, j) == _entry_by_builder(f, build, params, us[i], vs[j], tail)
+            assert type(num(i, j)) is Fraction
+    sc.update(_coordinates("u", ws))
+    entry, _ = _pf_factor(f, u_names, t_names)(params, sc)
+    for i in range(2 * n):
+        for j in range(i + 1, 2 * n):
+            assert entry(i, j) == _entry_by_builder(f, build, params, ws[i], ws[j], tail)
+    if tail_len >= 2 and tail[0] == tail[1]:
+        assert num(0, 0) == entry(0, 1) == 0
+
+
+def test_theorem_block_with_equal_tail_points_runs():
+    # f_0(t) = 0 and every entry is 0, so both sides of main1 and main2 are 0
+    pts = [Fraction(k, 7) for k in range(1, 9)]
+    sc = {"x": pts[:2], "y": pts[2:4], "a": pts[4:6], "b": pts[6:8],
+          "z": [Fraction(1, 3)] * 2, "c": [Fraction(-2, 5)] * 2}
+    params = {"n": 2, "p": 1, "q": 1}
+    assert REGISTRY["main1"].sides(params, sc, True) == [(0, 0)]
+    sc.update({"x": pts[:4], "a": pts[4:], "b": pts[::-1][:4], "w": [Fraction(1, 3)] * 2,
+               "d": [Fraction(-2, 5)] * 2})
+    assert REGISTRY["main2"].sides({**params, "r": 1, "s": 1}, sc, True) == [(0, 0)]

@@ -27,6 +27,7 @@ from detpf.linalg import (
     det,
     det_with_denominators,
     hyperpfaffian,
+    minors_int,
     pfaffian,
     pfaffian_with_denominators,
     permutation_sign,
@@ -167,6 +168,69 @@ def test_rational_det_edge_cases():
     assert _check_rational_det(_SWAP_NEEDED) == 24 - Fraction(7, 2**64 + 1)
     assert _check_rational_det(_SINGULAR) == 0
     assert _check_rational_det(_HUGE_DENOMINATORS).denominator > 2**128
+
+
+@st.composite
+def _int_tables(draw):
+    """Int tables up to 6 x 9 and column lists that share prefixes.
+
+    Lists drawn with replacement repeat columns; the shaped tables add an
+    all-zero column, a zero leading pivot that needs a row swap, or two
+    proportional leading columns (a singular prefix), with the first list
+    starting on those columns.
+    """
+    n = draw(st.integers(0, 6))
+    width = draw(st.integers(max(n, 1), 9))
+    rows = [draw(st.lists(_INTS, min_size=width, max_size=width)) for _ in range(n)]
+    shape = draw(st.sampled_from(["random", "zero column", "zero pivot", "singular prefix"]))
+    if shape == "zero column":
+        for row in rows:
+            row[0] = 0
+    elif n > 1 and shape == "zero pivot":
+        rows[0][0] = 0
+        rows[draw(st.integers(1, n - 1))][0] = draw(_INTS.filter(bool))
+    elif n > 1 and shape == "singular prefix":
+        scale = draw(_INTS)
+        for row in rows:
+            row[1] = scale * row[0]
+
+    def columns(size):
+        return tuple(draw(st.lists(st.integers(0, width - 1), min_size=size, max_size=size,
+                                   unique=draw(st.booleans()))))
+
+    lists = [tuple(range(n)) if shape != "random" else columns(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        base = draw(st.sampled_from(lists))
+        k = draw(st.integers(0, n))
+        lists.append(base[:k] + columns(n - k))
+    return rows, lists
+
+
+def _minor_leibniz(rows, cols):
+    return det_leibniz(RingMatrix(len(rows), len(rows), [row[c] for row in rows for c in cols]))
+
+
+@given(table=_int_tables())
+@settings(max_examples=150, deadline=None)
+def test_minors_int_matches_leibniz(table):
+    rows, lists = table
+    got = minors_int(rows, lists)
+    assert all(type(v) is int for v in got)
+    assert got == [_minor_leibniz(rows, cols) for cols in lists]
+
+
+def test_minors_int_edge_cases():
+    assert minors_int([], [(), ()]) == [1, 1]
+    assert minors_int([[4, -7]], [(1,), (0,), (1,)]) == [-7, 4, -7]
+    # column 0 is zero on every row: every list through it is 0, the others are not
+    rows = [[0, 1, 2], [0, 3, 5]]
+    assert minors_int(rows, [(0, 1), (1, 0), (1, 2), (2, 1)]) == [0, 0, -1, 1]
+    # the leading pivot is zero, so the shared first step swaps rows 0 and 2
+    rows = [[0, 1, 2, 3], [0, 4, 5, 6], [7, 8, 9, 11]]
+    lists = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 3, 3)]
+    assert minors_int(rows, lists) == [_minor_leibniz(rows, c) for c in lists] == [-21, -42, -21, 0]
+    with pytest.raises(DimensionMismatchError):
+        minors_int([[1, 2], [3, 4]], [(0,)])
 
 
 @st.composite
