@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .identities import InvalidParamsError, get_spec as _get_raw_spec, registry
+from .identities import InvalidParamsError, UnknownIdentityError, get_spec, registry
 from .poly import Polynomial, VariableTable, random_rational
 
 
@@ -21,23 +21,12 @@ SYMBOLIC_DIM_CAP = 8
 TEXT_TERM_CAP = 1000
 
 
-class UnknownIdentityError(KeyError):
-    """No identity registered under the requested name."""
-
-
 class GuardExhaustionError(RuntimeError):
     """Too many consecutive random draws landed on the singular locus."""
 
 
 class ConfigError(ValueError):
     """A campaign config file could not be parsed."""
-
-
-def get_spec(name):
-    try:
-        return _get_raw_spec(name)
-    except KeyError:
-        raise UnknownIdentityError(name) from None
 
 
 def resolve_params(spec, overrides=None):
@@ -105,6 +94,21 @@ def _build_symbolic_scalars(vspec):
     return table, sc
 
 
+def _failures(pairs, trial, assignment):
+    """The failure records of the (lhs, rhs) pairs that differ."""
+    return [
+        {
+            "trial": trial,
+            "pair": pair_index,
+            "assignment": assignment,
+            "lhs": _scalar_text(lhs),
+            "rhs": _scalar_text(rhs),
+        }
+        for pair_index, (lhs, rhs) in enumerate(pairs)
+        if not lhs == rhs
+    ]
+
+
 def _trial_rng(seed, name, params, trial):
     key = "|".join(
         [
@@ -138,19 +142,8 @@ def _run_numeric_trial(spec, name, params, seed, bound, trial, reject_limit):
             raise GuardExhaustionError(
                 f"{name}: {rejects} consecutive draws hit a guard (trial {trial})"
             )
-    failures = []
-    for pair_index, (lhs, rhs) in enumerate(spec.sides(params, sc, True)):
-        if lhs != rhs:
-            failures.append(
-                {
-                    "trial": trial,
-                    "pair": pair_index,
-                    "assignment": {k: str(v) for k, v in named.items()},
-                    "lhs": _scalar_text(lhs),
-                    "rhs": _scalar_text(rhs),
-                }
-            )
-    return failures
+    assignment = {k: str(v) for k, v in named.items()}
+    return _failures(spec.sides(params, sc, True), trial, assignment)
 
 
 def _check_run(mode, trials, bound):
@@ -173,24 +166,14 @@ def verify(name, params=None, mode="symbolic", trials=20, seed=0, bound=25):
             f"(matrix dimension {spec.main_dim(params)} > {SYMBOLIC_DIM_CAP}); use numeric mode"
         )
     start = time.perf_counter()
-    failures = []
     if mode == "symbolic":
         vspec = spec.vectors(params)
         _, sc = _build_symbolic_scalars(vspec)
-        for pair_index, (lhs, rhs) in enumerate(spec.sides(params, sc, False)):
-            if not lhs == rhs:
-                failures.append(
-                    {
-                        "trial": 0,
-                        "pair": pair_index,
-                        "assignment": {},
-                        "lhs": _scalar_text(lhs),
-                        "rhs": _scalar_text(rhs),
-                    }
-                )
+        failures = _failures(spec.sides(params, sc, False), 0, {})
         trials_run = 1
     else:
         reject_limit = 100 * trials
+        failures = []
         for trial in range(trials):
             failures.extend(
                 _run_numeric_trial(spec, name, params, seed, bound, trial, reject_limit)

@@ -20,9 +20,11 @@ stated once for any structured determinant family f (two-block V,
 palindromic-row W, bidegree U, signed sums F, Schur polynomials of a shape
 family): `_theorem_det` gives special1, main1, main3, homog2, variation1,
 cauchy1 and det_schur, `_theorem_pf` gives special2, main2, prop_n2, main4,
-homog1, variation2, schur1, pf_schur and pf_schur2.  `_product` multiplies
-the (num, core) of such parts, so a Schur-function corollary is a seed
-times a theorem instance.
+homog1, variation2, schur1, pf_schur and pf_schur2; both take their
+entries from `_Family.pair_values`.  `_product` multiplies the (num, core)
+of such parts, so a Schur-function corollary is a seed times a theorem
+instance.  hyper_v and special_hyppf are specializations of the hyper_u
+hyperpfaffian, all three built by `_vandermonde_hyperpfaffian`.
 
 Sides are composed exclusively from the matrix builders, exact linear
 algebra and symmetric-function primitives; no identity re-derives a closed
@@ -32,7 +34,7 @@ form of its own.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import chain, combinations
 from math import factorial, prod
 from operator import mul
 
@@ -69,6 +71,10 @@ from .vandermonde import (
 
 class InvalidParamsError(ValueError):
     """Identity parameters are unknown, malformed, or violate the statement's hypotheses."""
+
+
+class UnknownIdentityError(KeyError):
+    """No identity registered under the requested name."""
 
 
 def _check_nonneg(params, positive=("n",)):
@@ -224,28 +230,51 @@ def _F(pp, qq, xs, as_):
     return fgh_sum("F", pp, qq, list(xs), list(as_))
 
 
+def _points(vectors):
+    """The points of `vectors` (one vector per coordinate), each a tuple of coordinates."""
+    return list(zip(*vectors))
+
+
 # the determinants of one row per point, and that row
 _POINT_ROWS = {_dv: row_V, _dw: row_W, _du: row_U}
 
 
 @dataclass(frozen=True)
 class _Family:
-    """f(params, k, vecs) = build(*sizes(params, k), *vecs) on k extra points.
-
-    When `build` is the determinant of one row per point, `row(*sizes(params,
-    k), *point)` is the row of the point with coordinates `point` (one per
-    vector); otherwise `row` is None.
-    """
+    """f(params, k, vecs) = build(*sizes(params, k), *vecs) on k extra points."""
 
     build: object
     sizes: object
 
-    @property
-    def row(self):
-        return _POINT_ROWS.get(self.build)
-
     def __call__(self, p, k, vecs):
         return self.build(*self.sizes(p, k), *vecs)
+
+    def pair_values(self, p, points, tail, pairs):
+        """[f_1(points[i], points[j]; tail) for (i, j) in pairs].
+
+        Each point is a tuple of coordinates, and `tail` holds one vector per
+        coordinate.  When `build` is the determinant of one row per point and
+        every coordinate is rational, the rows of all points are cleared once
+        and transposed into one table, and each value is its integer minor on
+        the columns tail + [i, j] (moving the two point rows past the tail is
+        an even permutation) over the row scales.  Otherwise each value is
+        f(p, 1, ...).
+        """
+        row = _POINT_ROWS.get(self.build)
+        if row is None or not all(isinstance(v, (int, Fraction)) for v in chain(*points, *tail)):
+            vecs = lambda i, j: [[a, b] + c for a, b, c in zip(points[i], points[j], tail)]
+            return [self(p, 1, vecs(i, j)) for i, j in pairs]
+        sizes = self.sizes(p, 1)
+        int_rows, scales = [], []
+        for point in points + _points(tail):
+            (int_row,), scale = clear_rows([row(*sizes, *point)])
+            int_rows.append(int_row)
+            scales.append(scale)
+        m = len(points)
+        tail_cols = list(range(m, len(int_rows)))
+        minors = minors_int(list(zip(*int_rows)), [tail_cols + [i, j] for i, j in pairs])
+        tail_scale = prod(scales[m:])
+        return [Fraction(d, tail_scale * scales[i] * scales[j]) for d, (i, j) in zip(minors, pairs)]
 
 
 def _family(build, *names, step=1):
@@ -375,43 +404,8 @@ def _check_even_block(params):
 #
 # f(params, k, vecs) is one structured determinant (_dv, _dw, _du or _F) on k
 # extra points: vecs holds one vector per argument of the builder, the k
-# points' coordinates first and then the fixed tail t.  At rational points
-# the entries of the V, W and U families are minors of one point table.
-
-
-def _points(vectors):
-    """The points of `vectors` (one vector per coordinate), each a tuple of coordinates."""
-    return list(zip(*vectors))
-
-
-def _point_rows(f, *vectors):
-    """True when f has point rows and every coordinate in `vectors` is rational."""
-    return f.row is not None and all(
-        isinstance(v, (int, Fraction)) for vec in vectors for v in vec
-    )
-
-
-def _point_minors(f, p, points, tail, pairs):
-    """[f_1(points[i], points[j]; tail) for (i, j) in pairs] at rational points.
-
-    f_1(u, v; t) is the determinant of the rows of u, v and the tail points
-    at k = 1.  The rows of all points are cleared once and transposed into
-    one table, and each entry is its integer minor on the columns
-    tail + [i, j]: moving the two point rows past the tail is an even
-    permutation.  The tail is eliminated once, and each entry is one 2 x 2
-    completion divided by the row scales of its points.
-    """
-    sizes = f.sizes(p, 1)
-    int_rows, scales = [], []
-    for point in points + tail:
-        (row,), scale = clear_rows([f.row(*sizes, *point)])
-        int_rows.append(row)
-        scales.append(scale)
-    m = len(points)
-    tail_cols = list(range(m, len(int_rows)))
-    minors = minors_int(list(zip(*int_rows)), [tail_cols + [i, j] for i, j in pairs])
-    tail_scale = prod(scales[m:])
-    return [Fraction(d, tail_scale * scales[i] * scales[j]) for d, (i, j) in zip(minors, pairs)]
+# points' coordinates first and then the fixed tail t.  Both theorems take
+# their entries f_1 from `_Family.pair_values`.
 
 
 def _theorem_det(f, rows, cols, tail=(), signed=True):
@@ -428,12 +422,9 @@ def _theorem_det(f, rows, cols, tail=(), signed=True):
         n = p["n"]
         u, v = [sc[k] for k in rows], [sc[k] for k in cols]
         t = [sc[k] for k in tail] if tail else [[]] * len(rows)
-        if _point_rows(f, *u, *v, *t):
-            pairs = [(i, n + j) for i in range(n) for j in range(n)]
-            values = _point_minors(f, p, _points(u) + _points(v), _points(t), pairs)
-            num = lambda i, j: values[i * n + j]
-        else:
-            num = lambda i, j: f(p, 1, [[a[i], b[j]] + c for a, b, c in zip(u, v, t)])
+        pairs = [(i, n + j) for i in range(n) for j in range(n)]
+        values = f.pair_values(p, _points(u) + _points(v), t, pairs)
+        num = lambda i, j: values[i * n + j]
         core = _pow(f(p, 0, t), n - 1) * f(p, n, [a + b + c for a, b, c in zip(u, v, t)])
         return num, (_sign(n * (n - 1) // 2) * core if signed else core)
 
@@ -459,13 +450,10 @@ def _pf_factor(f, rows, tail):
         n = p["n"]
         u = [sc[k] for k in rows]
         t = [sc[k] for k in tail] if tail else [[]] * len(rows)
-        if _point_rows(f, *u, *t):
-            pairs = _all_pairs(2 * n)
-            values = dict(zip(pairs, _point_minors(f, p, _points(u), _points(t), pairs)))
-            entry = lambda i, j: values[(i, j)]
-        else:
-            entry = lambda i, j: f(p, 1, [[a[i], a[j]] + c for a, c in zip(u, t)])
-        return entry, _pow(f(p, 0, t), n - 1) * f(p, n, [a + c for a, c in zip(u, t)])
+        pairs = _all_pairs(2 * n)
+        values = dict(zip(pairs, f.pair_values(p, _points(u), t, pairs)))
+        core = _pow(f(p, 0, t), n - 1) * f(p, n, [a + c for a, c in zip(u, t)])
+        return (lambda i, j: values[(i, j)]), core
 
     return parts
 
@@ -1341,15 +1329,46 @@ _register_quotient(
 )
 
 
+def _vandermonde_hyperpfaffian(n, x, y, a, b, numeric):
+    """Hpf of the order-n tensor (prod a_I + prod b_I) prod_{s<t in I} (x_s y_t - y_s x_t).
+
+    hyper_u takes it at (x, y, a, b), where the two blocks square away the
+    orientation of the cross factors.  At (1, x, 1, a) the entries are
+    (1 + prod a_I) Delta(x_I), which is hyper_v, and at (1, x, 1, 0) they are
+    Delta(x_I), which is special_hyppf.
+    """
+    m = len(x)
+    if not numeric:
+
+        def entry(idx):
+            weight = _prod(a[i] for i in idx) + _prod(b[i] for i in idx)
+            return weight * _prod(x[s] * y[t] - y[s] * x[t] for s, t in combinations(idx, 2))
+
+        return hyperpfaffian(AlternatingTensor.from_function(n, m, entry))
+    # x, y, a, b = X / lx, Y / ly, A / la, B / lb with int X, Y, A, B: every
+    # entry is an int over (la lb)^n (lx ly)^C(n,2), and the hyperpfaffian
+    # has degree m / n in the entries
+    (xi,), lx = clear_rows([x])
+    (yi,), ly = clear_rows([y])
+    (ai,), la = clear_rows([a])
+    (bi,), lb = clear_rows([b])
+    cross = {(s, t): xi[s] * yi[t] - yi[s] * xi[t] for s, t in _all_pairs(m)}
+    la_n, lb_n = la**n, lb**n
+
+    def int_entry(idx):
+        weight = prod(map(ai.__getitem__, idx)) * lb_n + prod(map(bi.__getitem__, idx)) * la_n
+        return weight * prod(map(cross.__getitem__, combinations(idx, 2)))
+
+    tensor = AlternatingTensor.from_function(n, m, int_entry)
+    scale = (la * lb) ** n * (lx * ly) ** (n * (n - 1) // 2)
+    return Fraction(hyperpfaffian(tensor), scale ** (m // n))
+
+
 def _special_hyppf_sides(p, sc, numeric):
-    n, r = p["n"], p["r"]
     x = sc["x"]
-    tensor = AlternatingTensor.from_function(
-        n, n * r, lambda idx: _delta([x[i] for i in idx])
-    )
-    lhs = hyperpfaffian(tensor)
-    rhs = _delta(x) if r == 1 else Fraction(0)
-    return [(lhs, rhs)]
+    ones = [Fraction(1)] * len(x)
+    lhs = _vandermonde_hyperpfaffian(p["n"], ones, x, ones, [Fraction(0)] * len(x), numeric)
+    return [(lhs, _delta(x) if p["r"] == 1 else Fraction(0))]
 
 
 _register(
@@ -1366,27 +1385,9 @@ _register(
 
 
 def _hyper_v_sides(p, sc, numeric):
-    n = p["n"]
-    x, a = sc["x"], sc["a"]
-    rhs = _dv(n, n, x, a)
-    if not numeric:
-
-        def entry(idx):
-            return (1 + _prod(a[i] for i in idx)) * _delta([x[i] for i in idx])
-
-        return [(hyperpfaffian(AlternatingTensor.from_function(n, 2 * n, entry)), rhs)]
-    # x = X / lx and a = A / la with int X, A: every entry is an int over
-    # la^n lx^C(n,2), and the hyperpfaffian has degree 2 in the entries
-    (xi,), lx = clear_rows([x])
-    (ai,), la = clear_rows([a])
-    gaps = {(i, j): xi[j] - xi[i] for i, j in _all_pairs(2 * n)}
-    one = la**n
-
-    def int_entry(idx):
-        return (one + prod(ai[i] for i in idx)) * prod(gaps[pair] for pair in combinations(idx, 2))
-
-    tensor = AlternatingTensor.from_function(n, 2 * n, int_entry)
-    return [(Fraction(hyperpfaffian(tensor), (one * lx ** (n * (n - 1) // 2)) ** 2), rhs)]
+    n, x, a = p["n"], sc["x"], sc["a"]
+    ones = [Fraction(1)] * len(x)
+    return [(_vandermonde_hyperpfaffian(n, ones, x, ones, a, numeric), _dv(n, n, x, a))]
 
 
 _register(
@@ -1404,36 +1405,7 @@ _register(
 def _hyper_u_sides(p, sc, numeric):
     n = p["n"]
     x, y, a, b = sc["x"], sc["y"], sc["a"], sc["b"]
-    rhs = _du(n, n, x, y, a, b)
-    if not numeric:
-
-        def entry(idx):
-            weight = _prod(a[i] for i in idx) + _prod(b[i] for i in idx)
-            cross = _prod(
-                y[idx[s]] * x[idx[t]] - x[idx[s]] * y[idx[t]]
-                for s in range(n)
-                for t in range(s + 1, n)
-            )
-            return weight * cross
-
-        return [(hyperpfaffian(AlternatingTensor.from_function(n, 2 * n, entry)), rhs)]
-    # x, y, a, b = X / lx, Y / ly, A / la, B / lb with int X, Y, A, B: every
-    # entry is an int over (la lb)^n (lx ly)^C(n,2), and the hyperpfaffian
-    # has degree 2 in the entries
-    (xi,), lx = clear_rows([x])
-    (yi,), ly = clear_rows([y])
-    (ai,), la = clear_rows([a])
-    (bi,), lb = clear_rows([b])
-    cross = {(s, t): yi[s] * xi[t] - xi[s] * yi[t] for s, t in _all_pairs(2 * n)}
-    la_n, lb_n = la**n, lb**n
-
-    def int_entry(idx):
-        weight = prod(ai[i] for i in idx) * lb_n + prod(bi[i] for i in idx) * la_n
-        return weight * prod(cross[pair] for pair in combinations(idx, 2))
-
-    tensor = AlternatingTensor.from_function(n, 2 * n, int_entry)
-    scale = (la * lb) ** n * (lx * ly) ** (n * (n - 1) // 2)
-    return [(Fraction(hyperpfaffian(tensor), scale**2), rhs)]
+    return [(_vandermonde_hyperpfaffian(n, x, y, a, b, numeric), _du(n, n, x, y, a, b))]
 
 
 _register(
@@ -1594,5 +1566,5 @@ def registry():
 def get_spec(name):
     spec = REGISTRY.get(name)
     if spec is None:
-        raise KeyError(name)
+        raise UnknownIdentityError(name)
     return spec

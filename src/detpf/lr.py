@@ -125,17 +125,6 @@ def b_principal(idx, n, e, f, z_values, w_values):
     return SkewMatrix.from_upper_function(len(idx), entry)
 
 
-_Z_TABLES = {}
-
-
-def _z_table(n):
-    if n not in _Z_TABLES:
-        table = VariableTable()
-        table.add_vector("z", n)
-        _Z_TABLES[n] = table
-    return _Z_TABLES[n]
-
-
 def schur_expand(p):
     """Expand a symmetric polynomial in the Schur basis by leading-term peeling.
 
@@ -168,7 +157,8 @@ def lr_via_pfaffian(lam, n, e, f, mu):
         raise TooLongError(f"{lam} longer than 2n={2 * n}")
     if not Partition.box(n, e).contains(mu):
         raise NotInBoxError(f"{mu} not inside {n}x{e}")
-    table = _z_table(n)
+    table = VariableTable()
+    table.add_vector("z", n)
     zs = table.gens()
     pf = pfaffian(b_principal(index_set(lam, 2 * n), n, e, f, zs, []))
     if isinstance(pf, Fraction):

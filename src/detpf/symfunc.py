@@ -291,11 +291,5 @@ def schur_bialternant(lam, values):
     return numer / delta
 
 
-def schur(shape, values):
-    """Schur (or skew Schur) function of the shape in the given scalars.
-
-    Jacobi-Trudi from one h table; a straight shape with at least as many
-    rows as variables is first stripped of its full columns, which makes it
-    0 or a monomial times a shorter determinant.
-    """
-    return schur_jacobi_trudi(shape, values)
+# the Schur (or skew Schur) function of a shape in the given scalars
+schur = schur_jacobi_trudi

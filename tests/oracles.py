@@ -13,6 +13,7 @@ checks.
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 from operator import add
 
 from detpf.poly import ExactDivisionError, Monomial, Polynomial, VariableTable
@@ -153,6 +154,32 @@ def hyper_u_by_ordered_partitions(n, xs, ys, as_, bs):
     for blocks, sign in ordered_block_partitions(2 * n, n, tensor):
         total = total + sign * tensor.value(blocks[0]) * tensor.value(blocks[1])
     return total / 2
+
+
+def vandermonde_hyperpfaffian_by_ordered_partitions(n, xs):
+    """The order-n hyperpfaffian of prod (x_j - x_i) on the points xs.
+
+    Summed over ordered partitions into len(xs)/n blocks and divided by the
+    number of their orderings, with every entry taken in plain Fraction
+    arithmetic.
+    """
+    from detpf.linalg import AlternatingTensor
+
+    def entry(idx):
+        value = Fraction(1)
+        for s, i in enumerate(idx):
+            for j in idx[s + 1 :]:
+                value = value * (xs[j] - xs[i])
+        return value
+
+    tensor = AlternatingTensor.from_function(n, len(xs), entry)
+    total = Fraction(0)
+    for blocks, sign in ordered_block_partitions(len(xs), n, tensor):
+        term = Fraction(sign)
+        for block in blocks:
+            term = term * tensor.value(block)
+        total = total + term
+    return total / factorial(len(xs) // n)
 
 
 def cauchy_binet_by_minors(x, a, y):

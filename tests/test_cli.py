@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from detpf import harness
+from detpf import harness, linalg
 from detpf.cli import _build_parser, main
 from detpf.identities import get_spec
 from detpf.poly import EXPONENT_CAP
@@ -93,6 +93,18 @@ def test_schur_output():
     # s_{21/1} = s_2 + s_11 = x1^2 + 2 x1 x2 + x2^2 in two variables
     code, text = run_cli("schur", "--shape", "[2,1]", "--inner", "[1]", "--vars", "2")
     assert code == 0 and text.strip() == "1*x1^2 + 2*x1*x2 + 1*x2^2"
+
+
+def test_tall_skew_schur_takes_the_polynomial_bareiss_route(monkeypatch):
+    # 1^16 / 1^15 is one box, but its Jacobi-Trudi matrix has 16 rows: past the
+    # cofactor route's size limit, where only Bareiss elimination finishes fast
+    def refuse(m):
+        raise AssertionError("cofactor expansion on a 16-row determinant")
+
+    monkeypatch.setattr(linalg, "_det_cofactor", refuse)
+    shape, inner = "[" + ",".join("1" * 16) + "]", "[" + ",".join("1" * 15) + "]"
+    code, text = run_cli("schur", "--shape", shape, "--inner", inner, "--vars", "2")
+    assert (code, text) == (0, "1*x1 + 1*x2\n")
 
 
 def test_schur_exponent_cap(capsys):

@@ -3,6 +3,7 @@ import json
 from fractions import Fraction
 from functools import reduce
 from operator import mul
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from detpf.harness import (
     symbolic_cases,
     verify,
 )
+from detpf import identities
 from detpf.identities import (
     REGISTRY,
     InvalidParamsError,
@@ -33,7 +35,6 @@ from detpf.identities import (
     _family,
     _matrix_from,
     _pf_factor,
-    _point_rows,
     _prod,
     _skew_from,
     _theorem_det,
@@ -51,6 +52,7 @@ from oracles import (
     hyper_u_by_ordered_partitions,
     hyper_v_by_ordered_partitions,
     minor_sum_by_matchings,
+    vandermonde_hyperpfaffian_by_ordered_partitions,
 )
 
 
@@ -166,9 +168,16 @@ INTEGER_ROUTE_IDENTITIES = (
 # band-matrix minors: most pairs are 0 = 0, but every case has a +-1 pair
 BAND_MINOR_IDENTITIES = ("minor_Dr", "minor_BC")
 
+# identities with sides of their own, each with a pair whose right side is not 0
+OWN_SIDES_IDENTITIES = (
+    "rel_v1", "rel_v2", "det_dodgson", "pf_dodgson", "pf_det", "rel_uv1", "rel_uv2",
+    "rel_uw1", "rel_uw2", "littlewood", "compo", "pf_schur3",
+)
+
 
 @pytest.mark.parametrize(
-    "name", QUOTIENT_IDENTITIES + INTEGER_ROUTE_IDENTITIES + BAND_MINOR_IDENTITIES
+    "name",
+    QUOTIENT_IDENTITIES + INTEGER_ROUTE_IDENTITIES + BAND_MINOR_IDENTITIES + OWN_SIDES_IDENTITIES,
 )
 def test_doubled_right_side_fails_in_both_modes(name):
     # a derived pair (lhs, rhs) that is not 0 = 0 must fail once rhs is doubled;
@@ -404,6 +413,8 @@ def _oracle_side(name, p, sc):
         return 0, hyper_v_by_ordered_partitions(p["n"], sc["x"], sc["a"])
     if name == "hyper_u":
         return 0, hyper_u_by_ordered_partitions(p["n"], sc["x"], sc["y"], sc["a"], sc["b"])
+    if name == "special_hyppf":
+        return 0, vandermonde_hyperpfaffian_by_ordered_partitions(p["n"], sc["x"])
     n, nn = p["n"], p["N"]
     if name == "cauchy_binet":
         x, y = _matrix_from(sc["x"], n, nn), _matrix_from(sc["y"], n, nn)
@@ -415,6 +426,7 @@ def _oracle_side(name, p, sc):
 _SIDE_PARAMS = {
     "hyper_v": st.fixed_dictionaries({"n": st.sampled_from([2, 4])}),
     "hyper_u": st.fixed_dictionaries({"n": st.sampled_from([2, 4])}),
+    "special_hyppf": st.fixed_dictionaries({"n": st.just(2), "r": st.sampled_from([1, 2, 3])}),
     "cauchy_binet": st.integers(1, 2).flatmap(
         lambda n: st.fixed_dictionaries({"n": st.just(n), "N": st.integers(n, 4)})
     ),
@@ -488,14 +500,18 @@ def test_point_table_entries_match_builder_determinants(case, data):
     u_names, v_names = [f"u{c}" for c in range(coords)], [f"v{c}" for c in range(coords)]
     t_names = list(_coordinates("t", tail))
     sc = {**_coordinates("u", us), **_coordinates("v", vs), **_coordinates("t", tail)}
-    assert _point_rows(f, *sc.values())
-    num, _ = _theorem_det(f, u_names, v_names, t_names)(params, sc)
+    # the point-table route is the only caller of minors_int in the theorems
+    with mock.patch.object(identities, "minors_int", wraps=identities.minors_int) as table:
+        num, _ = _theorem_det(f, u_names, v_names, t_names)(params, sc)
+        assert table.call_count == 1
     for i in range(n):
         for j in range(n):
             assert num(i, j) == _entry_by_builder(f, build, params, us[i], vs[j], tail)
             assert type(num(i, j)) is Fraction
     sc.update(_coordinates("u", ws))
-    entry, _ = _pf_factor(f, u_names, t_names)(params, sc)
+    with mock.patch.object(identities, "minors_int", wraps=identities.minors_int) as table:
+        entry, _ = _pf_factor(f, u_names, t_names)(params, sc)
+        assert table.call_count == 1
     for i in range(2 * n):
         for j in range(i + 1, 2 * n):
             assert entry(i, j) == _entry_by_builder(f, build, params, ws[i], ws[j], tail)
