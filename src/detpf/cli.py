@@ -119,6 +119,8 @@ def _cmd_verify(args, out):
 
 
 def _cmd_campaign(args, out):
+    if args.workers < 1:
+        raise InvalidParamsError("--workers must be >= 1")
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = harness.parse_campaign_config(fh.read())

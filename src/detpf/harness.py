@@ -292,8 +292,9 @@ def run_campaign(config, workers=1):
     With a pool, each block is one task: a numeric block runs its trials in
     order inside that task, so its failures are those of the serial run and
     its elapsed time is the time its trials took.  Every block is checked
-    before any task starts.
+    before any task starts, and the pool has no more processes than blocks.
     """
+    workers = min(workers, len(config.blocks))
     if workers <= 1:
         return [_run_block(b) for b in config.blocks]
     for b in config.blocks:

@@ -53,6 +53,7 @@ from .linalg import (
     pfaffian_with_denominators,
     sub_pfaffian,
     sub_pfaffians,
+    _clear_rows,
 )
 from .lr import b_principal, lr_bruteforce
 from .symfunc import Partition, index_set, partitions_in_box, schur_jacobi_trudi
@@ -1335,7 +1336,8 @@ def _vandermonde_hyperpfaffian(n, x, y, a, b, numeric):
     hyper_u takes it at (x, y, a, b), where the two blocks square away the
     orientation of the cross factors.  At (1, x, 1, a) the entries are
     (1 + prod a_I) Delta(x_I), which is hyper_v, and at (1, x, 1, 0) they are
-    Delta(x_I), which is special_hyppf.
+    Delta(x_I), which is special_hyppf.  Rational entries come from one walk
+    over the sorted prefixes that can still be completed to n indices.
     """
     m = len(x)
     if not numeric:
@@ -1345,21 +1347,19 @@ def _vandermonde_hyperpfaffian(n, x, y, a, b, numeric):
             return weight * _prod(x[s] * y[t] - y[s] * x[t] for s, t in combinations(idx, 2))
 
         return hyperpfaffian(AlternatingTensor.from_function(n, m, entry))
-    # x, y, a, b = X / lx, Y / ly, A / la, B / lb with int X, Y, A, B: every
-    # entry is an int over (la lb)^n (lx ly)^C(n,2), and the hyperpfaffian
-    # has degree m / n in the entries
-    (xi,), lx = clear_rows([x])
-    (yi,), ly = clear_rows([y])
-    (ai,), la = clear_rows([a])
-    (bi,), lb = clear_rows([b])
-    cross = {(s, t): xi[s] * yi[t] - yi[s] * xi[t] for s, t in _all_pairs(m)}
-    la_n, lb_n = la**n, lb**n
-
-    def int_entry(idx):
-        weight = prod(map(ai.__getitem__, idx)) * lb_n + prod(map(bi.__getitem__, idx)) * la_n
-        return weight * prod(map(cross.__getitem__, combinations(idx, 2)))
-
-    tensor = AlternatingTensor.from_function(n, m, int_entry)
+    # x, y, a, b = X / lx, Y / ly, A / la, B / lb with int X, Y, A, B: each entry is
+    # an int over (la lb)^n (lx ly)^C(n,2), and the hyperpfaffian has degree m / n
+    (xi, yi, ai, bi), (lx, ly, la, lb) = _clear_rows([x, y, a, b])
+    walk = [((), 1, lb**n, la**n)]  # (prefix, its cross product, prod A lb^n, prod B la^n)
+    for depth in range(n):
+        prefixes, walk = walk, []
+        for idx, c, pa, pb in prefixes:
+            for t in range(idx[-1] + 1 if idx else 0, m - n + depth + 1):
+                ct = c
+                for s in idx:
+                    ct *= xi[s] * yi[t] - yi[s] * xi[t]
+                walk.append((idx + (t,), ct, pa * ai[t], pb * bi[t]))
+    tensor = AlternatingTensor.from_function(n, m, {idx: (pa + pb) * c for idx, c, pa, pb in walk}.get)
     scale = (la * lb) ** n * (lx * ly) ** (n * (n - 1) // 2)
     return Fraction(hyperpfaffian(tensor), scale ** (m // n))
 

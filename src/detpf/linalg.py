@@ -7,21 +7,25 @@ fraction-free Bareiss elimination on plain ints and divides by the product
 of the row scales once.  `clear_rows` and `minors_int` expose that route:
 a family of minors of one rational table is cleared once and taken over
 the integers in one elimination, whose steps the minors share along
-common column prefixes.  Determinants of polynomial matrices use cofactor
-expansion with memoized minors up to dimension 12 and Bareiss elimination,
-dividing exactly in the polynomial ring, beyond.  Pfaffians use
-division-free first-row expansion with memoization on index subsets up to
-dimension 6; rational matrices beyond that scale row and column i by the
-lcm of row i's denominators and run fraction-free skew elimination on
-plain ints, whose entries are sub-Pfaffians.  A skew matrix with a zero
-row is 0 before either route runs.  Hyperpfaffians sum over unordered set
-partitions, each enumerated once with its sign carried down the recursion
-and its last block read off directly.
+common column prefixes.  A rational matrix product clears the rows of its
+left factor and the columns of its right one, takes every dot product on
+ints and divides each entry once by its row and column scales.
+Determinants of polynomial matrices use cofactor expansion with memoized
+minors up to dimension 12 and Bareiss elimination, dividing exactly in
+the polynomial ring, beyond.  Pfaffians use division-free first-row
+expansion with memoization on index subsets up to dimension 6; rational
+matrices beyond that scale row and column i by the lcm of row i's
+denominators and run fraction-free skew elimination on plain ints, whose
+entries are sub-Pfaffians.  A skew matrix with a zero row is 0 before
+either route runs.  Hyperpfaffians sum over unordered set partitions, each
+enumerated once with its sign carried down the recursion and its last
+block read off directly.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
+from operator import mul as _times
 
 from .poly import Polynomial
 
@@ -128,6 +132,15 @@ class RingMatrix:
     def mul(self, other):
         if self.cols != other.rows:
             raise DimensionMismatchError("inner dimensions differ")
+        if _all_rational(self.data) and _all_rational(other.data):
+            left, row_scales = _clear_rows(self.row_list(i) for i in range(self.rows))
+            right, col_scales = _clear_rows(other.data[j :: other.cols] for j in range(other.cols))
+            out = [
+                Fraction(sum(map(_times, row, col)), rs * cs)
+                for row, rs in zip(left, row_scales)
+                for col, cs in zip(right, col_scales)
+            ]
+            return RingMatrix(self.rows, other.cols, out)
         out = []
         for i in range(self.rows):
             for j in range(other.cols):
@@ -192,9 +205,6 @@ class SkewMatrix:
             self.dim,
             [self.entry(i, j) for i in range(self.dim) for j in range(self.dim)],
         )
-
-    def _rational_entries(self):
-        return _all_rational(self.upper.values())
 
     def __repr__(self):
         return f"SkewMatrix(dim={self.dim})"
@@ -307,13 +317,15 @@ def clear_rows(rows):
     times the returned scale.  A family of minors of one rational table is
     cleared once and then taken over the integers.
     """
-    out = []
-    scale = 1
-    for row in rows:
-        row_lcm = lcm(*[v.denominator for v in row])
-        scale *= row_lcm
-        out.append([v.numerator * (row_lcm // v.denominator) for v in row])
-    return out, scale
+    out, scales = _clear_rows(rows)
+    return out, prod(scales)
+
+
+def _clear_rows(rows):
+    """Rows of ints/Fractions as int rows, and the list of row scales."""
+    rows = list(rows)
+    scales = [lcm(*[v.denominator for v in row]) for row in rows]
+    return [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(rows, scales)], scales
 
 
 def minors_int(rows, col_lists):
@@ -413,9 +425,9 @@ def _det_minor(m, cols, memo):
         entry = m.at(i, j)
         if _is_zero(entry):
             continue
-        term = entry * _det_minor(m, cols[:t] + cols[t + 1 :], memo)
         if t % 2:
-            term = -term
+            entry = -entry
+        term = entry * _det_minor(m, cols[:t] + cols[t + 1 :], memo)
         acc = term if acc is None else acc + term
     if acc is None:
         acc = Fraction(0)
@@ -456,9 +468,9 @@ def _pf_sub(a, idx, memo):
         entry = a.entry(first, j)
         if _is_zero(entry):
             continue
-        term = entry * _pf_sub(a, rest[:t] + rest[t + 1 :], memo)
         if t % 2:
-            term = -term
+            entry = -entry
+        term = entry * _pf_sub(a, rest[:t] + rest[t + 1 :], memo)
         acc = term if acc is None else acc + term
     if acc is None:
         acc = Fraction(0)
@@ -525,7 +537,7 @@ def pfaffian(a):
         return Fraction(1)
     if n % 2 or len({i for pair in a.upper for i in pair}) < n:
         return Fraction(0)
-    if n > PF_EXPANSION_MAX_DIM and a._rational_entries():
+    if n > PF_EXPANSION_MAX_DIM and _all_rational(a.upper.values()):
         return _pf_elimination(a)
     return _pf_expand(a)
 
@@ -558,15 +570,7 @@ def congruence_product(x, a):
     """The exactly-skew product X A X^T as a SkewMatrix."""
     if x.cols != a.dim:
         raise DimensionMismatchError("X columns must match A dimension")
-    t = x.mul(a.to_matrix())
-    upper = {}
-    for i in range(x.rows):
-        for j in range(i + 1, x.rows):
-            acc = Fraction(0)
-            for k in range(x.cols):
-                acc = acc + t.at(i, k) * x.at(j, k)
-            upper[(i, j)] = acc
-    return SkewMatrix(x.rows, upper)
+    return SkewMatrix.from_upper_function(x.rows, x.mul(a.to_matrix()).mul(x.transpose()).at)
 
 
 def congruence_pfaffian(x, a):
@@ -696,9 +700,9 @@ def _pf_cleared(num, den, idx, memo):
         for u in rest:
             if u != j:
                 entry = entry * den(min(u, j), max(u, j))
-        term = entry * _pf_cleared(num, den, rest[:t] + rest[t + 1 :], memo)
         if t % 2:
-            term = -term
+            entry = -entry
+        term = entry * _pf_cleared(num, den, rest[:t] + rest[t + 1 :], memo)
         acc = term if acc is None else acc + term
     if acc is None:
         acc = Fraction(0)

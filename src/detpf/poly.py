@@ -337,7 +337,10 @@ class Polynomial:
                         out[key] = acc
                     else:
                         del out[key]
-        _check_keys(out, len(self.table))
+        # no slot of either factor reaches its top two bits: no sum sets a guard
+        guards = _guards(len(self.table))
+        if (reduce(or_, a, 0) | reduce(or_, b, 0)) & (guards | guards >> 1):
+            _check_keys(out, len(self.table))
         if _has_fraction(a) or _has_fraction(b):
             _normalize(out)
         return Polynomial._raw(self.table, out)

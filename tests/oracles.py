@@ -41,6 +41,20 @@ def det_leibniz(m):
     return total
 
 
+def matmul(x, y):
+    """The product of two RingMatrix objects by the plain triple loop, summed from Fraction(0)."""
+    from detpf.linalg import RingMatrix
+
+    out = []
+    for i in range(x.rows):
+        for j in range(y.cols):
+            total = Fraction(0)
+            for k in range(x.cols):
+                total = total + x.at(i, k) * y.at(k, j)
+            out.append(total)
+    return RingMatrix(x.rows, y.cols, out)
+
+
 def pf_matchings(a):
     """Sum over perfect matchings, sign from the flattened pairing sequence."""
     n = a.dim

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 
@@ -187,6 +188,39 @@ def test_campaign_workers_flag(tmp_path):
         "campaign", "--config", str(config), "--json", str(out2), "--workers", "2"
     )[0] == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_campaign_workers_below_one_is_a_usage_error(capsys):
+    for workers in ("0", "-1"):
+        assert run_cli("campaign", "--workers", workers) == (1, "")
+        assert capsys.readouterr().err == "error: --workers must be >= 1\n"
+
+
+def test_campaign_pool_has_no_more_processes_than_blocks(tmp_path, monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    block = "[identity]\nname = special2\nn = 2\n"
+    config = tmp_path / "c.cfg"
+    config.write_text(f"seed = 2\ntrials = 2\nbound = 12\n\n{block}\n{block}")
+    assert run_cli("campaign", "--config", str(config), "--workers", "64")[0] == 0
+    assert sizes == [2]
+    config.write_text(f"seed = 2\ntrials = 2\nbound = 12\n\n{block}")
+    assert run_cli("campaign", "--config", str(config), "--workers", "64")[0] == 0
+    assert sizes == [2]  # one block runs serially
 
 
 # each case: argv with {file} standing for a temporary file holding `content`

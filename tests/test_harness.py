@@ -43,15 +43,18 @@ from detpf.identities import (
     _W,
     registry,
 )
-from detpf.linalg import det
+from detpf.linalg import SkewMatrix, det
 from detpf.poly import VariableTable
 from detpf.vandermonde import build_U, build_V, build_W
 
 from oracles import (
     cauchy_binet_by_minors,
+    det_leibniz,
     hyper_u_by_ordered_partitions,
     hyper_v_by_ordered_partitions,
+    matmul,
     minor_sum_by_matchings,
+    pf_matchings,
     vandermonde_hyperpfaffian_by_ordered_partitions,
 )
 
@@ -408,23 +411,27 @@ def test_rational_delta_matches_left_fold(xs, data):
 
 
 def _oracle_side(name, p, sc):
-    """(index of the side the integer route computes, its Fraction oracle)."""
+    """{index of each side an integer route computes: its Fraction oracle}."""
     if name == "hyper_v":
-        return 0, hyper_v_by_ordered_partitions(p["n"], sc["x"], sc["a"])
+        return {0: hyper_v_by_ordered_partitions(p["n"], sc["x"], sc["a"])}
     if name == "hyper_u":
-        return 0, hyper_u_by_ordered_partitions(p["n"], sc["x"], sc["y"], sc["a"], sc["b"])
+        return {0: hyper_u_by_ordered_partitions(p["n"], sc["x"], sc["y"], sc["a"], sc["b"])}
     if name == "special_hyppf":
-        return 0, vandermonde_hyperpfaffian_by_ordered_partitions(p["n"], sc["x"])
+        return {0: vandermonde_hyperpfaffian_by_ordered_partitions(p["n"], sc["x"])}
     n, nn = p["n"], p["N"]
     if name == "cauchy_binet":
         x, y = _matrix_from(sc["x"], n, nn), _matrix_from(sc["y"], n, nn)
-        return 1, cauchy_binet_by_minors(x, _matrix_from(sc["a"], nn, nn), y)
-    x = _matrix_from(sc["x"], 2 * n, nn)
-    return 0, minor_sum_by_matchings(x, _skew_from(sc["a"], nn))
+        a = _matrix_from(sc["a"], nn, nn)
+        product = matmul(matmul(x, a), y.transpose())
+        return {0: det_leibniz(product), 1: cauchy_binet_by_minors(x, a, y)}
+    x, a = _matrix_from(sc["x"], 2 * n, nn), _skew_from(sc["a"], nn)
+    product = matmul(matmul(x, a.to_matrix()), x.transpose())
+    congruence = SkewMatrix.from_upper_function(2 * n, product.at)
+    return {0: minor_sum_by_matchings(x, a), 1: pf_matchings(congruence)}
 
 
 _SIDE_PARAMS = {
-    "hyper_v": st.fixed_dictionaries({"n": st.sampled_from([2, 4])}),
+    "hyper_v": st.fixed_dictionaries({"n": st.sampled_from([2, 4, 6])}),
     "hyper_u": st.fixed_dictionaries({"n": st.sampled_from([2, 4])}),
     "special_hyppf": st.fixed_dictionaries({"n": st.just(2), "r": st.sampled_from([1, 2, 3])}),
     "cauchy_binet": st.integers(1, 2).flatmap(
@@ -447,9 +454,9 @@ def test_integer_route_side_matches_fraction_oracle(name, data):
         for prefix, count in spec.vectors(params)
     }
     ((lhs, rhs),) = spec.sides(params, sc, True)
-    side, want = _oracle_side(name, params, sc)
-    got = (lhs, rhs)[side]
-    assert got == want and type(got) is Fraction
+    for side, want in _oracle_side(name, params, sc).items():
+        got = (lhs, rhs)[side]
+        assert got == want and type(got) is Fraction
     assert lhs == rhs
 
 

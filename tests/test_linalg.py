@@ -40,6 +40,7 @@ from detpf.poly import VariableTable, random_rational
 
 from oracles import (
     det_leibniz,
+    matmul,
     ordered_block_partitions,
     pf_matchings,
     random_matrix,
@@ -67,6 +68,60 @@ def test_det_matches_leibniz_oracle():
     for _ in range(200):
         m = random_matrix(rng, 5, 5, _draw)
         assert det(m) == det_leibniz(m)
+
+
+_ENTRIES = (
+    st.integers(-5, 5)
+    | st.integers(-(2**70), 2**70)
+    | st.builds(
+        Fraction,
+        st.integers(-(2**70), 2**70),
+        st.integers(1, 9) | st.integers(2**64 + 1, 2**70),
+    )
+)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_rational_product_matches_triple_loop(data):
+    rows, inner, cols = data.draw(st.tuples(*[st.integers(0, 4)] * 3))
+
+    def matrix(r, c):
+        return RingMatrix(r, c, data.draw(st.lists(_ENTRIES, min_size=r * c, max_size=r * c)))
+
+    x, y = matrix(rows, inner), matrix(inner, cols)
+    if rows and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, rows - 1))
+        x.data[i * inner : (i + 1) * inner] = [0] * inner
+    if cols and data.draw(st.booleans()):
+        y.data[data.draw(st.integers(0, cols - 1)) :: cols] = [0] * inner
+    got = x.mul(y)
+    assert (got.rows, got.cols) == (rows, cols)
+    assert got.data == matmul(x, y).data
+    assert all(type(v) is Fraction for v in got.data)
+
+
+def test_rational_product_edge_shapes():
+    empty_inner = RingMatrix(2, 0, []).mul(RingMatrix(0, 3, []))
+    assert (empty_inner.rows, empty_inner.cols) == (2, 3)
+    assert empty_inner.data == [0] * 6 and all(type(v) is Fraction for v in empty_inner.data)
+    big = 2**64 + 13
+    x = RingMatrix(2, 2, [big, Fraction(1, big), 0, 0])
+    y = RingMatrix(2, 1, [Fraction(3, 2), big])
+    assert x.mul(y).data == [Fraction(3 * big, 2) + 1, 0]
+
+
+def test_polynomial_product_keeps_the_ring_loop():
+    table = VariableTable()
+    table.add_vector("t", 6)
+    t = table.gens()
+    x = RingMatrix(2, 3, [t[0], Fraction(1, 2), 3, t[1] * t[2], 0, t[3] - 1])
+    y = RingMatrix(3, 2, [Fraction(2, 3), t[4], t[5], 1, -t[0], Fraction(5)])
+    got = x.mul(y)
+    assert got.data == matmul(x, y).data
+    assert got.at(0, 0) == t[0] * Fraction(2, 3) + Fraction(1, 2) * t[5] - 3 * t[0]
+    rational_left = RingMatrix(1, 2, [Fraction(1, 2), 3]).mul(RingMatrix(2, 1, t[:2]))
+    assert rational_left.data == [Fraction(1, 2) * t[0] + 3 * t[1]]
 
 
 def test_det_polynomial_cofactor_matches_bareiss():
@@ -337,8 +392,7 @@ def test_congruence_product_is_skew():
     x = random_matrix(rng, 4, 7, _draw)
     a = random_skew(rng, 7, _draw)
     s = congruence_product(x, a)
-    dense_a = a.to_matrix()
-    direct = x.mul(dense_a).mul(x.transpose())
+    direct = matmul(matmul(x, a.to_matrix()), x.transpose())
     for i in range(4):
         for j in range(4):
             assert s.entry(i, j) == direct.at(i, j)
