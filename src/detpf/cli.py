@@ -190,7 +190,13 @@ def _cmd_pf(args, out):
             raise ValueError(f"dim must be a nonnegative integer, got {dim!r}")
         upper = {}
         for i, j, entry in payload["upper"]:
-            upper[(int(i), int(j))] = Fraction(entry)
+            if type(i) is not int or type(j) is not int:
+                raise ValueError(f"indices must be integers, got {[i, j]!r}")
+            if type(entry) not in (int, str):
+                raise ValueError(f"entry must be an integer or a string p/q, got {entry!r}")
+            if (i, j) in upper:
+                raise ValueError(f"entry ({i},{j}) listed twice")
+            upper[(i, j)] = Fraction(entry)
         matrix = SkewMatrix(dim, upper)
     except (KeyError, TypeError, ValueError, ZeroDivisionError, IndexBoundsError) as exc:
         raise ConfigError(f"bad skew-matrix JSON: {exc}") from None

@@ -53,7 +53,6 @@ from .linalg import (
     pfaffian_with_denominators,
     sub_pfaffian,
     sub_pfaffians,
-    _clear_rows,
 )
 from .lr import b_principal, lr_bruteforce
 from .symfunc import Partition, index_set, partitions_in_box, schur_jacobi_trudi
@@ -268,7 +267,7 @@ class _Family:
         sizes = self.sizes(p, 1)
         int_rows, scales = [], []
         for point in points + _points(tail):
-            (int_row,), scale = clear_rows([row(*sizes, *point)])
+            (int_row,), (scale,) = clear_rows([row(*sizes, *point)])
             int_rows.append(int_row)
             scales.append(scale)
         m = len(points)
@@ -1109,7 +1108,7 @@ def _cauchy_binet_sides(p, sc, numeric):
     # X and Y cleared row by row, A by the lcm of all its entries
     xi, sx = clear_rows(x.row_list(i) for i in rows)
     yi, sy = clear_rows(y.row_list(i) for i in rows)
-    (flat,), la = clear_rows([a.data])
+    (flat,), (la,) = clear_rows([a.data])
     ai = [flat[i * nn : (i + 1) * nn] for i in range(nn)]
     live = [(j_set, dy) for j_set, dy in zip(col_sets, minors_int(yi, col_sets)) if dy]
     j_sets = [j_set for j_set, _ in live]
@@ -1118,7 +1117,7 @@ def _cauchy_binet_sides(p, sc, numeric):
         if dx:
             das = minors_int([ai[i] for i in i_set], j_sets)
             rhs += dx * sum(da * dy for da, (_, dy) in zip(das, live))
-    return [(lhs, Fraction(rhs, la**n * sx * sy))]
+    return [(lhs, Fraction(rhs, la**n * prod(sx) * prod(sy)))]
 
 
 _register(
@@ -1259,8 +1258,8 @@ def _plucker_sides(p, sc, numeric):
     def dcols(i, j):
         return det(mat.minor(rows, tuple(sorted((i - 1, j - 1))) + tail))
 
-    lhs = dcols(1, 2) * dcols(3, 4) - dcols(1, 3) * dcols(2, 4) + dcols(1, 4) * dcols(2, 3)
-    return [(lhs, Fraction(0))]
+    rhs = dcols(1, 3) * dcols(2, 4) - dcols(1, 4) * dcols(2, 3)
+    return [(dcols(1, 2) * dcols(3, 4), rhs)]
 
 
 _register(
@@ -1282,14 +1281,14 @@ def _plucker_vw_sides(p, sc, numeric):
 
     def quad(f):
         return (
-            f(x[0], x[1], a[0], a[1]) * f(y[0], y[1], b[0], b[1])
-            - f(x[0], y[0], a[0], b[0]) * f(x[1], y[1], a[1], b[1])
-            + f(x[0], y[1], a[0], b[1]) * f(x[1], y[0], a[1], b[0])
+            f(x[0], x[1], a[0], a[1]) * f(y[0], y[1], b[0], b[1]),
+            f(x[0], y[0], a[0], b[0]) * f(x[1], y[1], a[1], b[1])
+            - f(x[0], y[1], a[0], b[1]) * f(x[1], y[0], a[1], b[0]),
         )
 
     f_v = lambda u1, u2, s1, s2: _dv(pp + 1, qq + 1, [u1, u2] + z, [s1, s2] + c)
     f_w = lambda u1, u2, s1, s2: _dw(pp + 2, [u1, u2] + w, [s1, s2] + d)
-    return [(quad(f_v), Fraction(0)), (quad(f_w), Fraction(0))]
+    return [quad(f_v), quad(f_w)]
 
 
 _register(
@@ -1349,7 +1348,7 @@ def _vandermonde_hyperpfaffian(n, x, y, a, b, numeric):
         return hyperpfaffian(AlternatingTensor.from_function(n, m, entry))
     # x, y, a, b = X / lx, Y / ly, A / la, B / lb with int X, Y, A, B: each entry is
     # an int over (la lb)^n (lx ly)^C(n,2), and the hyperpfaffian has degree m / n
-    (xi, yi, ai, bi), (lx, ly, la, lb) = _clear_rows([x, y, a, b])
+    (xi, yi, ai, bi), (lx, ly, la, lb) = clear_rows([x, y, a, b])
     walk = [((), 1, lb**n, la**n)]  # (prefix, its cross product, prod A lb^n, prod B la^n)
     for depth in range(n):
         prefixes, walk = walk, []
@@ -1537,12 +1536,12 @@ def _minor_sum_sides(p, sc, numeric):
         return [(lhs, rhs)]
     # A scaled by the lcm of its entries, so every sub-Pfaffian on 2n indices
     # is an int times la^n; X cleared row by row; one memo for all index sets
-    (upper,), la = clear_rows([sc["a"]])
+    (upper,), (la,) = clear_rows([sc["a"]])
     ai = _skew_from(upper, nn)
     xi, sx = clear_rows(x.row_list(i) for i in rows)
     pfs = {idx: pf for idx, pf in sub_pfaffians(ai, combinations(range(nn), 2 * n)).items() if pf}
     lhs = sum(pf * d for pf, d in zip(pfs.values(), minors_int(xi, list(pfs))))
-    return [(Fraction(lhs, la**n * sx), rhs)]
+    return [(Fraction(lhs, la**n * prod(sx)), rhs)]
 
 
 _register(

@@ -11,15 +11,15 @@ common column prefixes.  A rational matrix product clears the rows of its
 left factor and the columns of its right one, takes every dot product on
 ints and divides each entry once by its row and column scales.
 Determinants of polynomial matrices use cofactor expansion with memoized
-minors up to dimension 12 and Bareiss elimination, dividing exactly in
-the polynomial ring, beyond.  Pfaffians use division-free first-row
-expansion with memoization on index subsets up to dimension 6; rational
-matrices beyond that scale row and column i by the lcm of row i's
-denominators and run fraction-free skew elimination on plain ints, whose
-entries are sub-Pfaffians.  A skew matrix with a zero row is 0 before
-either route runs.  Hyperpfaffians sum over unordered set partitions, each
-enumerated once with its sign carried down the recursion and its last
-block read off directly.
+minors up to dimension 12 and, beyond, the Bareiss elimination of
+`minors_int` on polynomial rows.  Every rational Pfaffian scales row and
+column i by the lcm of row i's denominators and runs fraction-free skew
+elimination on plain ints, whose entries are sub-Pfaffians; polynomial
+Pfaffians use division-free expansion along the smallest index, memoized
+on index subsets.  A skew matrix with a zero row is 0 before either route
+runs.  Hyperpfaffians sum over unordered set partitions, each enumerated
+once with its sign carried down the recursion and its last block read off
+directly.
 """
 
 from fractions import Fraction
@@ -30,7 +30,6 @@ from operator import mul as _times
 from .poly import Polynomial
 
 DET_COFACTOR_MAX_DIM = 12
-PF_EXPANSION_MAX_DIM = 6
 HYPERPFAFFIAN_DIM_CAP = 12
 
 
@@ -62,10 +61,6 @@ class EnumerationCapError(ValueError):
     """The hyperpfaffian enumeration cap (dimension 12) was exceeded."""
 
 
-def _is_zero(x):
-    return not x
-
-
 def _check_index_set(idx, bound):
     idx = tuple(idx)
     for k, i in enumerate(idx):
@@ -94,11 +89,6 @@ class RingMatrix:
         self.rows = rows
         self.cols = cols
         self.data = data
-
-    @classmethod
-    def identity(cls, n):
-        data = [Fraction(1) if i == j else Fraction(0) for i in range(n) for j in range(n)]
-        return cls(n, n, data)
 
     def at(self, i, j):
         return self.data[i * self.cols + j]
@@ -133,8 +123,8 @@ class RingMatrix:
         if self.cols != other.rows:
             raise DimensionMismatchError("inner dimensions differ")
         if _all_rational(self.data) and _all_rational(other.data):
-            left, row_scales = _clear_rows(self.row_list(i) for i in range(self.rows))
-            right, col_scales = _clear_rows(other.data[j :: other.cols] for j in range(other.cols))
+            left, row_scales = clear_rows(self.row_list(i) for i in range(self.rows))
+            right, col_scales = clear_rows(other.data[j :: other.cols] for j in range(other.cols))
             out = [
                 Fraction(sum(map(_times, row, col)), rs * cs)
                 for row, rs in zip(left, row_scales)
@@ -170,7 +160,7 @@ class SkewMatrix:
             for (i, j), value in upper.items():
                 if not (0 <= i < j < dim):
                     raise IndexBoundsError(f"upper-triangle key ({i},{j}) invalid")
-                if not _is_zero(value):
+                if value:
                     store[(i, j)] = value
         self.upper = store
 
@@ -228,7 +218,7 @@ class AlternatingTensor:
                 idx = _check_index_set(idx, dim)
                 if len(idx) != order:
                     raise DimensionMismatchError("tensor key of wrong order")
-                if not _is_zero(value):
+                if value:
                     store[idx] = value
         self.values = store
 
@@ -237,99 +227,34 @@ class AlternatingTensor:
         """The tensor with value(idx) at each sorted idx; `combinations` keys need no check."""
         tensor = cls(order, dim)
         values = ((idx, value(idx)) for idx in combinations(range(dim), order))
-        tensor.values = {idx: v for idx, v in values if not _is_zero(v)}
+        tensor.values = {idx: v for idx, v in values if v}
         return tensor
 
     def value(self, sorted_idx):
         return self.values.get(tuple(sorted_idx), Fraction(0))
 
-    def component(self, idx):
-        """Sign-extended component at an arbitrary index tuple."""
-        idx = tuple(idx)
-        if len(set(idx)) != len(idx):
-            return Fraction(0)
-        order = tuple(sorted(idx))
-        value = self.value(order)
-        if _is_zero(value):
-            return value
-        return value if permutation_sign(idx) * permutation_sign(order) == 1 else -value
-
     def __repr__(self):
         return f"AlternatingTensor(order={self.order}, dim={self.dim})"
 
 
-def permutation_sign(seq):
-    """Sign of the permutation given as a sequence of distinct comparables."""
-    inversions = 0
-    seq = list(seq)
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                inversions += 1
-    return -1 if inversions % 2 else 1
-
-
-def _exact_div(num, den):
-    if isinstance(den, (int, Fraction)):
-        if isinstance(num, (int, Fraction)):
-            return Fraction(num) / Fraction(den)
-        return num * (Fraction(1) / Fraction(den))
-    if not isinstance(num, Polynomial):
-        num = Polynomial.const(den.table, num)
-    return num.exact_div(den)
-
-
-def _bareiss(a):
-    """Determinant of the square row list `a` of polynomials by fraction-free Bareiss elimination.
-
-    Pivots by row swaps and overwrites `a`.  Every division is exact in
-    the polynomial ring.
-    """
-    n = len(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if _is_zero(a[k][k]):
-            for i in range(k + 1, n):
-                if not _is_zero(a[i][k]):
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot_row = a[k]
-        pivot = pivot_row[k]
-        for i in range(k + 1, n):
-            row = a[i]
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = _exact_div(row[j] * pivot - lead * pivot_row[j], prev)
-        prev = pivot
-    result = a[n - 1][n - 1]
-    return -result if sign < 0 else result
-
-
 def clear_rows(rows):
-    """Rows of ints/Fractions as int rows, and the product of the row scales.
+    """Rows of ints/Fractions as int rows, and the list of row scales.
 
     Row i is multiplied by the lcm of its denominators, which makes it
     integral; a minor on all the rows, any columns, is the rational minor
-    times the returned scale.  A family of minors of one rational table is
-    cleared once and then taken over the integers.
+    times the product of the scales.  A family of minors of one rational
+    table is cleared once and then taken over the integers.
     """
-    out, scales = _clear_rows(rows)
-    return out, prod(scales)
-
-
-def _clear_rows(rows):
-    """Rows of ints/Fractions as int rows, and the list of row scales."""
     rows = list(rows)
     scales = [lcm(*[v.denominator for v in row]) for row in rows]
     return [[v.numerator * (s // v.denominator) for v in row] for row, s in zip(rows, scales)], scales
 
 
 def minors_int(rows, col_lists):
-    """The determinant of the int rows `rows` on each column list in `col_lists`.
+    """The determinant of the rows `rows` on each column list in `col_lists`.
+
+    The rows hold ints or Polynomials; every quotient the elimination
+    takes is exact, so `//` divides exactly on both.
 
     Fraction-free Bareiss elimination shared along common column prefixes.
     After k steps, entry (i, j) of a remaining row is the minor on the k
@@ -394,14 +319,24 @@ def _minors_step(a, where, k, sign, prev, group, out):
 
 def _det_rational(m):
     """Determinant of an int/Fraction matrix as a Fraction, by integer Bareiss on cleared rows."""
-    rows, scale = clear_rows(m.row_list(i) for i in range(m.rows))
+    rows, scales = clear_rows(m.row_list(i) for i in range(m.rows))
     (value,) = minors_int(rows, [range(m.cols)])
-    return Fraction(value, scale)
+    return Fraction(value, prod(scales))
 
 
 def _det_bareiss(m):
-    """Determinant of a polynomial matrix by Bareiss elimination."""
-    return _bareiss([m.row_list(i) for i in range(m.rows)])
+    """Determinant of a polynomial matrix by the Bareiss elimination of `minors_int`.
+
+    Rational entries are lifted to constant polynomials first, since `//`
+    floors on Fractions but divides exactly on Polynomials.
+    """
+    table = next(v.table for v in m.data if isinstance(v, Polynomial))
+    rows = [
+        [v if isinstance(v, Polynomial) else Polynomial.const(table, v) for v in m.row_list(i)]
+        for i in range(m.rows)
+    ]
+    (value,) = minors_int(rows, [range(m.cols)])
+    return value
 
 
 def _det_cofactor(m):
@@ -423,7 +358,7 @@ def _det_minor(m, cols, memo):
     acc = None
     for t, j in enumerate(cols):
         entry = m.at(i, j)
-        if _is_zero(entry):
+        if not entry:
             continue
         if t % 2:
             entry = -entry
@@ -453,29 +388,7 @@ def det(m):
 
 def _pf_expand(a):
     """Division-free Pfaffian by expansion along the smallest index, memoized on subsets."""
-    return _pf_sub(a, tuple(range(a.dim)), {(): Fraction(1)})
-
-
-def _pf_sub(a, idx, memo):
-    """Pfaffian of the principal submatrix of a on idx."""
-    cached = memo.get(idx)
-    if cached is not None:
-        return cached
-    first = idx[0]
-    rest = idx[1:]
-    acc = None
-    for t, j in enumerate(rest):
-        entry = a.entry(first, j)
-        if _is_zero(entry):
-            continue
-        if t % 2:
-            entry = -entry
-        term = entry * _pf_sub(a, rest[:t] + rest[t + 1 :], memo)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = Fraction(0)
-    memo[idx] = acc
-    return acc
+    return _pf_cleared(a.entry, None, tuple(range(a.dim)), {(): Fraction(1)})
 
 
 def _pf_elimination(a):
@@ -529,15 +442,15 @@ def pfaffian(a):
     Odd dimensions return 0 (the empty perfect-matching sum) and dimension
     0 returns 1.  A matrix with an index that no stored entry touches has a
     zero row, so it returns 0 before any dense matrix is built.  Rational
-    matrices beyond dimension 6 take the fraction-free elimination,
-    everything else the memoized expansion.
+    matrices take the fraction-free elimination, whatever their dimension;
+    a matrix with a polynomial entry takes the memoized expansion.
     """
     n = a.dim
     if n == 0:
         return Fraction(1)
     if n % 2 or len({i for pair in a.upper for i in pair}) < n:
         return Fraction(0)
-    if n > PF_EXPANSION_MAX_DIM and _all_rational(a.upper.values()):
+    if _all_rational(a.upper.values()):
         return _pf_elimination(a)
     return _pf_expand(a)
 
@@ -562,7 +475,7 @@ def sub_pfaffians(a, index_sets):
         idx = _check_index_set(idx, a.dim)
         if len(idx) % 2:
             raise OddIndexSetError("subpfaffian needs an even index set")
-        out[idx] = _pf_sub(a, idx, memo)
+        out[idx] = _pf_cleared(a.entry, None, idx, memo)
     return out
 
 
@@ -681,7 +594,7 @@ def pfaffian_with_denominators(dim, num, den):
 
 
 def _pf_cleared(num, den, idx, memo):
-    """Pf(num/den) times the product of den over the pairs inside idx."""
+    """Pf(num/den) times the product of den over the pairs inside idx; den None is all ones."""
     cached = memo.get(idx)
     if cached is not None:
         return cached
@@ -690,16 +603,17 @@ def _pf_cleared(num, den, idx, memo):
     acc = None
     for t, j in enumerate(rest):
         entry = num(first, j)
-        if _is_zero(entry):
+        if not entry:
             continue
-        # pairs inside idx that touch `first` or `j`, except (first, j) itself;
-        # the small factors go onto the entry before the sub-Pfaffian
-        for u in rest:
-            if u != j:
-                entry = entry * den(first, u)
-        for u in rest:
-            if u != j:
-                entry = entry * den(min(u, j), max(u, j))
+        if den is not None:
+            # pairs inside idx that touch `first` or `j`, except (first, j) itself;
+            # the small factors go onto the entry before the sub-Pfaffian
+            for u in rest:
+                if u != j:
+                    entry = entry * den(first, u)
+            for u in rest:
+                if u != j:
+                    entry = entry * den(min(u, j), max(u, j))
         if t % 2:
             entry = -entry
         term = entry * _pf_cleared(num, den, rest[:t] + rest[t + 1 :], memo)

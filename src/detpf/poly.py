@@ -366,6 +366,9 @@ class Polynomial:
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
 
+    def __floordiv__(self, other):
+        return self.exact_div(other)
+
     def __eq__(self, other):
         if isinstance(other, Polynomial):
             if other.table is not self.table:

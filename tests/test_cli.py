@@ -147,6 +147,8 @@ def test_pf_from_json(tmp_path):
     )
     code, text = run_cli("pf", "--matrix", str(path))
     assert code == 0 and text.strip() == "2/3"
+    path.write_text(json.dumps({"dim": 4, "upper": [[0, 1, 2], [2, 3, "1/3"], [0, 3, 0]]}))
+    assert run_cli("pf", "--matrix", str(path)) == (0, "2/3\n")
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dim": 2}))
     assert run_cli("pf", "--matrix", str(bad))[0] == 1
@@ -232,6 +234,14 @@ USAGE_ERRORS = {
     "pf_dim_fractional": (["pf", "--matrix", "{file}"], '{"dim": 3.5, "upper": []}'),
     "pf_zero_denominator": (["pf", "--matrix", "{file}"], '{"dim": 4, "upper": [[0, 1, "1/0"]]}'),
     "pf_lower_key": (["pf", "--matrix", "{file}"], '{"dim": 4, "upper": [[1, 0, "1"]]}'),
+    "pf_index_fractional": (["pf", "--matrix", "{file}"], '{"dim": 4, "upper": [[0, 1.7, "1/2"]]}'),
+    "pf_entry_float": (["pf", "--matrix", "{file}"], '{"dim": 2, "upper": [[0, 1, 0.1]]}'),
+    "pf_entry_true": (["pf", "--matrix", "{file}"], '{"dim": 2, "upper": [[0, 1, true]]}'),
+    "pf_index_true": (["pf", "--matrix", "{file}"], '{"dim": 2, "upper": [[0, true, "1"]]}'),
+    "pf_key_repeated": (
+        ["pf", "--matrix", "{file}"],
+        '{"dim": 2, "upper": [[0, 1, "1"], [0, 1, "2"]]}',
+    ),
     "lr_bad_part": (["lr", "--lambda", "[1,x]", "--mu", "[1]", "--nu", "[1]"], ""),
     "campaign_config_dir": (["campaign", "--config", "{file}"], None),
     "campaign_config_not_utf8": (["campaign", "--config", "{file}"], b"\xff\xfe"),

@@ -174,7 +174,7 @@ BAND_MINOR_IDENTITIES = ("minor_Dr", "minor_BC")
 # identities with sides of their own, each with a pair whose right side is not 0
 OWN_SIDES_IDENTITIES = (
     "rel_v1", "rel_v2", "det_dodgson", "pf_dodgson", "pf_det", "rel_uv1", "rel_uv2",
-    "rel_uw1", "rel_uw2", "littlewood", "compo", "pf_schur3",
+    "rel_uw1", "rel_uw2", "littlewood", "compo", "pf_schur3", "plucker", "plucker_vw",
 )
 
 

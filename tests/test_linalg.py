@@ -30,16 +30,17 @@ from detpf.linalg import (
     minors_int,
     pfaffian,
     pfaffian_with_denominators,
-    permutation_sign,
     sub_pfaffian,
+    _det_bareiss,
     _det_cofactor,
     _pf_elimination,
     _pf_expand,
 )
-from detpf.poly import VariableTable, random_rational
+from detpf.poly import Polynomial, VariableTable, random_rational
 
 from oracles import (
     det_leibniz,
+    inversion_sign,
     matmul,
     ordered_block_partitions,
     pf_matchings,
@@ -52,9 +53,13 @@ def _draw(rng):
     return random_rational(rng, 20)
 
 
+def _identity(n):
+    return RingMatrix(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+
+
 def test_det_identity():
     for n in (1, 3, 6):
-        assert det(RingMatrix.identity(n)) == 1
+        assert det(_identity(n)) == 1
     assert det(RingMatrix(0, 0, [])) == 1
 
 
@@ -129,9 +134,45 @@ def test_det_polynomial_cofactor_matches_bareiss():
     table.add_vector("t", 9)
     gens = table.gens()
     m = RingMatrix(3, 3, gens)
-    from detpf.linalg import _det_bareiss, _det_cofactor
-
     assert _det_cofactor(m) == _det_bareiss(m) == det_leibniz(m)
+
+
+def test_polynomial_bareiss_divides_exactly_on_rational_constants():
+    # `//` floors on Fractions, so a constant block that Bareiss pivots on
+    # must be lifted to polynomials before the elimination divides by it
+    table = VariableTable()
+    table.add_vector("t", 4)
+    t = table.gens()
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    block = RingMatrix(4, 4, [
+        half, third, t[0], 1,
+        third, half, Fraction(2, 7), t[1],
+        t[2], 3, t[3] * t[0] - half, Fraction(-5, 3),
+        1, t[3], third * t[1], t[2] + 1,
+    ])
+    assert _det_bareiss(block) == det_leibniz(block) == _det_cofactor(block)
+
+    def entry(r):
+        return _draw(r) + r.choice(t) if r.random() < 0.4 else _draw(r)
+
+    rng = random.Random(20)
+    for n in (2, 3, 4, 5):
+        m = random_matrix(rng, n, n, entry)
+        m.data[-1] = m.data[-1] + t[3]  # at least one polynomial entry
+        assert _det_bareiss(m) == det_leibniz(m)
+
+
+def test_minors_int_on_polynomial_rows_matches_cofactor():
+    table = VariableTable()
+    table.add_vector("t", 3)
+    t = table.gens()
+    rng = random.Random(21)
+    entries = [t[0], t[1] - t[2], t[0] * t[2] + 1, Fraction(3, 4) * t[1], t[2] ** 2]
+    rows = [[rng.choice(entries) + rng.randint(-2, 2) for _ in range(6)] for _ in range(3)]
+    rows[0][0] = Polynomial.zero(table)  # the shared first step swaps rows
+    lists = [(0, 1, 2), (0, 1, 5), (0, 4, 3), (2, 1, 0), (2, 1, 4), (5, 3, 3)]
+    want = [_det_cofactor(RingMatrix(3, 3, [r[c] for r in rows for c in cols])) for cols in lists]
+    assert minors_int(rows, lists) == want
 
 
 def test_pfaffian_small():
@@ -313,6 +354,24 @@ def test_integer_pf_elimination_matches_expansion_and_matchings(kind, data):
     assert pf == _pf_expand(a) == pf_matchings(a)
 
 
+def test_pfaffian_takes_one_route_per_ring(monkeypatch):
+    def refuse(a):
+        raise AssertionError("a Pfaffian reached the other ring's route")
+
+    rng = random.Random(22)
+    rational = [random_skew(rng, dim, _draw) for dim in (2, 4, 6)]
+    expected = [pf_matchings(a) for a in rational]
+    with monkeypatch.context() as patch:
+        patch.setattr(detpf.linalg, "_pf_expand", refuse)
+        assert [pfaffian(a) for a in rational] == expected
+    table = VariableTable()
+    table.add_vector("t", 15)
+    t = table.gens()
+    symbolic = [SkewMatrix.from_upper_function(dim, lambda i, j: t[i + j] + i) for dim in (2, 4, 6)]
+    monkeypatch.setattr(detpf.linalg, "_pf_elimination", refuse)
+    assert [pfaffian(a) for a in symbolic] == [pf_matchings(a) for a in symbolic]
+
+
 def test_pfaffian_of_a_zero_row_builds_no_matrix(monkeypatch):
     def refuse(a):
         raise AssertionError("a matrix with a zero row reached a Pfaffian route")
@@ -378,13 +437,13 @@ def test_minor_summation_formula():
 def test_congruence_identity_and_degenerate():
     rng = random.Random(6)
     a = random_skew(rng, 5, _draw)
-    assert congruence_pfaffian(RingMatrix.identity(5), a) == pfaffian(a)
+    assert congruence_pfaffian(_identity(5), a) == pfaffian(a)
     x = random_matrix(rng, 4, 7, _draw)
     zero_row = RingMatrix(4, 7, [Fraction(0)] * 7 + x.data[7:])
     b = random_skew(rng, 7, _draw)
     assert congruence_pfaffian(zero_row, b) == 0
     with pytest.raises(DimensionMismatchError):
-        congruence_pfaffian(RingMatrix.identity(3), b)
+        congruence_pfaffian(_identity(3), b)
 
 
 def test_congruence_product_is_skew():
@@ -418,7 +477,7 @@ def test_block_permutation_census():
         (1, 3, 0, 2),
         (1, 2, 0, 3),
     }
-    assert all(sign == permutation_sign(perm) for perm, sign in census)
+    assert all(sign == inversion_sign(perm) for perm, sign in census)
     assert len(_block_census(6, 2)) == factorial(6) // 2**3
 
 
@@ -495,14 +554,6 @@ def test_composition_factor():
         a = random_skew(rng, n * r, _draw)
         factor = Fraction(factorial(m * r), factorial(m) ** r * factorial(r))
         assert hyperpfaffian(blocked_tensor(a, n)) == factor * pfaffian(a)
-
-
-def test_alternating_tensor_component_signs():
-    t = AlternatingTensor(2, 3, {(0, 1): Fraction(5), (1, 2): Fraction(7)})
-    assert t.component((1, 0)) == -5
-    assert t.component((0, 1)) == 5
-    assert t.component((1, 1)) == 0
-    assert t.component((2, 1)) == -7
 
 
 def test_det_with_denominators_matches_division():
