@@ -10,6 +10,7 @@ that ran out of memory),
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -192,7 +193,7 @@ def _cmd_pf(args, out):
         for i, j, entry in payload["upper"]:
             if type(i) is not int or type(j) is not int:
                 raise ValueError(f"indices must be integers, got {[i, j]!r}")
-            if type(entry) not in (int, str):
+            if type(entry) is not int and not re.fullmatch("-?[0-9]+(/[0-9]+)?", str(entry)):
                 raise ValueError(f"entry must be an integer or a string p/q, got {entry!r}")
             if (i, j) in upper:
                 raise ValueError(f"entry ({i},{j}) listed twice")

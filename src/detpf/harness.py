@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 
 from .identities import InvalidParamsError, UnknownIdentityError, get_spec, registry
+from .identities import ZeroDenominatorError
 from .poly import Polynomial, VariableTable, random_rational
 
 
@@ -128,22 +129,20 @@ def _run_numeric_trial(spec, name, params, seed, bound, trial, reject_limit):
     vspec = spec.vectors(params)
     rejects = 0
     while True:
-        sc = {}
-        named = {}
-        for prefix, count in vspec:
-            values = [random_rational(rng, bound) for _ in range(count)]
-            sc[prefix] = values
-            for i, v in enumerate(values):
-                named[f"{prefix}{i + 1}"] = v
+        sc = {prefix: [random_rational(rng, bound) for _ in range(size)] for prefix, size in vspec}
         if all(g != 0 for g in spec.guard_values(params, sc)):
-            break
+            try:
+                pairs = spec.sides(params, sc, True)
+                break
+            except ZeroDenominatorError:  # a denominator of the sides vanishes: redraw
+                pass
         rejects += 1
         if rejects >= reject_limit:
             raise GuardExhaustionError(
                 f"{name}: {rejects} consecutive draws hit a guard (trial {trial})"
             )
-    assignment = {k: str(v) for k, v in named.items()}
-    return _failures(spec.sides(params, sc, True), trial, assignment)
+    assignment = {f"{prefix}{i + 1}": str(v) for prefix, vs in sc.items() for i, v in enumerate(vs)}
+    return _failures(pairs, trial, assignment)
 
 
 def _check_run(mode, trials, bound):

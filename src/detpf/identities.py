@@ -6,14 +6,15 @@ dimension (which caps symbolic mode) and a builder that produces (lhs, rhs)
 pairs from a map prefix -> list of scalars.  The same builder runs in two
 modes: symbolic (scalars are polynomial generators, sides are
 denominator-cleared polynomials) and numeric (scalars are random rationals,
-sides are evaluated in raw fractional form where the statement has
-denominators).
+sides are exact rationals whose matrices are cleared to ints once, from the
+numerators and denominators of the point's coordinates or of each entry).
 
 Most of the paper's identities share one shape: det or Pf of num/den equals
 a core over the product of the denominators, generalizing Cauchy's
 det(1/(x_i+y_j)) and Schur's Pf((x_j-x_i)/(x_j+x_i)).  Those are declared
 by `_register_quotient` from (den, num, core) alone; it derives both modes'
-sides and takes the denominators as the guards.  Twenty-two identities are
+sides, and its numeric sides reject a draw with a zero denominator by
+raising `ZeroDenominatorError`.  Twenty-two identities are
 declared that way, three of them (det_schur, pf_schur, pf_schur2) with unit
 denominators.  Sixteen are instances of the paper's two theorems, each
 stated once for any structured determinant family f (two-block V,
@@ -46,10 +47,12 @@ from .linalg import (
     clear_rows,
     congruence_pfaffian,
     det,
+    det_of_ratios,
     det_with_denominators,
     hyperpfaffian,
     minors_int,
     pfaffian,
+    pfaffian_of_ratios,
     pfaffian_with_denominators,
     sub_pfaffian,
     sub_pfaffians,
@@ -62,10 +65,10 @@ from .vandermonde import (
     build_V,
     build_W,
     fgh_sum,
+    int_row_U,
+    int_row_V,
+    int_row_W,
     partition_family,
-    row_U,
-    row_V,
-    row_W,
 )
 
 
@@ -75,6 +78,10 @@ class InvalidParamsError(ValueError):
 
 class UnknownIdentityError(KeyError):
     """No identity registered under the requested name."""
+
+
+class ZeroDenominatorError(ZeroDivisionError):
+    """A numeric side met a zero denominator: the draw is on the singular locus."""
 
 
 def _check_nonneg(params, positive=("n",)):
@@ -124,11 +131,12 @@ def _register_quotient(kind, dim, den, parts, **fields):
     dimension, `den(params, sc, i, j)` one denominator, and `parts(params,
     sc)` returns `(num, core)` with `num(i, j)` the matching numerator.
 
-    Numeric mode compares the raw fractional det/Pf with core over the
-    product of the denominators; symbolic mode compares the
-    denominator-cleared det/Pf with core.  The guards are the denominators:
-    over Q a product is nonzero exactly when each of its factors is.
-    `main_dim` defaults to `dim`.
+    Numeric mode compares det/Pf(num/den) with core over the product of the
+    denominators, each evaluated once: a zero one raises `ZeroDenominatorError`
+    before any entry is built.  Each entry is the int pair (num.numerator
+    den.denominator, num.denominator den.numerator) for `det_of_ratios` or
+    `pfaffian_of_ratios`.  Symbolic mode compares the denominator-cleared
+    det/Pf with core.  `main_dim` defaults to `dim`.
     """
 
     def pairs(n):
@@ -138,7 +146,6 @@ def _register_quotient(kind, dim, den, parts, **fields):
 
     def sides(p, sc, numeric):
         n = dim(p)
-        num, core = parts(p, sc)
 
         def d(i, j):
             return den(p, sc, i, j)
@@ -146,12 +153,19 @@ def _register_quotient(kind, dim, den, parts, **fields):
         if numeric:
             ij = pairs(n)
             dens = [d(i, j) for i, j in ij]
-            ratios = [num(i, j) / dv for (i, j), dv in zip(ij, dens)]
+            if not all(dens):
+                raise ZeroDenominatorError(f"{fields['name']}: a denominator vanishes")
+            num, core = parts(p, sc)
+            ratios = [
+                (a.numerator * b.denominator, a.denominator * b.numerator)
+                for a, b in zip((num(i, j) for i, j in ij), dens)
+            ]
             if kind == "det":
-                lhs = det(RingMatrix(n, n, ratios))
+                lhs = det_of_ratios([ratios[i * n : (i + 1) * n] for i in range(n)])
             else:
-                lhs = pfaffian(SkewMatrix(n, dict(zip(ij, ratios))))
+                lhs = pfaffian_of_ratios(n, dict(zip(ij, ratios)))
             return [(lhs, core / _prod(dens))]
+        num, core = parts(p, sc)
         if kind == "det":
             nmat = RingMatrix(n, n, [num(i, j) for i, j in pairs(n)])
             lhs = det_with_denominators(nmat, RingMatrix(n, n, [d(i, j) for i, j in pairs(n)]))
@@ -161,7 +175,6 @@ def _register_quotient(kind, dim, den, parts, **fields):
 
     fields.setdefault("main_dim", dim)
     fields["sides"] = sides
-    fields["guards"] = lambda p, sc: [den(p, sc, i, j) for i, j in pairs(dim(p))]
     return _register(**fields)
 
 
@@ -214,16 +227,25 @@ def _pow(x, k):
     return Fraction(1) if k == 0 else x**k
 
 
+def _point_det(build, int_row, sizes, vecs):
+    """det(build(*sizes, *vecs)); at rational points, det of the `int_row`s over their scales."""
+    if not all(isinstance(v, (int, Fraction)) for v in chain(*vecs)):
+        return det(build(*sizes, *map(list, vecs)))
+    rows = [int_row(*sizes, *point) for point in zip(*vecs)]
+    (value,) = minors_int([row for row, _ in rows], [range(sum(sizes))])
+    return Fraction(value, prod(scale for _, scale in rows))
+
+
 def _dv(p, q, xs, as_):
-    return det(build_V(p, q, list(xs), list(as_)))
+    return _point_det(build_V, int_row_V, (p, q), (xs, as_))
 
 
 def _dw(n, xs, as_):
-    return det(build_W(n, list(xs), list(as_)))
+    return _point_det(build_W, int_row_W, (n,), (xs, as_))
 
 
 def _du(p, q, xs, ys, as_, bs):
-    return det(build_U(p, q, list(xs), list(ys), list(as_), list(bs)))
+    return _point_det(build_U, int_row_U, (p, q), (xs, ys, as_, bs))
 
 
 def _F(pp, qq, xs, as_):
@@ -235,8 +257,8 @@ def _points(vectors):
     return list(zip(*vectors))
 
 
-# the determinants of one row per point, and that row
-_POINT_ROWS = {_dv: row_V, _dw: row_W, _du: row_U}
+# the determinants of one row per point, and that row at a rational point
+_POINT_ROWS = {_dv: int_row_V, _dw: int_row_W, _du: int_row_U}
 
 
 @dataclass(frozen=True)
@@ -254,10 +276,10 @@ class _Family:
 
         Each point is a tuple of coordinates, and `tail` holds one vector per
         coordinate.  When `build` is the determinant of one row per point and
-        every coordinate is rational, the rows of all points are cleared once
-        and transposed into one table, and each value is its integer minor on
-        the columns tail + [i, j] (moving the two point rows past the tail is
-        an even permutation) over the row scales.  Otherwise each value is
+        every coordinate is rational, the integer rows of all points are
+        transposed into one table, and each value is its integer minor on the
+        columns tail + [i, j] (moving the two point rows past the tail is an
+        even permutation) over the row scales.  Otherwise each value is
         f(p, 1, ...).
         """
         row = _POINT_ROWS.get(self.build)
@@ -265,11 +287,7 @@ class _Family:
             vecs = lambda i, j: [[a, b] + c for a, b, c in zip(points[i], points[j], tail)]
             return [self(p, 1, vecs(i, j)) for i, j in pairs]
         sizes = self.sizes(p, 1)
-        int_rows, scales = [], []
-        for point in points + _points(tail):
-            (int_row,), (scale,) = clear_rows([row(*sizes, *point)])
-            int_rows.append(int_row)
-            scales.append(scale)
+        int_rows, scales = zip(*[row(*sizes, *point) for point in points + _points(tail)])
         m = len(points)
         tail_cols = list(range(m, len(int_rows)))
         minors = minors_int(list(zip(*int_rows)), [tail_cols + [i, j] for i, j in pairs])
@@ -306,7 +324,7 @@ def _box(rows, cols):
 
 
 def _one(i, j):
-    return Fraction(1)
+    return 1
 
 
 def _product(*factors):

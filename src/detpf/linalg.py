@@ -317,13 +317,6 @@ def _minors_step(a, where, k, sign, prev, group, out):
         _minors_step(new, where_new, k + 1, sign if i == 0 else -sign, pivot, sub, out)
 
 
-def _det_rational(m):
-    """Determinant of an int/Fraction matrix as a Fraction, by integer Bareiss on cleared rows."""
-    rows, scales = clear_rows(m.row_list(i) for i in range(m.rows))
-    (value,) = minors_int(rows, [range(m.cols)])
-    return Fraction(value, prod(scales))
-
-
 def _det_bareiss(m):
     """Determinant of a polynomial matrix by the Bareiss elimination of `minors_int`.
 
@@ -378,7 +371,8 @@ def det(m):
     if n == 0:
         return Fraction(1)
     if _all_rational(m.data):
-        return _det_rational(m)
+        pairs = [(v.numerator, v.denominator) for v in m.data]
+        return det_of_ratios([pairs[i * n : (i + 1) * n] for i in range(n)])
     if n == 1:
         return m.at(0, 0)
     if n > DET_COFACTOR_MAX_DIM:
@@ -391,25 +385,26 @@ def _pf_expand(a):
     return _pf_cleared(a.entry, None, tuple(range(a.dim)), {(): Fraction(1)})
 
 
-def _pf_elimination(a):
-    """Pfaffian of a rational skew matrix by fraction-free skew elimination.
+def pfaffian_of_ratios(n, upper):
+    """Pf of the even-dimensional skew matrix with entries num/den, as a Fraction.
 
-    Row and column i are scaled by the lcm l_i of row i's denominators, which
-    makes every entry an int and multiplies the Pfaffian by prod(l_i).  Step
-    k pivots on the pair (k, k+1) and overwrites each entry (i, j) with
-    i, j > k+1 by the sub-Pfaffian on {0..k+1, i, j}; the division by the
-    previous pivot, itself the sub-Pfaffian on {0..k-1}, is exact (Knuth's
-    overlapping-Pfaffian identity).  The last pivot is the Pfaffian.  Only
-    the upper triangle is kept current, except when a zero pivot forces a swap.
+    `upper` maps pairs i < j to int pairs (num, den), den != 0 of either
+    sign.  Row and column i are scaled by the (positive) lcm l_i of the
+    denominators on index i, which makes every entry an int and multiplies
+    the Pfaffian by prod(l_i).  Step k pivots on the pair (k, k+1) and
+    overwrites each entry (i, j) with i, j > k+1 by the sub-Pfaffian on
+    {0..k+1, i, j}; the division by the previous pivot, itself the
+    sub-Pfaffian on {0..k-1}, is exact (Knuth's overlapping-Pfaffian
+    identity).  Only the upper triangle is kept current, except when a zero
+    pivot forces a swap.
     """
-    n = a.dim
     scales = [1] * n
-    for (i, j), v in a.upper.items():
-        scales[i] = lcm(scales[i], v.denominator)
-        scales[j] = lcm(scales[j], v.denominator)
+    for (i, j), (_, d) in upper.items():
+        scales[i] = lcm(scales[i], d)
+        scales[j] = lcm(scales[j], d)
     m = [[0] * n for _ in range(n)]
-    for (i, j), v in a.upper.items():
-        m[i][j] = v.numerator * (scales[i] // v.denominator) * scales[j]
+    for (i, j), (v, d) in upper.items():
+        m[i][j] = v * (scales[i] // d) * scales[j]
     sign = 1
     prev = 1
     for k in range(0, n, 2):
@@ -436,6 +431,17 @@ def _pf_elimination(a):
     return Fraction(sign * prev, prod(scales))
 
 
+def det_of_ratios(rows):
+    """det of the matrix whose rows hold int pairs (num, den), den != 0, as a Fraction.
+
+    Each row is scaled by the (positive) lcm of its denominators for `minors_int`.
+    """
+    scales = [lcm(*[d for _, d in row]) for row in rows]
+    cleared = [[v * (s // d) for v, d in row] for row, s in zip(rows, scales)]
+    (value,) = minors_int(cleared, [range(len(rows))])
+    return Fraction(value, prod(scales))
+
+
 def pfaffian(a):
     """Exact Pfaffian of a SkewMatrix.
 
@@ -451,7 +457,7 @@ def pfaffian(a):
     if n % 2 or len({i for pair in a.upper for i in pair}) < n:
         return Fraction(0)
     if _all_rational(a.upper.values()):
-        return _pf_elimination(a)
+        return pfaffian_of_ratios(n, {k: (v.numerator, v.denominator) for k, v in a.upper.items()})
     return _pf_expand(a)
 
 

@@ -325,6 +325,7 @@ class Polynomial:
             a, b = b, a
         out = {}
         get = out.get
+        dropped = 0
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 key = e1 + e2
@@ -337,6 +338,10 @@ class Polynomial:
                         out[key] = acc
                     else:
                         del out[key]
+                        dropped += 1
+        # a dict keeps its largest table: compact it when many keys cancelled
+        if 4 * dropped > len(out):
+            out = dict(out)
         # no slot of either factor reaches its top two bits: no sum sets a guard
         guards = _guards(len(self.table))
         if (reduce(or_, a, 0) | reduce(or_, b, 0)) & (guards | guards >> 1):

@@ -6,10 +6,13 @@ descriptions leave ambiguous.  The two-block, palindromic-row and bidegree
 matrices are built from one row per point (`row_V`, `row_W`, `row_U`), so
 a family of such matrices on shared points can take its rows from one
 point table.  All constructors are generic over ring scalars and pure.
+At a rational point `int_row_V/W/U` give that row as ints times one scale.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
+from math import prod
 
 from .linalg import RingMatrix, det, minors_int
 from .symfunc import Partition, TooLongError
@@ -52,6 +55,37 @@ def row_U(p, q, x, y, a, b):
     return [a * px[p - 1 - k] * py[k] for k in range(p)] + [
         b * px[q - 1 - k] * py[k] for k in range(q)
     ]
+
+
+def int_row_V(p, q, x, a):
+    """row_V(p, q, x, a) at a rational point as (int row, scale): row_V times den(a) den(x)^top."""
+    top = max(p, q, 1) - 1
+    nx, dx = x.numerator, x.denominator
+    pw = [nx**e * dx ** (top - e) for e in range(top + 1)]  # x^e den(x)^top
+    da, na = a.denominator, a.numerator
+    return [da * w for w in pw[:p]] + [na * w for w in pw[:q]], da * pw[0]
+
+
+def int_row_W(n, x, a):
+    """row_W(n, x, a) at a rational point as (int row, scale), from int_row_V(n, n, x, a)."""
+    row, scale = int_row_V(n, n, x, a)
+    return [row[j] + row[2 * n - 1 - j] for j in range(n)], scale
+
+
+def int_row_U(p, q, x, y, a, b):
+    """row_U at a rational point as (int row, scale): row_U times den(a) den(b) D^top.
+
+    x^(h-k) y^k = X^(h-k) Y^k / D^h with X = num(x) den(y), Y = num(y) den(x), D = den(x) den(y).
+    """
+    top = max(p, q, 1) - 1
+    dx, dy = x.denominator, y.denominator
+    px, py = ([v**e for e in range(top + 1)] for v in (x.numerator * dy, y.numerator * dx))
+    d, da, db = dx * dy, a.denominator, b.denominator
+    ca = a.numerator * db * d ** (top + 1 - p)
+    cb = b.numerator * da * d ** (top + 1 - q)
+    return [ca * px[p - 1 - k] * py[k] for k in range(p)] + [
+        cb * px[q - 1 - k] * py[k] for k in range(q)
+    ], da * db * d**top
 
 
 def _square(rows):
@@ -140,28 +174,20 @@ def fgh_sum(tag, p, q, xs, as_):
 
     On rational points every shifted matrix selects its columns from one
     table: x_i^e and a_i x_i^e for e up to the largest exponent `top` of the
-    family.  Row i of that table times den(x_i)^top den(a_i) is integral,
+    family.  Its integral row i is int_row_V(top + 1, top + 1, x_i, a_i),
     so each term is an integer minor of that table, all of them are taken
     in one shared elimination, and the sum is divided once by the product
     of the row scales.
     """
-    family = {"F": "P", "G": "Q", "H": "R"}.get(tag)
-    if family is None:
-        raise ValueError(f"unknown sum {tag!r}")
     n = p + q
     _require_length("xs", xs, n)
     _require_length("as_", as_, n)
-    terms = []
-    for lam in partition_family(family, p):
-        for mu in partition_family(family, q):
-            if tag == "H":
-                exponent = lam.size() + lam.diagonal() + mu.size() + mu.diagonal()
-            else:
-                exponent = lam.size() + mu.size()
-            assert exponent % 2 == 0, "family member breaks the sign parity"
-            terms.append((lam, mu, (exponent // 2) % 2))
+    terms, top, col_lists = _fgh_terms(tag, p, q)
     if all(isinstance(v, (int, Fraction)) for v in (*xs, *as_)):
-        return _fgh_rational(p, q, terms, xs, as_)
+        rows = [int_row_V(top + 1, top + 1, x, a) for x, a in zip(xs, as_)]
+        minors = minors_int([row for row, _ in rows], col_lists)
+        total = sum(-m if odd else m for m, (_, _, odd) in zip(minors, terms))
+        return Fraction(total, prod(scale for _, scale in rows))
     total = Fraction(0)
     for lam, mu, odd in terms:
         term = det(build_V_shifted(p, q, lam, mu, xs, as_))
@@ -171,23 +197,28 @@ def fgh_sum(tag, p, q, xs, as_):
     return total
 
 
-def _fgh_rational(p, q, terms, xs, as_):
-    """fgh_sum's signed terms at rational points, over the integers."""
-    shifts = [(_shift_exponents(p, q, lam, mu), odd) for lam, mu, odd in terms]
-    top = max((e for (ex, ea), _ in shifts for e in ex + ea), default=0)
-    rows = []
-    scale = 1
-    for x, a in zip(xs, as_):
-        nx, dx = x.numerator, x.denominator
-        pw = [nx**e * dx ** (top - e) for e in range(top + 1)]
-        rows.append([a.denominator * w for w in pw] + [a.numerator * w for w in pw])
-        scale *= a.denominator * dx**top
-    # the lambda-block columns come first, so the terms of one lambda share
-    # its elimination steps
-    col_lists = [exps_x + [top + 1 + e for e in exps_a] for (exps_x, exps_a), _ in shifts]
-    terms = minors_int(rows, col_lists)
-    total = sum(-term if odd else term for term, (_, odd) in zip(terms, shifts))
-    return Fraction(total, scale)
+@cache
+def _fgh_terms(tag, p, q):
+    """fgh_sum's terms [(lam, mu, odd)], top exponent and power-table columns per (tag, p, q).
+
+    The lambda-block columns come first, so the terms of one lambda share elimination steps.
+    """
+    family = {"F": "P", "G": "Q", "H": "R"}.get(tag)
+    if family is None:
+        raise ValueError(f"unknown sum {tag!r}")
+    terms = []
+    for lam in partition_family(family, p):
+        for mu in partition_family(family, q):
+            if tag == "H":
+                exponent = lam.size() + lam.diagonal() + mu.size() + mu.diagonal()
+            else:
+                exponent = lam.size() + mu.size()
+            assert exponent % 2 == 0, "family member breaks the sign parity"
+            terms.append((lam, mu, (exponent // 2) % 2))
+    shifts = [_shift_exponents(p, q, lam, mu) for lam, mu, _ in terms]
+    top = max((e for exps_x, exps_a in shifts for e in exps_x + exps_a), default=0)
+    col_lists = tuple(tuple(ex + [top + 1 + e for e in ea]) for ex, ea in shifts)
+    return tuple(terms), top, col_lists
 
 
 def build_DBC(tag, r):

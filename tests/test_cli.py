@@ -138,6 +138,13 @@ def test_guard_exhaustion_exits_one_with_bound_hint(capsys):
     assert code == 1 and text == ""
     err = capsys.readouterr().err
     assert "hit a guard" in err and "--bound" in err and "internal error" not in err
+    # at the default 20 trials the first two are drawn, and the third gives up
+    code, text = run_cli(
+        "verify", "--name", "cauchy", "--param", "n=6", "--mode", "numeric", "--bound", "1"
+    )
+    assert code == 1 and text == ""
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "error: cauchy: 2000 consecutive draws hit a guard (trial 2)"
 
 
 def test_pf_from_json(tmp_path):
@@ -149,6 +156,8 @@ def test_pf_from_json(tmp_path):
     assert code == 0 and text.strip() == "2/3"
     path.write_text(json.dumps({"dim": 4, "upper": [[0, 1, 2], [2, 3, "1/3"], [0, 3, 0]]}))
     assert run_cli("pf", "--matrix", str(path)) == (0, "2/3\n")
+    path.write_text(json.dumps({"dim": 2, "upper": [[0, 1, "-3/6"]]}))
+    assert run_cli("pf", "--matrix", str(path)) == (0, "-1/2\n")
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dim": 2}))
     assert run_cli("pf", "--matrix", str(bad))[0] == 1
@@ -237,6 +246,12 @@ USAGE_ERRORS = {
     "pf_index_fractional": (["pf", "--matrix", "{file}"], '{"dim": 4, "upper": [[0, 1.7, "1/2"]]}'),
     "pf_entry_float": (["pf", "--matrix", "{file}"], '{"dim": 2, "upper": [[0, 1, 0.1]]}'),
     "pf_entry_true": (["pf", "--matrix", "{file}"], '{"dim": 2, "upper": [[0, 1, true]]}'),
+    "pf_entry_decimal": (["pf", "--matrix", "{file}"], '{"dim": 2, "upper": [[0, 1, "0.1"]]}'),
+    "pf_entry_exponent": (["pf", "--matrix", "{file}"], '{"dim": 2, "upper": [[0, 1, "1e3"]]}'),
+    "pf_entry_spaced_underscore": (
+        ["pf", "--matrix", "{file}"],
+        '{"dim": 2, "upper": [[0, 1, " 1_000/2 "]]}',
+    ),
     "pf_index_true": (["pf", "--matrix", "{file}"], '{"dim": 2, "upper": [[0, true, "1"]]}'),
     "pf_key_repeated": (
         ["pf", "--matrix", "{file}"],

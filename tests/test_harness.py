@@ -30,8 +30,11 @@ from detpf import identities
 from detpf.identities import (
     REGISTRY,
     InvalidParamsError,
+    ZeroDenominatorError,
     _delta,
     _du,
+    _dv,
+    _dw,
     _family,
     _matrix_from,
     _pf_factor,
@@ -43,7 +46,7 @@ from detpf.identities import (
     _W,
     registry,
 )
-from detpf.linalg import SkewMatrix, det
+from detpf.linalg import RingMatrix, SkewMatrix, det
 from detpf.poly import VariableTable
 from detpf.vandermonde import build_U, build_V, build_W
 
@@ -214,6 +217,37 @@ def test_guard_exhaustion():
             verify("_guarded", {"n": 2}, "numeric", trials=1, seed=0)
     finally:
         del REGISTRY["_guarded"]
+
+
+def test_zero_denominator_draw_is_redrawn_as_a_guard_would_be():
+    # cauchy's numeric sides reject a draw with some x_i + y_j = 0 themselves;
+    # the same denominators as guards accept the same draws, so with a right
+    # side off by one the failure records, assignments included, agree
+    spec = REGISTRY["cauchy"]
+    rejected = []
+
+    def off_by_one(params, sc, numeric):
+        try:
+            pairs = spec.sides(params, sc, numeric)
+        except ZeroDenominatorError:
+            rejected.append(sc)
+            raise
+        return [(lhs, rhs + 1) for lhs, rhs in pairs]
+
+    def dens(params, sc):
+        return [x + y for x in sc["x"] for y in sc["y"]]
+
+    reports = []
+    for guards in (None, dens):
+        REGISTRY["cauchy"] = dataclasses.replace(spec, sides=off_by_one, guards=guards)
+        try:
+            report = verify("cauchy", {"n": 3}, "numeric", trials=4, seed=5, bound=1)
+        finally:
+            REGISTRY["cauchy"] = spec
+        reports.append(reports_to_json([report]))
+        assert len(report.failures) == 4
+    assert rejected and all(0 in dens(None, sc) for sc in rejected)
+    assert reports[0] == reports[1]
 
 
 def test_trial_seeding_is_stable_and_splittable():
@@ -410,8 +444,54 @@ def test_rational_delta_matches_left_fold(xs, data):
     assert got == want and type(got) is Fraction
 
 
+# quotient identities whose entries are plain formulas: (kind, num(sc, i, j), den(sc, i, j))
+_QUOTIENT_ENTRIES = {
+    "cauchy": ("det", lambda sc, i, j: 1, lambda sc, i, j: sc["x"][i] + sc["y"][j]),
+    "special1": (
+        "det",
+        lambda sc, i, j: sc["b"][j] - sc["a"][i],
+        lambda sc, i, j: sc["y"][j] - sc["x"][i],
+    ),
+    "schur": (
+        "pf",
+        lambda sc, i, j: sc["x"][j] - sc["x"][i],
+        lambda sc, i, j: sc["x"][j] + sc["x"][i],
+    ),
+    "special2": (
+        "pf",
+        lambda sc, i, j: (sc["a"][j] - sc["a"][i]) * (sc["b"][j] - sc["b"][i]),
+        lambda sc, i, j: sc["x"][j] - sc["x"][i],
+    ),
+    "sundquist": (
+        "pf",
+        lambda sc, i, j: sc["a"][j] - sc["a"][i],
+        lambda sc, i, j: 1 - sc["x"][i] * sc["x"][j],
+    ),
+}
+
+
+def _quotient_oracle(name, n, sc):
+    """det or Pf of the Fraction matrix num/den, or None when a denominator is 0."""
+    kind, num, den = _QUOTIENT_ENTRIES[name]
+    dim = n if kind == "det" else 2 * n
+    pairs = [(i, j) for i in range(dim) for j in range(dim) if kind == "det" or i < j]
+    dens = [Fraction(den(sc, i, j)) for i, j in pairs]
+    if 0 in dens:
+        return None
+    entries = [num(sc, i, j) / d for (i, j), d in zip(pairs, dens)]
+    if kind == "det":
+        return det_leibniz(RingMatrix(dim, dim, entries))
+    return pf_matchings(SkewMatrix(dim, dict(zip(pairs, entries))))
+
+
 def _oracle_side(name, p, sc):
-    """{index of each side an integer route computes: its Fraction oracle}."""
+    """{index of each side an integer route computes: its Fraction oracle}.
+
+    None for a quotient identity at a point where one of its denominators is 0.
+    """
+    if name in _QUOTIENT_ENTRIES:
+        want = _quotient_oracle(name, p["n"], sc)
+        return None if want is None else {0: want}
     if name == "hyper_v":
         return {0: hyper_v_by_ordered_partitions(p["n"], sc["x"], sc["a"])}
     if name == "hyper_u":
@@ -440,6 +520,7 @@ _SIDE_PARAMS = {
     "minor_sum": st.integers(1, 2).flatmap(
         lambda n: st.fixed_dictionaries({"n": st.just(n), "N": st.integers(2 * n, 5)})
     ),
+    **{name: st.fixed_dictionaries({"n": st.integers(1, 3)}) for name in _QUOTIENT_ENTRIES},
 }
 
 
@@ -453,11 +534,36 @@ def test_integer_route_side_matches_fraction_oracle(name, data):
         prefix: data.draw(st.lists(_POINTS, min_size=count, max_size=count))
         for prefix, count in spec.vectors(params)
     }
+    oracle = _oracle_side(name, params, sc)
+    if oracle is None:
+        with pytest.raises(ZeroDenominatorError):
+            spec.sides(params, sc, True)
+        return
     ((lhs, rhs),) = spec.sides(params, sc, True)
-    for side, want in _oracle_side(name, params, sc).items():
+    for side, want in oracle.items():
         got = (lhs, rhs)[side]
         assert got == want and type(got) is Fraction
     assert lhs == rhs
+
+
+def test_quotient_side_with_zero_numerator_and_negative_denominators():
+    third = Fraction(1, 3)
+    cases = [
+        # a_0 = a_1 makes Pf entry (0, 1) 0; x_2 - x_0 < 0
+        ("special2", {"x": [1, third, Fraction(-5, 2), 2], "a": [4, 4, -1, third],
+                      "b": [Fraction(2, 7), -3, 1, 5]}),
+        # b_0 = a_0 makes det entry (0, 0) 0; y_0 - x_0 < 0
+        ("special1", {"x": [1, 2], "y": [third, 5], "a": [Fraction(2, 7), -1],
+                      "b": [Fraction(2, 7), 3]}),
+        ("cauchy", {"x": [-1, Fraction(-7, 2)], "y": [Fraction(1, 2), 3]}),
+        ("schur", {"x": [third, Fraction(-1, 2), Fraction(-5, 2), 2]}),
+        ("sundquist", {"x": [2, 3, Fraction(1, 5), -1], "a": [1, 1, 0, 5]}),
+    ]
+    for name, sc in cases:
+        n = len(sc["x"]) // (1 if _QUOTIENT_ENTRIES[name][0] == "det" else 2)
+        want = _quotient_oracle(name, n, sc)
+        assert want, name
+        assert REGISTRY[name].sides({"n": n}, sc, True) == [(want, want)], name
 
 
 def test_delta_on_repeated_and_polynomial_points():
@@ -507,10 +613,11 @@ def test_point_table_entries_match_builder_determinants(case, data):
     u_names, v_names = [f"u{c}" for c in range(coords)], [f"v{c}" for c in range(coords)]
     t_names = list(_coordinates("t", tail))
     sc = {**_coordinates("u", us), **_coordinates("v", vs), **_coordinates("t", tail)}
-    # the point-table route is the only caller of minors_int in the theorems
+    # the n^2 entries are minors of one point table; the cores f_0 and f_n take
+    # one minor each
     with mock.patch.object(identities, "minors_int", wraps=identities.minors_int) as table:
         num, _ = _theorem_det(f, u_names, v_names, t_names)(params, sc)
-        assert table.call_count == 1
+    assert sorted(len(c.args[1]) for c in table.call_args_list) == [1, 1, n * n]
     for i in range(n):
         for j in range(n):
             assert num(i, j) == _entry_by_builder(f, build, params, us[i], vs[j], tail)
@@ -518,12 +625,26 @@ def test_point_table_entries_match_builder_determinants(case, data):
     sc.update(_coordinates("u", ws))
     with mock.patch.object(identities, "minors_int", wraps=identities.minors_int) as table:
         entry, _ = _pf_factor(f, u_names, t_names)(params, sc)
-        assert table.call_count == 1
+    assert sorted(len(c.args[1]) for c in table.call_args_list) == [1, 1, n * (2 * n - 1)]
     for i in range(2 * n):
         for j in range(i + 1, 2 * n):
             assert entry(i, j) == _entry_by_builder(f, build, params, ws[i], ws[j], tail)
     if tail_len >= 2 and tail[0] == tail[1]:
         assert num(0, 0) == entry(0, 1) == 0
+
+
+@given(p=st.integers(0, 3), q=st.integers(0, 3), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_point_determinants_at_rational_points_match_leibniz(p, q, data):
+    m = p + q
+    xs, ys, as_, bs = (data.draw(st.lists(_POINTS, min_size=m, max_size=m)) for _ in range(4))
+    cases = [
+        (_dv(p, q, xs, as_), build_V(p, q, xs, as_)),
+        (_dw(m, xs, as_), build_W(m, xs, as_)),
+        (_du(p, q, xs, ys, as_, bs), build_U(p, q, xs, ys, as_, bs)),
+    ]
+    for got, matrix in cases:
+        assert got == det_leibniz(matrix) and type(got) is Fraction
 
 
 def test_theorem_block_with_equal_tail_points_runs():

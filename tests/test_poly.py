@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -44,6 +45,17 @@ def test_addition_cancels(xy):
 def test_difference_of_squares(xy):
     table, x, y = xy
     assert (x + y) * (x - y) == x * x - y * y
+
+
+def test_product_that_cancels_many_terms_is_compact():
+    # (F y - F z)(y + z) with F = 1 + x + .. + x^299: the 300 terms F y z of the
+    # first half cancel against the second half; the 600 left sit in a compact dict
+    table = VariableTable(["x", "y", "z"])
+    x, y, z = table.gens()
+    f = sum((x**k for k in range(300)), Polynomial.zero(table))
+    product = (f * y - f * z) * (y + z)
+    assert product == f * y * y - f * z * z
+    assert sys.getsizeof(product.terms) == sys.getsizeof(dict(product.terms))
 
 
 def test_zero_annihilates(xy):

@@ -15,7 +15,13 @@ from detpf.vandermonde import (
     build_V_shifted,
     build_W,
     fgh_sum,
+    int_row_U,
+    int_row_V,
+    int_row_W,
     partition_family,
+    row_U,
+    row_V,
+    row_W,
 )
 
 from oracles import fgh_by_shifted_dets
@@ -211,6 +217,32 @@ def test_rational_fgh_sum_at_every_small_size():
     # a repeated (x, a) pair repeats a row of every shifted matrix
     repeated = [Fraction(1, 3), 2, Fraction(1, 3)]
     assert _check_rational_fgh("G", 2, 1, repeated, [weights[0], 1, weights[0]]) == 0
+
+
+# zero, negative and large coordinates, as ints and as Fractions
+_COORDS = st.integers(-4, 4) | st.builds(
+    Fraction, st.integers(-(2**40), 2**40), st.integers(1, 7) | st.integers(2**33, 2**40)
+)
+
+
+@given(
+    p=st.integers(0, 4),
+    q=st.integers(0, 4),
+    point=st.lists(_COORDS, min_size=4, max_size=4),
+    zero=st.sampled_from(["", "a", "b", "x", "y"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_int_rows_over_their_scales_are_the_fraction_rows(p, q, point, zero):
+    coords = dict(zip("xyab", point), **({zero: 0} if zero else {}))
+    x, y, a, b = (coords[c] for c in "xyab")
+    cases = [
+        (int_row_V(p, q, x, a), row_V(p, q, x, a)),
+        (int_row_W(p + q, x, a), row_W(p + q, x, a)),
+        (int_row_U(p, q, x, y, a, b), row_U(p, q, x, y, a, b)),
+    ]
+    for (ints, scale), want in cases:
+        assert all(type(v) is int for v in ints) and type(scale) is int and scale > 0
+        assert [Fraction(v, scale) for v in ints] == want
 
 
 def test_dbc_shapes_and_d2_minor():
