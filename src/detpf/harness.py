@@ -1,9 +1,9 @@
 """Verification engine: runs identities symbolically or at random rational points.
 
-Symbolic mode builds both denominator-cleared sides as polynomials over one
-variable table and asserts exact equality.  Numeric mode draws guarded random
-rational assignments (per-trial counter-based seeding, so campaigns replay
-and parallelize deterministically) and compares exact evaluations.
+Symbolic mode asserts exact equality of both sides over one variable table,
+as polynomials or, where a relation divides, as quotients of them.  Numeric
+mode compares exact values at guarded random rational points, seeded per
+trial by a counter so that campaigns replay and parallelize deterministically.
 """
 
 import hashlib
@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 from .identities import InvalidParamsError, UnknownIdentityError, get_spec, registry
 from .identities import ZeroDenominatorError
-from .poly import Polynomial, VariableTable, random_rational
+from .poly import Polynomial, Quotient, VariableTable, random_rational
 
 
 SYMBOLIC_DIM_CAP = 8
-# a failing Polynomial side with more terms is recorded by its term count
+# a failing side whose polynomial or numerator has more terms is recorded by its term count
 TEXT_TERM_CAP = 1000
 
 
@@ -75,6 +75,11 @@ class VerificationReport:
 
 
 def _scalar_text(value):
+    if isinstance(value, Quotient):
+        terms, factors = len(value.num.terms), value.factors()
+        if terms > TEXT_TERM_CAP:
+            return f"<quotient, {terms} terms over {sum(m for _, m in factors)} factors>"
+        return " / ".join([f"({value.num.text()})"] + [f"({f.text()})^{m}" for f, m in factors])
     if isinstance(value, Polynomial):
         if len(value.terms) > TEXT_TERM_CAP:
             return f"<polynomial, {len(value.terms)} terms>"

@@ -4,10 +4,10 @@ Each entry declares its variable vectors, its guard expressions (factors
 that must not vanish at a random evaluation point), its principal matrix
 dimension (which caps symbolic mode) and a builder that produces (lhs, rhs)
 pairs from a map prefix -> list of scalars.  The same builder runs in two
-modes: symbolic (scalars are polynomial generators, sides are
-denominator-cleared polynomials) and numeric (scalars are random rationals,
-sides are exact rationals whose matrices are cleared to ints once, from the
-numerators and denominators of the point's coordinates or of each entry).
+modes: symbolic (scalars are polynomial generators, sides are polynomials
+or, where a relation divides, quotients of them) and numeric (scalars are
+random rationals, sides are exact rationals whose matrices are cleared to
+ints once, from the numerators and denominators of coordinates or entries).
 
 Most of the paper's identities share one shape: det or Pf of num/den equals
 a core over the product of the denominators, generalizing Cauchy's
@@ -688,18 +688,9 @@ def _rel_v1_sides(p, sc, numeric):
     xs, as_ = x[: m - 1], a[: m - 1]
     xm, am = x[m - 1], a[m - 1]
     lead = _prod(xm - x[i] for i in range(m - 1))
-    if numeric:
-        aprime = [(as_[i] - am) / (xs[i] - xm) for i in range(m - 1)]
-        lhs = _dv(pp, qq, x, a)
-        rhs = lead * _dv(pp - 1, qq, xs, aprime)
-        return [(lhs, rhs)]
-    # cleared form: row i of the reduced matrix scaled by (x_i - x_m), which is
-    # U^{p-1,q} at (x, y, a, b) = (1, x_i, x_i - x_m, a_i - a_m)
-    ones = [Fraction(1)] * (m - 1)
-    dxs = [xs[i] - xm for i in range(m - 1)]
-    reduced = _du(pp - 1, qq, ones, xs, dxs, [as_[i] - am for i in range(m - 1)])
-    lhs = _dv(pp, qq, x, a) * _prod(dxs)
-    rhs = lead * reduced
+    aprime = [(as_[i] - am) / (xs[i] - xm) for i in range(m - 1)]
+    lhs = _dv(pp, qq, x, a)
+    rhs = lead * _dv(pp - 1, qq, xs, aprime)
     return [(lhs, rhs)]
 
 
@@ -720,17 +711,11 @@ _register(
 
 def _rel_v2_sides(p, sc, numeric):
     pp, qq = p["p"], p["q"]
-    m = pp + qq
     x, a = sc["x"], sc["a"]
     sign = _sign(pp * qq)
-    if numeric:
-        lhs = _dv(pp, qq, x, a)
-        rhs = sign * _prod(a) * _dv(qq, pp, x, [Fraction(1) / ai for ai in a])
-        return [(lhs, rhs)]
-    # cleared form: rows (a_i x_i^k, k < q | x_i^k, k < p), which is U^{q,p}
-    # at (x, y, a, b) = (1, x_i, a_i, 1)
-    ones = [Fraction(1)] * m
-    return [(_dv(pp, qq, x, a), sign * _du(qq, pp, ones, x, a, ones))]
+    lhs = _dv(pp, qq, x, a)
+    rhs = sign * _prod(a) * _dv(qq, pp, x, [Fraction(1) / ai for ai in a])
+    return [(lhs, rhs)]
 
 
 _register(
@@ -889,16 +874,10 @@ def _rel_uv1_sides(p, sc, numeric):
     pp, qq = p["p"], p["q"]
     m = pp + qq
     x, y, a, b = sc["x"], sc["y"], sc["a"], sc["b"]
-    if numeric:
-        u = [y[i] / x[i] for i in range(m)]
-        v = [b[i] * x[i] ** (qq - pp) / a[i] for i in range(m)]
-        lhs = _du(pp, qq, x, y, a, b)
-        rhs = _prod(a[k] * x[k] ** (pp - 1) for k in range(m)) * _dv(pp, qq, u, v)
-        return [(lhs, rhs)]
-    # cleared form: row i of U scaled by x_i^(max(p, q) - p)
-    scale = [_pow(xi, max(pp, qq) - pp) for xi in x]
-    lhs = _du(pp, qq, x, y, a, b) * _prod(scale)
-    rhs = _du(pp, qq, x, y, [ai * s for ai, s in zip(a, scale)], [bi * s for bi, s in zip(b, scale)])
+    u = [y[i] / x[i] for i in range(m)]
+    v = [b[i] * x[i] ** qq / (a[i] * x[i] ** pp) for i in range(m)]
+    lhs = _du(pp, qq, x, y, a, b)
+    rhs = _prod(a[k] * x[k] ** pp / x[k] for k in range(m)) * _dv(pp, qq, u, v)
     return [(lhs, rhs)]
 
 

@@ -1,28 +1,27 @@
-"""Exact scalars: big rationals and sparse multivariate polynomials.
+"""Exact scalars: big rationals, sparse multivariate polynomials and formal quotients.
 
-Everything in this package computes over one of two scalar types: stdlib
-`fractions.Fraction` (always in lowest terms, positive denominator) and
-`Polynomial` (sparse multivariate, rational coefficients, canonical term
-map).  Matrix code and identity builders are generic over the two, so a
-single construction serves both symbolic expansion and exact evaluation
-at random rational points.
-
+Numeric work runs on stdlib `fractions.Fraction` (lowest terms, positive
+denominator), symbolic work on `Polynomial` (sparse multivariate, rational
+coefficients, canonical term map) and, where a statement divides by
+polynomials, on `Quotient`, a numerator over a multiset of polynomial
+factors.  Matrix code and identity builders are generic over these scalars.
 The term map stores a coefficient as an `int` exactly when its denominator
-is 1 and as a `Fraction` otherwise; the symbolic sides are cleared of
-denominators, so almost every coefficient is a plain integer.  A monomial is
-one packed `int` with a fixed SLOT_BITS-bit slot per variable, variable 0 in
-the lowest slot: equal monomials are equal ints however far the variable
-table has grown since, and multiplying two monomials is one integer add.
-The top bit of every slot is a guard, so an exponent may be at most
-EXPONENT_CAP; a product whose sum sets a guard bit raises ExponentCapError
-instead of carrying into the next variable.  Exponents are unpacked only to
-print, order, evaluate or divide.
+is 1 and as a `Fraction` otherwise.
+
+A monomial is one packed `int` with a fixed SLOT_BITS-bit slot per
+variable, variable 0 in the lowest slot: equal monomials are equal ints
+however far the variable table has grown since, and multiplying two
+monomials is one integer add.  The top bit of every slot is a guard, so an
+exponent may be at most EXPONENT_CAP; a product whose sum sets a guard bit
+raises ExponentCapError instead of carrying into the next variable.
+Exponents are unpacked only to print, order, evaluate or divide.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from operator import or_
+from operator import mul, or_
 
 Rational = Fraction
 
@@ -369,7 +368,11 @@ class Polynomial:
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
+        return Quotient(self) / other
+
+    def __rtruediv__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else Quotient(other) / self
 
     def __floordiv__(self, other):
         return self.exact_div(other)
@@ -499,6 +502,79 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self.text()})"
+
+
+class Quotient:
+    """A formal quotient num / prod(factor^mult) of Polynomials, never cancelled.
+
+    `den` counts factors by term map.  A sum takes the union of the operands'
+    factors, a product adds multiplicities, and equality compares numerators.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        self.num = num
+        self.den = den or Counter()
+
+    def factors(self):
+        """[(factor, multiplicity)] for the distinct factors of the denominator."""
+        return [(Polynomial._raw(self.num.table, dict(key)), m) for key, m in self.den.items()]
+
+    def _cleared(self):
+        powers = [factor**m for factor, m in self.factors()]
+        return self.num * reduce(mul, powers) if powers else self.num
+
+    def _over(self, other):
+        """The numerator over the union of both operands' factors."""
+        return Quotient(self.num, other.den - self.den)._cleared()
+
+    def _lift(self, other):
+        other = other if isinstance(other, Quotient) else self.num._coerce(other)
+        return Quotient(other) if isinstance(other, Polynomial) else other
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __neg__(self):
+        return Quotient(-self.num, self.den)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return Quotient(self._over(other) + other._over(self), self.den | other.den)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return Quotient(self.num * other.num, self.den + other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        if not other:
+            raise ZeroDivisionError("division by zero")
+        den = self.den + Counter([frozenset(other.num.terms.items())])
+        return Quotient(Quotient(self.num, other.den)._cleared(), den)
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else self._over(other) == other._over(self)
+
+    __hash__ = None
 
 
 def random_rational(rng, bound):

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 from fractions import Fraction
 from functools import reduce
@@ -18,6 +19,7 @@ from detpf.harness import (
     GuardExhaustionError,
     UnknownIdentityError,
     _run_numeric_trial,
+    _scalar_text,
     default_campaign_config,
     parse_campaign_config,
     reports_to_json,
@@ -154,6 +156,60 @@ def test_failure_record_caps_large_polynomial_text():
     assert TEXT_TERM_CAP < 1820
     assert record["rhs"] == "<polynomial, 1820 terms>"
     assert record["lhs"] == lhs_seen[0].text()
+
+
+
+def test_failure_text_caps_a_quotient_by_its_numerator():
+    table = VariableTable(["x1", "x2", "x3", "x4"])
+    x1, x2, x3, x4 = table.gens()
+    big = (1 + x1 + x2 + x3 + x4) ** 12 / (x1 - x2) / (x3 + 1)
+    # (1 + x1 + .. + x4)^12 has C(16, 4) = 1820 terms; factors count with multiplicity
+    assert _scalar_text(big) == "<quotient, 1820 terms over 2 factors>"
+    assert _scalar_text(big / (x3 + 1)) == "<quotient, 1820 terms over 3 factors>"
+    small = x1 / (x1 - x2) / (x3 + 1) / (x3 + 1)
+    assert _scalar_text(small) == "(1*x1) / (1*x1 + -1*x2)^1 / (1*x3 + 1)^2"
+
+
+def _statement_mutant(sides, old, new):
+    """`sides` recompiled from its source with the one `old` in it replaced by `new`."""
+    source = inspect.getsource(sides)
+    assert source.count(old) == 1
+    scope = dict(vars(identities))
+    exec(source.replace(old, new), scope)
+    return scope[sides.__name__]
+
+
+# a one-token mutant of the single statement of each relation that divides
+STATEMENT_MUTANTS = (
+    ("rel_uv1", "y[i] / x[i]", "y[i] * x[i]"),
+    ("rel_v2", "Fraction(1) / ai", "ai"),
+    ("rel_v1", "(as_[i] - am) / (xs[i] - xm)", "(as_[i] + am) / (xs[i] - xm)"),
+)
+
+
+@pytest.mark.parametrize("name, old, new", STATEMENT_MUTANTS)
+def test_statement_mutant_fails_in_both_modes(name, old, new):
+    spec = REGISTRY[name]
+    REGISTRY[name] = dataclasses.replace(spec, sides=_statement_mutant(spec.sides, old, new))
+    try:
+        assert not verify(name, None, "symbolic").passed
+        params = dict(spec.numeric_defaults)
+        assert not verify(name, params, "numeric", trials=3, seed=2024, bound=30).passed
+    finally:
+        REGISTRY[name] = spec
+
+
+@pytest.mark.parametrize(
+    "name, p, q",
+    [
+        ("rel_uv1", 2, 1), ("rel_uv1", 3, 1), ("rel_uv1", 0, 2),
+        ("rel_v1", 1, 0), ("rel_v1", 3, 3),
+        ("rel_v2", 0, 2), ("rel_v2", 3, 2),
+    ],
+)
+def test_dividing_relations_pass_symbolically_off_the_grid(name, p, q):
+    # p > q and p = 0 for rel_uv1, one point and p = q for rel_v1, an empty block for rel_v2
+    assert verify(name, {"p": p, "q": q}, "symbolic").passed
 
 
 # the identities declared through identities._register_quotient

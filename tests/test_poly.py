@@ -1,9 +1,11 @@
 import random
 import sys
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from detpf.poly import (
@@ -13,6 +15,7 @@ from detpf.poly import (
     MissingVariableError,
     Monomial,
     Polynomial,
+    Quotient,
     VariableTable,
     random_rational,
 )
@@ -63,6 +66,52 @@ def test_zero_annihilates(xy):
     p = 3 * x * y + y**2 - 7
     assert p * Polynomial.zero(table) == 0
     assert p * 0 == 0
+
+
+
+def test_quotient_sum_keeps_a_shared_factor_once(xy):
+    table, x, y = xy
+    b = x - y
+    total = (x * x) / b + (y * 3) / b
+    assert isinstance(total, Quotient)
+    assert total.factors() == [(b, 1)]
+    assert total.num == x * x + 3 * y
+    assert total == (x * x + 3 * y) / b
+
+
+def test_quotient_product_adds_multiplicities(xy):
+    table, x, y = xy
+    square = (1 / (x + y)) * (x / (x + y))
+    assert square.factors() == [(x + y, 2)]
+    assert square == x / (x * x + 2 * x * y + y * y)
+
+
+def test_quotient_compares_over_common_factors(xy):
+    table, x, y = xy
+    q = (x - y) / ((x - y) * (x + y))
+    assert q == 1 / (x + y) == Fraction(1) / (x + y)
+    assert q != 1 / (x - y)
+    assert q * (x + y) == 1 and 1 == q * (x + y)
+    assert (x * y) / x == y and y == (x * y) / x
+    assert (x * y) / x != x and x != (x * y) / x
+    half = (x / 2) / x
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half
+    assert half != 1 and 1 != half
+    assert (1 - half) + (x - y) / (x - y) == Fraction(3, 2)
+    assert (x / y) / (x / y) == 1 and y / (y / x) == x
+
+
+def test_quotient_division_by_zero(xy):
+    table, x, y = xy
+    zero = Polynomial.zero(table)
+    with pytest.raises(ZeroDivisionError):
+        x / zero
+    with pytest.raises(ZeroDivisionError):
+        (x / y) / zero
+    with pytest.raises(ZeroDivisionError):
+        x / ((x - y) / (x + y) - (x - y) / (x + y))
+    with pytest.raises(ZeroDivisionError):
+        (x / y) / Fraction(0)
 
 
 def test_eval_basic(xy):
@@ -219,6 +268,26 @@ def test_exact_division_roundtrip(data):
     if not q.terms:
         return
     assert (p * q).exact_div(q) == p
+
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_quotient_evaluates_like_its_fractions(data):
+    a, b, c, d = (data.draw(polys(_TABLE)) for _ in range(4))
+    point = {
+        i: Fraction(data.draw(st.integers(-6, 6)), data.draw(st.integers(1, 6)))
+        for i in range(3)
+    }
+    av, bv, cv, dv = (f.evaluate(point) for f in (a, b, c, d))
+    assume(bv and cv and dv)
+    p, q = a / b, c / d
+    pv, qv = av / bv, cv / dv
+    for got, want in ((p + q, pv + qv), (p - q, pv - qv), (p * q, pv * qv), (p / q, pv / qv)):
+        dens = [f.evaluate(point) ** m for f, m in got.factors()]
+        assert got.num.evaluate(point) / reduce(mul, dens, 1) == want
+    assert p + q == (a * d + c * b) / (b * d)
+    assert p == (a * d) / (b * d) and (p == q) == (a * d == c * b)
 
 
 _SMALL_INTS = st.integers(-9, 9)
