@@ -4,10 +4,8 @@ Littlewood-Richardson coefficients over big rationals."""
 from .poly import (
     ExactDivisionError,
     ExponentCapError,
-    MissingVariableError,
     Monomial,
     Polynomial,
-    Rational,
     VariableTable,
     random_rational,
 )
@@ -26,11 +24,8 @@ from .symfunc import Partition, SkewShape, h_complete, index_set, schur
 from .vandermonde import build_DBC, build_U, build_V, build_V_shifted, build_W, fgh_sum, partition_family
 from .lr import (
     lr_bruteforce,
-    lr_complement,
-    lr_rect_rect,
     lr_rectangle_theorem,
     lr_via_pfaffian,
-    pieri_near_rectangle,
 )
 from .harness import (
     VerificationReport,
@@ -48,11 +43,9 @@ __all__ = [
     "AlternatingTensor",
     "ExactDivisionError",
     "ExponentCapError",
-    "MissingVariableError",
     "Monomial",
     "Partition",
     "Polynomial",
-    "Rational",
     "RingMatrix",
     "SkewMatrix",
     "SkewShape",
@@ -72,14 +65,11 @@ __all__ = [
     "hyperpfaffian",
     "index_set",
     "lr_bruteforce",
-    "lr_complement",
-    "lr_rect_rect",
     "lr_rectangle_theorem",
     "lr_via_pfaffian",
     "parse_campaign_config",
     "partition_family",
     "pfaffian",
-    "pieri_near_rectangle",
     "random_rational",
     "registry",
     "reports_to_json",

@@ -219,53 +219,46 @@ _GLOBAL_KEYS = ("seed", "bound", "trials", "mode")
 
 
 def parse_campaign_config(text):
-    """Parse the key-value config format with repeated [identity] blocks."""
-    defaults = {"seed": 0, "bound": 25, "trials": 20, "mode": "numeric"}
-    raw_blocks = []
-    current = None
+    """Parse the key-value config format with repeated [identity] blocks.
+
+    A key may appear once among the globals and once per block; a repeat
+    is a ConfigError naming its line.
+    """
+    sections = [{}]  # the globals, then one key map per [identity] block
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line == "[identity]":
-            if current is not None:
-                raw_blocks.append(current)
-            current = {"params": {}}
+            sections.append({})
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        section = sections[-1]
+        if key in section:
+            raise ConfigError(f"line {lineno}: repeated key {key!r}")
+        if len(sections) == 1 and key not in _GLOBAL_KEYS:
+            raise ConfigError(f"line {lineno}: unknown global key {key!r}")
         try:
-            if current is None:
-                if key not in _GLOBAL_KEYS:
-                    raise ConfigError(f"line {lineno}: unknown global key {key!r}")
-                defaults[key] = value if key == "mode" else int(value)
-            elif key == "name":
-                current["name"] = value
-            elif key == "mode":
-                current["mode"] = value
-            elif key in ("seed", "bound", "trials"):
-                current[key] = int(value)
-            else:
-                current["params"][key] = int(value)
+            section[key] = value if key in ("name", "mode") else int(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from None
-    if current is not None:
-        raw_blocks.append(current)
+    defaults = {"seed": 0, "bound": 25, "trials": 20, "mode": "numeric", **sections[0]}
     blocks = []
-    for b in raw_blocks:
+    for b in sections[1:]:
         if "name" not in b:
             raise ConfigError("an [identity] block is missing its name")
         blocks.append(
             CampaignBlock(
-                name=b["name"],
-                mode=b.get("mode", defaults["mode"]),
-                trials=b.get("trials", defaults["trials"]),
-                bound=b.get("bound", defaults["bound"]),
-                seed=b.get("seed", defaults["seed"]),
-                params=b["params"],
+                name=b.pop("name"),
+                mode=b.pop("mode", defaults["mode"]),
+                trials=b.pop("trials", defaults["trials"]),
+                bound=b.pop("bound", defaults["bound"]),
+                seed=b.pop("seed", defaults["seed"]),
+                params=b,
             )
         )
     return CampaignConfig(blocks)

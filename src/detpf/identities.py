@@ -1,11 +1,12 @@
 """Registry of all verifiable identities.
 
-Each entry declares its variable vectors, its guard expressions (factors
-that must not vanish at a random evaluation point), its principal matrix
-dimension (which caps symbolic mode) and a builder that produces (lhs, rhs)
-pairs from a map prefix -> list of scalars.  The same builder runs in two
-modes: symbolic (scalars are polynomial generators, sides are polynomials
-or, where a relation divides, quotients of them) and numeric (scalars are
+Each entry declares its variable vectors, its principal matrix dimension
+(which caps symbolic mode) and a builder that produces (lhs, rhs) pairs
+from a map prefix -> list of scalars.  Only rel_v1, rel_v2 and rel_uv1,
+which divide, also declare guard expressions (factors that must not vanish
+at a random evaluation point).  The same builder runs in two modes:
+symbolic (scalars are polynomial generators, sides are polynomials or,
+where a relation divides, quotients of them) and numeric (scalars are
 random rationals, sides are exact rationals whose matrices are cleared to
 ints once, from the numerators and denominators of coordinates or entries).
 

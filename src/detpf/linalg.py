@@ -230,9 +230,6 @@ class AlternatingTensor:
         tensor.values = {idx: v for idx, v in values if v}
         return tensor
 
-    def value(self, sorted_idx):
-        return self.values.get(tuple(sorted_idx), Fraction(0))
-
     def __repr__(self):
         return f"AlternatingTensor(order={self.order}, dim={self.dim})"
 

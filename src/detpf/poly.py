@@ -14,7 +14,7 @@ however far the variable table has grown since, and multiplying two
 monomials is one integer add.  The top bit of every slot is a guard, so an
 exponent may be at most EXPONENT_CAP; a product whose sum sets a guard bit
 raises ExponentCapError instead of carrying into the next variable.
-Exponents are unpacked only to print, order, evaluate or divide.
+Exponents are unpacked only to print, order or divide.
 """
 
 from collections import Counter
@@ -23,15 +23,9 @@ from functools import reduce
 from heapq import heapify, heappop, heappush
 from operator import mul, or_
 
-Rational = Fraction
-
 SLOT_BITS = 32
 EXPONENT_CAP = (1 << (SLOT_BITS - 1)) - 1
 _SLOT_MASK = (1 << SLOT_BITS) - 1
-
-
-class MissingVariableError(KeyError):
-    """A polynomial was evaluated at a point that misses one of its variables."""
 
 
 class ExactDivisionError(ArithmeticError):
@@ -404,24 +398,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         key = max(self.terms, key=_grlex)
         return Monomial._from_key(key), Fraction(self.terms[key])
-
-    def coefficient(self, mono):
-        """Exact coefficient of a monomial, zero if absent."""
-        return Fraction(self.terms.get(_as_key(mono), 0))
-
-    def evaluate(self, point):
-        """Exact value at a map var-id -> Fraction; raises MissingVariableError."""
-        total = Fraction(0)
-        for key, coeff in self.terms.items():
-            value = coeff
-            for var, exp in enumerate(_unpack(key)):
-                if not exp:
-                    continue
-                if var not in point:
-                    raise MissingVariableError(self.table.name(var))
-                value = value * point[var] ** exp
-            total += value
-        return total
 
     def exact_div(self, other):
         """Exact quotient self/other; raises ExactDivisionError if inexact.

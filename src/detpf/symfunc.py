@@ -1,7 +1,7 @@
 """Partitions and symmetric-function primitives.
 
-Partitions carry the combinatorics (conjugates, Frobenius coordinates,
-rectangle complements, strips); Schur functions are computed in finitely
+Partitions carry the combinatorics (construction from Frobenius lists,
+rectangle complements, index sets); Schur functions are computed in finitely
 many variables, by Jacobi-Trudi determinants of complete homogeneous
 polynomials (works for skew shapes and any number of variables; straight
 shapes lose their full columns first) or by the bialternant quotient
@@ -100,15 +100,6 @@ class Partition:
         """0-based part access; zero beyond the length."""
         return self.parts[i] if 0 <= i < len(self.parts) else 0
 
-    def conjugate(self):
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
-        return Partition(cols)
-
     def contains(self, other):
         """Componentwise containment of Young diagrams."""
         return all(self.part(i) >= other.part(i) for i in range(other.length()))
@@ -116,14 +107,6 @@ class Partition:
     def diagonal(self):
         """Length of the main diagonal of the Young diagram."""
         return sum(1 for i, p in enumerate(self.parts) if p >= i + 1)
-
-    def frobenius(self):
-        """(arms, legs): arm_i = lam_i - i, leg_i = lam'_i - i along the diagonal, 1-based."""
-        conj = self.conjugate()
-        d = self.diagonal()
-        arms = tuple(self.parts[i] - i - 1 for i in range(d))
-        legs = tuple(conj.parts[i] - i - 1 for i in range(d))
-        return arms, legs
 
     def complement(self, a, b):
         """Complement in the a x b rectangle: i-th part is b - lam_{a+1-i}."""
@@ -179,21 +162,6 @@ class SkewShape:
             raise PartitionError(f"{inner} not contained in {outer}")
         self.outer = outer
         self.inner = inner
-
-    def size(self):
-        return self.outer.size() - self.inner.size()
-
-    def is_horizontal_strip(self):
-        """At most one cell per column."""
-        oc, ic = self.outer.conjugate(), self.inner.conjugate()
-        return all(oc.part(j) - ic.part(j) <= 1 for j in range(oc.length()))
-
-    def is_vertical_strip(self):
-        """At most one cell per row."""
-        return all(
-            self.outer.part(i) - self.inner.part(i) <= 1
-            for i in range(self.outer.length())
-        )
 
     def __repr__(self):
         return f"SkewShape({self.outer!r}/{self.inner!r})"

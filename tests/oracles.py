@@ -8,7 +8,9 @@ by peeling the expanded product term by term or, one entry at a time, from
 the closed form `b_coeff` with h's computed afresh.  The reference
 polynomial arithmetic at the end keys terms by exponent tuples and keeps
 every coefficient a Fraction, independently of the packed-int kernel it
-checks.
+checks.  The partition, rectangle-LR and polynomial helpers before it are
+the paper's corollaries and accessors that only the tests call; each is
+checked here against the tableau oracle or through the public API.
 """
 
 from fractions import Fraction
@@ -17,7 +19,8 @@ from math import factorial
 from operator import add
 
 from detpf.poly import ExactDivisionError, Monomial, Polynomial, VariableTable
-from detpf.symfunc import Partition, h_complete
+from detpf.lr import _alpha_beta, condition_holds
+from detpf.symfunc import Partition, SkewShape, h_complete
 
 
 def inversion_sign(seq):
@@ -95,7 +98,7 @@ def ordered_block_partitions(n_letters, block, tensor):
             yield tuple(blocks), inversion_sign(sum(blocks, ()))
             return
         for combo in combinations(remaining, block):
-            if not tensor.value(combo):
+            if not tensor_value(tensor, combo):
                 continue
             rest = [v for v in remaining if v not in combo]
             yield from rec(rest, blocks + [combo])
@@ -140,7 +143,7 @@ def hyper_v_by_ordered_partitions(n, xs, as_):
     tensor = AlternatingTensor.from_function(n, 2 * n, entry)
     total = Fraction(0)
     for blocks, sign in ordered_block_partitions(2 * n, n, tensor):
-        total = total + sign * tensor.value(blocks[0]) * tensor.value(blocks[1])
+        total = total + sign * tensor_value(tensor, blocks[0]) * tensor_value(tensor, blocks[1])
     return total / 2
 
 
@@ -166,7 +169,7 @@ def hyper_u_by_ordered_partitions(n, xs, ys, as_, bs):
     tensor = AlternatingTensor.from_function(n, 2 * n, entry)
     total = Fraction(0)
     for blocks, sign in ordered_block_partitions(2 * n, n, tensor):
-        total = total + sign * tensor.value(blocks[0]) * tensor.value(blocks[1])
+        total = total + sign * tensor_value(tensor, blocks[0]) * tensor_value(tensor, blocks[1])
     return total / 2
 
 
@@ -191,7 +194,7 @@ def vandermonde_hyperpfaffian_by_ordered_partitions(n, xs):
     for blocks, sign in ordered_block_partitions(len(xs), n, tensor):
         term = Fraction(sign)
         for block in blocks:
-            term = term * tensor.value(block)
+            term = term * tensor_value(tensor, block)
         total = total + term
     return total / factorial(len(xs) // n)
 
@@ -256,7 +259,7 @@ def lr_from_product(lam, mu, nu):
     target = Monomial(
         {i: lam.part(i) + (nvars - 1 - i) for i in range(nvars)}
     )
-    coeff = product.coefficient(target)
+    coeff = coefficient(product, target)
     assert coeff.denominator == 1
     return int(coeff)
 
@@ -352,6 +355,111 @@ def pieri_mu(n, e, k, direction):
     if direction == "v":
         return Partition([e] * (n - k) + [e - 1] * k)
     raise ValueError(f"unknown direction {direction!r}")
+
+
+class ConditionViolatedError(ValueError):
+    """The near-rectangle corollary was invoked outside its hypothesis."""
+
+
+def conjugate(lam):
+    """The transposed partition lam'."""
+    if not lam.parts:
+        return Partition()
+    cols = [0] * lam.parts[0]
+    for p in lam.parts:
+        for j in range(p):
+            cols[j] += 1
+    return Partition(cols)
+
+
+def frobenius(lam):
+    """(arms, legs): arm_i = lam_i - i, leg_i = lam'_i - i along the diagonal, 1-based."""
+    conj = conjugate(lam)
+    d = lam.diagonal()
+    arms = tuple(lam.parts[i] - i - 1 for i in range(d))
+    legs = tuple(conj.parts[i] - i - 1 for i in range(d))
+    return arms, legs
+
+
+def skew_size(shape):
+    return shape.outer.size() - shape.inner.size()
+
+
+def is_horizontal_strip(shape):
+    """At most one cell per column."""
+    oc, ic = conjugate(shape.outer), conjugate(shape.inner)
+    return all(oc.part(j) - ic.part(j) <= 1 for j in range(oc.length()))
+
+
+def is_vertical_strip(shape):
+    """At most one cell per row."""
+    return all(
+        shape.outer.part(i) - shape.inner.part(i) <= 1
+        for i in range(shape.outer.length())
+    )
+
+
+def lr_rect_rect(lam, n, e, f):
+    """Indicator for c^lam of two full rectangles: pairing condition on opposite parts."""
+    if lam.length() > 2 * n:
+        return 0
+    if lam.part(n) > min(e, f):
+        return 0
+    for i in range(n):
+        if lam.part(i) + lam.part(2 * n - 1 - i) != e + f:
+            return 0
+    return 1
+
+
+def lr_complement(mu, nu, n, e):
+    """Indicator that nu is the complement of mu in the n x e box."""
+    box = Partition.box(n, e)
+    if not (box.contains(mu) and box.contains(nu)):
+        return 0
+    return 1 if nu == mu.complement(n, e) else 0
+
+
+def pieri_near_rectangle(lam, n, e, f, k, direction):
+    """Strip indicator for the near-rectangle cases of the complementation theorem.
+
+    direction "h": mu has rows (e^{n-1}, e-k), the answer is 1 iff beta/alpha
+    is a horizontal strip of length k; "v": mu = (e^{n-k}, (e-1)^k) and
+    vertical strips.  Requires the rectangle condition to hold.
+    """
+    if not condition_holds(lam, n, e, f):
+        raise ConditionViolatedError(f"{lam} violates the rectangle condition")
+    alpha, beta = _alpha_beta(lam, n, e, f)
+    if not beta.contains(alpha):
+        return 0
+    shape = SkewShape(beta, alpha)
+    if skew_size(shape) != k:
+        return 0
+    if direction == "h":
+        return 1 if is_horizontal_strip(shape) else 0
+    if direction == "v":
+        return 1 if is_vertical_strip(shape) else 0
+    raise ValueError(f"unknown direction {direction!r}")
+
+
+def coefficient(p, mono):
+    """Exact coefficient of a Monomial in p, zero if absent."""
+    return Fraction(p.terms.get(mono.key, 0))
+
+
+def evaluate(p, point):
+    """Exact value of p at a map var-id -> Fraction; a missing variable raises KeyError."""
+    total = Fraction(0)
+    for key, coeff in p.terms.items():
+        value = coeff
+        for var, exp in Monomial._from_key(key).exponents().items():
+            value = value * point[var] ** exp
+        total += value
+    return total
+
+
+def tensor_value(tensor, sorted_idx):
+    """The stored value of an AlternatingTensor at a sorted index tuple, 0 if absent."""
+    return tensor.values.get(tuple(sorted_idx), Fraction(0))
 
 
 # ---------------------------------------------------------------------------

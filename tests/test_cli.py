@@ -1,13 +1,16 @@
 import concurrent.futures
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
-from detpf import harness, linalg
+from detpf import harness, linalg, lr
 from detpf.cli import _build_parser, main
 from detpf.identities import get_spec
-from detpf.poly import EXPONENT_CAP
+from detpf.lr import schur_expand
+from detpf.poly import EXPONENT_CAP, Polynomial, VariableTable
+from detpf.symfunc import Partition
 
 
 def run_cli(*argv):
@@ -264,6 +267,18 @@ USAGE_ERRORS = {
         ["verify", "--name", "hyper_v", "--param", "n=8", "--mode", "numeric", "--trials", "1"],
         "",
     ),
+    "campaign_config_repeated_name": (
+        ["campaign", "--config", "{file}"],
+        "[identity]\nname = cauchy\nname = schur\nn = 2\n",
+    ),
+    "campaign_config_repeated_param": (
+        ["campaign", "--config", "{file}"],
+        "[identity]\nname = schur\nn = 2\nn = 3\n",
+    ),
+    "campaign_config_repeated_global": (
+        ["campaign", "--config", "{file}"],
+        "seed = 1\nseed = 2\n[identity]\nname = cauchy\n",
+    ),
     "lr_rect_n_zero": (
         ["lr", "--rect", "--n", "0", "--e", "1", "--f", "1", "--lambda", "[]", "--mu", "[]"],
         "",
@@ -285,6 +300,26 @@ def test_usage_errors_exit_one_with_one_line(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1 and text == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "expand",
+    [
+        lambda p: {Partition([1]): Fraction(1, 2)},
+        lambda p: {Partition([1]): Fraction(-1)},
+        lambda p: schur_expand(Polynomial(VariableTable(["z1", "z2"]), {(1,): 1})),
+    ],
+    ids=["half", "negative", "asymmetric"],
+)
+def test_lr_pfaffian_invariant_breach_exits_three(expand, monkeypatch, capsys):
+    monkeypatch.setattr(lr, "schur_expand", expand)
+    code, text = run_cli(
+        "lr", "--rect", "--n", "1", "--e", "1", "--f", "1",
+        "--lambda", "[2]", "--mu", "[]", "--method", "pfaffian",
+    )
+    err = capsys.readouterr().err
+    assert code == 3 and text == ""
+    assert err.startswith("internal error: ") and len(err.splitlines()) == 1
 
 
 def test_out_of_memory_exits_one_and_suggests_numeric_mode(monkeypatch, capsys):

@@ -344,6 +344,18 @@ def test_campaign_config_parsing():
         parse_campaign_config("wat = 3\n")
     with pytest.raises(ConfigError):
         parse_campaign_config("[identity]\nname = cauchy\nn = x\n")
+    # a repeated key is an error, not a silent override
+    with pytest.raises(ConfigError, match="line 3: repeated key 'name'"):
+        parse_campaign_config("[identity]\nname = cauchy\nname = schur\nn = 2\n")
+    with pytest.raises(ConfigError, match="line 4: repeated key 'n'"):
+        parse_campaign_config("[identity]\nname = cauchy\nn = 2\nn = 3\n")
+    with pytest.raises(ConfigError, match="line 2: repeated key 'seed'"):
+        parse_campaign_config("seed = 1\nseed = 2\n[identity]\nname = cauchy\n")
+    # the same key in the globals and in each block is no repeat
+    config = parse_campaign_config(
+        "seed = 1\n[identity]\nname = a\nseed = 2\n[identity]\nname = b\nseed = 3\n"
+    )
+    assert [b.seed for b in config.blocks] == [2, 3]
 
 
 def test_empty_campaign():

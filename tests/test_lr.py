@@ -4,15 +4,11 @@ from fractions import Fraction
 import pytest
 
 from detpf.lr import (
-    ConditionViolatedError,
     b_principal,
     condition_holds,
     lr_bruteforce,
-    lr_complement,
-    lr_rect_rect,
     lr_rectangle_theorem,
     lr_via_pfaffian,
-    pieri_near_rectangle,
     schur_expand,
 )
 from detpf.poly import VariableTable
@@ -25,7 +21,16 @@ from detpf.symfunc import (
     schur_jacobi_trudi,
 )
 
-from oracles import b_coeff, coefficient_of_powers, lr_from_product, pieri_mu
+from oracles import (
+    ConditionViolatedError,
+    b_coeff,
+    coefficient_of_powers,
+    lr_complement,
+    lr_from_product,
+    lr_rect_rect,
+    pieri_mu,
+    pieri_near_rectangle,
+)
 
 P = Partition
 

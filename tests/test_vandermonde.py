@@ -24,7 +24,7 @@ from detpf.vandermonde import (
     row_W,
 )
 
-from oracles import fgh_by_shifted_dets
+from oracles import conjugate, fgh_by_shifted_dets
 
 
 def _gens(spec):
@@ -139,7 +139,7 @@ def test_p4_against_box_scan_oracle():
     for lam in partitions_in_box(4, 4):
         if lam.length() > 4 or (lam.parts and lam.parts[0] > 3):
             continue
-        conj = lam.conjugate()
+        conj = conjugate(lam)
         d = lam.diagonal()
         if d == conj.diagonal() and all(
             conj.part(i) == lam.part(i) + 1 for i in range(d)
