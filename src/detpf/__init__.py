@@ -4,7 +4,6 @@ Littlewood-Richardson coefficients over big rationals."""
 from .poly import (
     ExactDivisionError,
     ExponentCapError,
-    Monomial,
     Polynomial,
     VariableTable,
     random_rational,
@@ -43,7 +42,6 @@ __all__ = [
     "AlternatingTensor",
     "ExactDivisionError",
     "ExponentCapError",
-    "Monomial",
     "Partition",
     "Polynomial",
     "RingMatrix",

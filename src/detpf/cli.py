@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage/config errors (including a missing or
 unreadable file, an exponent above the polynomial exponent cap, a hyperpfaffian above
-its enumeration cap, a numeric run whose guards rejected every draw and a run
-that ran out of memory),
+its enumeration cap, a numeric run whose guards rejected every draw, a run
+that ran out of memory and an input too deep for a recursive route),
 2 verification or cross-check failure, 3 internal invariant breach.
 """
 
@@ -250,6 +250,9 @@ def main(argv=None, out=None):
             "without expanding polynomials",
             file=sys.stderr,
         )
+        return 1
+    except RecursionError:
+        print("error: input too large for a recursive route", file=sys.stderr)
         return 1
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -1,7 +1,7 @@
 """Exact determinants, Pfaffians, minors and hyperpfaffians over a commutative ring.
 
-Scalars are int, Fraction or Polynomial (see poly.py); every algorithm here
-uses ring operations only, except the rational fast paths which may divide.
+Scalars are int, Fraction or integer Polynomial (see poly.py); every algorithm
+here uses ring operations only, except the rational fast paths which may divide.
 A rational determinant scales each row by the lcm of its denominators, runs
 fraction-free Bareiss elimination on plain ints and divides by the product
 of the row scales once.  `clear_rows` and `minors_int` expose that route:
@@ -317,8 +317,8 @@ def _minors_step(a, where, k, sign, prev, group, out):
 def _det_bareiss(m):
     """Determinant of a polynomial matrix by the Bareiss elimination of `minors_int`.
 
-    Rational entries are lifted to constant polynomials first, since `//`
-    floors on Fractions but divides exactly on Polynomials.
+    Its other entries are integers, lifted to constant polynomials first,
+    since an int cannot be divided by a Polynomial.
     """
     table = next(v.table for v in m.data if isinstance(v, Polynomial))
     rows = [

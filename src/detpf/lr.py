@@ -111,8 +111,7 @@ def schur_expand(p):
     nvars = len(p.table)
     gens = p.table.gens()
     while p.terms:
-        mono, coeff = p.leading_term()
-        exps = mono.dense_key(nvars)
+        exps, coeff = p.leading_term()
         if any(exps[i] < exps[i + 1] for i in range(nvars - 1)):
             raise ValueError("polynomial is not symmetric")
         lam = Partition(exps)

@@ -1,12 +1,12 @@
-"""Exact scalars: big rationals, sparse multivariate polynomials and formal quotients.
+"""Exact scalars: big rationals, sparse integer polynomials and formal quotients.
 
 Numeric work runs on stdlib `fractions.Fraction` (lowest terms, positive
-denominator), symbolic work on `Polynomial` (sparse multivariate, rational
-coefficients, canonical term map) and, where a statement divides by
-polynomials, on `Quotient`, a numerator over a multiset of polynomial
-factors.  Matrix code and identity builders are generic over these scalars.
-The term map stores a coefficient as an `int` exactly when its denominator
-is 1 and as a `Fraction` otherwise.
+denominator), symbolic work on `Polynomial` (sparse multivariate, integer
+coefficients, canonical term map) and, where a statement divides, on
+`Quotient`, a numerator over a multiset of polynomial factors.  Matrix code
+and identity builders are generic over these scalars.  A rational enters a
+polynomial only when it is an integer; any other rational meets one only as
+a `Quotient`, the constant numerator over its denominator.
 
 A monomial is one packed `int` with a fixed SLOT_BITS-bit slot per
 variable, variable 0 in the lowest slot: equal monomials are equal ints
@@ -36,22 +36,15 @@ class ExponentCapError(OverflowError):
     """An exponent would exceed EXPONENT_CAP, the largest one a monomial slot holds."""
 
 
-def _cap_error(exp):
-    return ExponentCapError(f"exponent {exp} exceeds the cap {EXPONENT_CAP}")
-
-
 def _guards(nvars):
     """The guard bit of each of the first nvars slots."""
     return ((1 << (SLOT_BITS * nvars)) - 1) // _SLOT_MASK << (SLOT_BITS - 1)
 
 
 def _pack(exps):
+    """Packed monomial of an exponent sequence, each exponent in 0..EXPONENT_CAP."""
     key = 0
     for var, exp in enumerate(exps):
-        if exp < 0:
-            raise ValueError("monomial exponents must be nonnegative")
-        if exp > EXPONENT_CAP:
-            raise _cap_error(exp)
         key |= exp << (SLOT_BITS * var)
     return key
 
@@ -96,72 +89,16 @@ def _check_keys(terms, nvars):
     """Raise if a key built by adding two monomials set a guard bit."""
     if reduce(or_, terms, 0) & _guards(nvars):
         worst = max(max(_unpack(key), default=0) for key in terms)
-        raise _cap_error(worst)
+        raise ExponentCapError(f"exponent {worst} exceeds the cap {EXPONENT_CAP}")
 
 
 def _coeff(value):
-    """Canonical coefficient: an int when the denominator is 1, else a Fraction."""
+    """An int or an integral Fraction as an int; None for any other value."""
     if type(value) is int:
         return value
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
-def _has_fraction(terms):
-    return Fraction in map(type, terms.values())
-
-
-def _normalize(terms):
-    """Make integral Fraction coefficients ints, in place."""
-    for key in terms:
-        coeff = terms[key]
-        if type(coeff) is Fraction and coeff.denominator == 1:
-            terms[key] = coeff.numerator
-
-
-def _quotient(num, den):
-    """Exact num / den; int operands must not fall back to float division."""
-    return _coeff(Fraction(num) / den)
-
-
-class Monomial:
-    """A product of variable powers; the API wrapper around a packed monomial."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, exponents=()):
-        if isinstance(exponents, dict):
-            items = exponents.items()
-        else:
-            items = tuple(exponents)
-        width = max((var for var, _ in items), default=-1) + 1
-        exps = [0] * width
-        for var, exp in items:
-            exps[var] += exp
-        self.key = _pack(exps)
-
-    @classmethod
-    def _from_key(cls, key):
-        self = cls.__new__(cls)
-        self.key = key
-        return self
-
-    def exponents(self):
-        return {var: exp for var, exp in enumerate(_unpack(self.key)) if exp}
-
-    def dense_key(self, nvars):
-        exps = _unpack(self.key)
-        return exps + (0,) * (nvars - len(exps))
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        return f"Monomial({self.exponents()!r})"
+    if isinstance(value, (int, Fraction)) and value.denominator == 1:
+        return int(value)
+    return None
 
 
 class VariableTable:
@@ -199,63 +136,48 @@ class VariableTable:
         return f"VariableTable({self.names!r})"
 
 
-def _as_key(mono):
-    if isinstance(mono, Monomial):
-        return mono.key
-    return _pack(mono)
-
-
 class Polynomial:
-    """Sparse multivariate polynomial over the rationals with a canonical term map.
+    """Sparse multivariate polynomial over the integers with a canonical term map.
 
-    `terms` maps packed monomials to int or Fraction coefficients.  The zero
-    polynomial has an empty term map, no term ever stores a zero
-    coefficient and integral coefficients are always ints, so ``==`` on the
-    term maps is semantic equality.
+    `terms` maps packed monomials to nonzero int coefficients; the
+    constructor takes it as given, since every operation builds its result
+    map canonical.  The zero polynomial has an empty term map, so ``==`` on
+    the term maps is semantic equality.
     """
 
     __slots__ = ("table", "terms")
 
-    def __init__(self, table, terms=None):
-        self.table = table
-        clean = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = _coeff(coeff)
-                if coeff:
-                    clean[_as_key(mono)] = coeff
-        self.terms = clean
-
-    @classmethod
-    def _raw(cls, table, terms):
-        self = cls.__new__(cls)
+    def __init__(self, table, terms):
         self.table = table
         self.terms = terms
-        return self
 
     @classmethod
     def zero(cls, table):
-        return cls._raw(table, {})
+        return cls(table, {})
 
     @classmethod
     def const(cls, table, value):
-        value = _coeff(value)
-        return cls._raw(table, {0: value} if value else {})
+        coeff = _coeff(value)
+        if coeff is None:
+            raise TypeError(f"polynomial coefficients are integers, got {value!r}")
+        return cls(table, {0: coeff} if coeff else {})
 
     @classmethod
     def variable(cls, table, vid):
         if not 0 <= vid < len(table):
             raise IndexError(f"variable id {vid} outside table")
-        return cls._raw(table, {1 << (SLOT_BITS * vid): 1})
+        return cls(table, {1 << (SLOT_BITS * vid): 1})
 
     def _coerce(self, other):
+        """other as a Polynomial of this table, or None if it is not an integer."""
         if isinstance(other, Polynomial):
             if other.table is not self.table:
                 raise ValueError("polynomials from different variable tables")
             return other
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.const(self.table, other)
-        return None
+        value = _coeff(other)
+        if value is None:
+            return None
+        return Polynomial(self.table, {0: value} if value else {})
 
     def __bool__(self):
         return bool(self.terms)
@@ -277,15 +199,15 @@ class Polynomial:
             else:
                 acc = acc + coeff
                 if acc:
-                    out[key] = acc if type(acc) is int else _coeff(acc)
+                    out[key] = acc
                 else:
                     del out[key]
-        return Polynomial._raw(self.table, out)
+        return Polynomial(self.table, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(self.table, {k: -c for k, c in self.terms.items()})
+        return Polynomial(self.table, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -300,19 +222,16 @@ class Polynomial:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Polynomial):
             other = _coeff(other)
+            if other is None:
+                return NotImplemented
             if not other:
-                return Polynomial._raw(self.table, {})
-            out = {k: c * other for k, c in self.terms.items()}
-            if _has_fraction(out):
-                _normalize(out)
-            return Polynomial._raw(self.table, out)
+                return Polynomial(self.table, {})
+            return Polynomial(self.table, {k: c * other for k, c in self.terms.items()})
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
         if not self.terms or not other.terms:
-            return Polynomial._raw(self.table, {})
+            return Polynomial(self.table, {})
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
@@ -339,9 +258,7 @@ class Polynomial:
         guards = _guards(len(self.table))
         if (reduce(or_, a, 0) | reduce(or_, b, 0)) & (guards | guards >> 1):
             _check_keys(out, len(self.table))
-        if _has_fraction(a) or _has_fraction(b):
-            _normalize(out)
-        return Polynomial._raw(self.table, out)
+        return Polynomial(self.table, out)
 
     __rmul__ = __mul__
 
@@ -360,13 +277,11 @@ class Polynomial:
         return result
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
         return Quotient(self) / other
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        return NotImplemented if other is None else Quotient(other) / self
+        other = Quotient(self)._lift(other)
+        return NotImplemented if other is None else other / self
 
     def __floordiv__(self, other):
         return self.exact_div(other)
@@ -386,37 +301,35 @@ class Polynomial:
 
     __hash__ = None
 
-    def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(_unpack(k)) for k in self.terms)
-
     def leading_term(self):
-        """(monomial, coefficient) maximal in graded lexicographic order."""
+        """(exponents, coefficient) of the grlex-largest term; one exponent per table variable."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         key = max(self.terms, key=_grlex)
-        return Monomial._from_key(key), Fraction(self.terms[key])
+        exps = _unpack(key)
+        return exps + (0,) * (len(self.table) - len(exps)), self.terms[key]
 
     def exact_div(self, other):
-        """Exact quotient self/other; raises ExactDivisionError if inexact.
+        """Exact quotient self/other in Z[x]; raises ExactDivisionError if inexact.
 
         Cancels leading terms in the order of the packed ints (lex with the
         last variable most significant, a monomial order), keeping the
         remainder in one dict and its monomials in a max-heap, so each step
         costs one pass over the divisor.  When other genuinely divides self,
         the divisor's leading monomial divides every intermediate leading
-        monomial and every quotient monomial lies in the box
-        deg_i(self) - deg_i(other) per variable; any failure of either
+        monomial, its leading coefficient divides every intermediate leading
+        coefficient, and every quotient monomial lies in the box
+        deg_i(self) - deg_i(other) per variable; any failure of these
         means the division is inexact.  The box also keeps every remainder
         monomial within self's degrees, so no slot can overflow.
         """
         other = self._coerce(other)
-        if other is None or not other.terms:
+        if other is None:
+            raise TypeError("exact division needs an integer or a Polynomial divisor")
+        if not other.terms:
             raise ZeroDivisionError("division by zero polynomial")
         if not self.terms:
-            return Polynomial._raw(self.table, {})
+            return Polynomial(self.table, {})
         nvars = len(self.table)
         guards = _guards(nvars)
         top = [
@@ -439,9 +352,9 @@ class Polynomial:
             if coeff is None:
                 continue
             q = _slot_sub(key, lead, guards)
-            if q is None or _slot_sub(box, q, guards) is None:
+            qc, r = divmod(coeff, lead_coeff)
+            if q is None or r or _slot_sub(box, q, guards) is None:
                 raise ExactDivisionError("inexact polynomial division")
-            qc = _quotient(coeff, lead_coeff)
             quotient[q] = qc
             for k, c in tail:
                 k += q
@@ -455,7 +368,7 @@ class Polynomial:
                         rem[k] = acc
                     else:
                         del rem[k]
-        return Polynomial._raw(self.table, quotient)
+        return Polynomial(self.table, quotient)
 
     def text(self):
         """Canonical text form: graded-lex terms joined by " + ", coef*var^exp factors."""
@@ -485,6 +398,8 @@ class Quotient:
 
     `den` counts factors by term map.  A sum takes the union of the operands'
     factors, a product adds multiplicities, and equality compares numerators.
+    A rational p/q that is not an integer enters as the constant p over the
+    constant factor q.
     """
 
     __slots__ = ("num", "den")
@@ -495,7 +410,7 @@ class Quotient:
 
     def factors(self):
         """[(factor, multiplicity)] for the distinct factors of the denominator."""
-        return [(Polynomial._raw(self.num.table, dict(key)), m) for key, m in self.den.items()]
+        return [(Polynomial(self.num.table, dict(key)), m) for key, m in self.den.items()]
 
     def _cleared(self):
         powers = [factor**m for factor, m in self.factors()]
@@ -506,8 +421,12 @@ class Quotient:
         return Quotient(self.num, other.den - self.den)._cleared()
 
     def _lift(self, other):
-        other = other if isinstance(other, Quotient) else self.num._coerce(other)
-        return Quotient(other) if isinstance(other, Polynomial) else other
+        if isinstance(other, Quotient):
+            return other
+        if isinstance(other, Fraction) and other.denominator != 1:
+            return self._lift(other.numerator) / other.denominator
+        other = self.num._coerce(other)
+        return None if other is None else Quotient(other)
 
     def __bool__(self):
         return bool(self.num)

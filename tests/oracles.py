@@ -8,17 +8,19 @@ by peeling the expanded product term by term or, one entry at a time, from
 the closed form `b_coeff` with h's computed afresh.  The reference
 polynomial arithmetic at the end keys terms by exponent tuples and keeps
 every coefficient a Fraction, independently of the packed-int kernel it
-checks.  The partition, rectangle-LR and polynomial helpers before it are
-the paper's corollaries and accessors that only the tests call; each is
-checked here against the tableau oracle or through the public API.
+checks; its division, like the kernel's, is exact only over the integers.
+The partition, rectangle-LR and polynomial helpers before it are the
+paper's corollaries and accessors that only the tests call; each is checked
+here against the tableau oracle or through the public API.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 from operator import add
 
-from detpf.poly import ExactDivisionError, Monomial, Polynomial, VariableTable
+from detpf.poly import EXPONENT_CAP, ExactDivisionError, Polynomial, VariableTable, _pack, _unpack
 from detpf.lr import _alpha_beta, condition_holds
 from detpf.symfunc import Partition, SkewShape, h_complete
 
@@ -256,12 +258,8 @@ def lr_from_product(lam, mu, nu):
         for j in range(i + 1, nvars):
             delta = delta * (xs[i] - xs[j])
     product = delta * schur_jacobi_trudi(mu, xs) * schur_jacobi_trudi(nu, xs)
-    target = Monomial(
-        {i: lam.part(i) + (nvars - 1 - i) for i in range(nvars)}
-    )
-    coeff = coefficient(product, target)
-    assert coeff.denominator == 1
-    return int(coeff)
+    target = {i: lam.part(i) + (nvars - 1 - i) for i in range(nvars)}
+    return coefficient(product, target)
 
 
 def schur_by_tableaux(lam, values):
@@ -299,14 +297,32 @@ def schur_by_tableaux(lam, values):
     return total
 
 
+def mono_key(exps):
+    """The packed monomial of a dense exponent tuple or a {variable: exponent} map."""
+    if isinstance(exps, dict):
+        exps = [exps.get(var, 0) for var in range(max(exps, default=-1) + 1)]
+    assert all(0 <= exp <= EXPONENT_CAP for exp in exps), exps
+    return _pack(exps)
+
+
+def poly_of(table, terms):
+    """The Polynomial of {exponents: int coefficient}, exponents as `mono_key` takes
+    them; coefficients of equal monomials add up and zero ones are dropped."""
+    out = Counter()
+    for exps, coeff in terms.items():
+        assert type(coeff) is int, coeff
+        out[mono_key(exps)] += coeff
+    return Polynomial(table, {key: coeff for key, coeff in out.items() if coeff})
+
+
 def term_list(p):
-    """(Monomial, Fraction) pairs of p in descending graded-lex order, read
-    through the public API by peeling off leading terms."""
+    """(dense exponent tuple, int) pairs of p in descending graded-lex order,
+    read through the public API by peeling off leading terms."""
     out = []
     while p:
-        mono, coeff = p.leading_term()
-        out.append((mono, coeff))
-        p = p - Polynomial(p.table, {mono: coeff})
+        exps, coeff = p.leading_term()
+        out.append((exps, coeff))
+        p = p - poly_of(p.table, {exps: coeff})
     return out
 
 
@@ -316,13 +332,11 @@ def coefficient_of_powers(p, powers):
     Example: for p in x,y,z and powers {x: 2, y: 0}, the z-polynomial
     multiplying x^2 y^0.
     """
-    nvars = len(p.table)
     out = {}
-    for mono, coeff in term_list(p):
-        exps = mono.dense_key(nvars)
+    for exps, coeff in term_list(p):
         if all(exps[v] == e for v, e in powers.items()):
             out[tuple(0 if v in powers else e for v, e in enumerate(exps))] = coeff
-    return Polynomial(p.table, out)
+    return poly_of(p.table, out)
 
 
 def b_coeff(k, l, n, e, f, z_values, w_values):
@@ -441,9 +455,9 @@ def pieri_near_rectangle(lam, n, e, f, k, direction):
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def coefficient(p, mono):
-    """Exact coefficient of a Monomial in p, zero if absent."""
-    return Fraction(p.terms.get(mono.key, 0))
+def coefficient(p, exps):
+    """The int coefficient in p of the monomial that `mono_key` packs from exps, 0 if absent."""
+    return p.terms.get(mono_key(exps), 0)
 
 
 def evaluate(p, point):
@@ -451,8 +465,9 @@ def evaluate(p, point):
     total = Fraction(0)
     for key, coeff in p.terms.items():
         value = coeff
-        for var, exp in Monomial._from_key(key).exponents().items():
-            value = value * point[var] ** exp
+        for var, exp in enumerate(_unpack(key)):
+            if exp:
+                value = value * point[var] ** exp
         total += value
     return total
 
@@ -504,7 +519,7 @@ def ref_poly(dense_terms):
 
 def ref_terms(p):
     """A Polynomial as a reference term map."""
-    return {_strip(mono.dense_key(len(p.table))): coeff for mono, coeff in term_list(p)}
+    return {_strip(exps): coeff for exps, coeff in term_list(p)}
 
 
 def ref_add(a, b):
@@ -543,7 +558,8 @@ def ref_pow(a, k):
 
 
 def ref_exact_div(a, b):
-    """Quotient by repeated cancellation of graded-lex leading terms."""
+    """Quotient by repeated cancellation of graded-lex leading terms; inexact
+    unless every quotient coefficient is an integer."""
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
     div_key = max(b, key=_grlex)
@@ -552,9 +568,9 @@ def ref_exact_div(a, b):
     while rem:
         key = max(rem, key=_grlex)
         q = _mono_div(key, div_key)
-        if q is None:
-            raise ExactDivisionError("inexact polynomial division")
         qc = rem[key] / b[div_key]
+        if q is None or qc.denominator != 1:
+            raise ExactDivisionError("inexact polynomial division")
         quotient = ref_add(quotient, {q: qc})
         rem = ref_add(rem, ref_neg(ref_mul({q: qc}, b)))
     return quotient

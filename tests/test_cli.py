@@ -9,7 +9,7 @@ from detpf import harness, linalg, lr
 from detpf.cli import _build_parser, main
 from detpf.identities import get_spec
 from detpf.lr import schur_expand
-from detpf.poly import EXPONENT_CAP, Polynomial, VariableTable
+from detpf.poly import EXPONENT_CAP, VariableTable
 from detpf.symfunc import Partition
 
 
@@ -261,6 +261,8 @@ USAGE_ERRORS = {
         '{"dim": 2, "upper": [[0, 1, "1"], [0, 1, "2"]]}',
     ),
     "lr_bad_part": (["lr", "--lambda", "[1,x]", "--mu", "[1]", "--nu", "[1]"], ""),
+    # the tableau oracle recurses once per cell, past the recursion limit
+    "lr_too_deep": (["lr", "--lambda", "[1200]", "--mu", "[]", "--nu", "[1200]"], ""),
     "campaign_config_dir": (["campaign", "--config", "{file}"], None),
     "campaign_config_not_utf8": (["campaign", "--config", "{file}"], b"\xff\xfe"),
     "hyperpfaffian_cap": (
@@ -307,7 +309,7 @@ def test_usage_errors_exit_one_with_one_line(case, tmp_path, capsys):
     [
         lambda p: {Partition([1]): Fraction(1, 2)},
         lambda p: {Partition([1]): Fraction(-1)},
-        lambda p: schur_expand(Polynomial(VariableTable(["z1", "z2"]), {(1,): 1})),
+        lambda p: schur_expand(VariableTable(["z1", "z2"]).gens()[0]),
     ],
     ids=["half", "negative", "asymmetric"],
 )

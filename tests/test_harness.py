@@ -484,8 +484,9 @@ def test_prod_matches_left_fold():
         [Fraction(2, 3), 5, Fraction(-9, 4)],
         [big, -big, Fraction(7, 5)],
         [big, 0, Fraction(7, 5)],
-        [x, Fraction(1, 2), y],
-        [Fraction(1, 3), 4, x - y, Fraction(3, 7), x + 1],  # a Polynomial after rational factors
+        [x, Fraction(4, 2), y],
+        [Fraction(1, 3), 6, x - y, Fraction(-3), x + 1],  # a Polynomial after rational factors
+        [Fraction(1, 3), 4, (x - y) / 5, Fraction(3, 7), x + 1],  # and a Quotient
         [3, x * y, 0],
     ]
     for items in cases:
@@ -637,7 +638,8 @@ def test_quotient_side_with_zero_numerator_and_negative_denominators():
 def test_delta_on_repeated_and_polynomial_points():
     assert _delta([Fraction(1, 3), 2, Fraction(1, 3)]) == 0
     x, y = VariableTable(["x", "y"]).gens()
-    assert _delta([x, Fraction(1, 2), y]) == (Fraction(1, 2) - x) * (y - x) * (y - Fraction(1, 2))
+    assert _delta([x, Fraction(4, 2), y]) == (2 - x) * (y - x) * (y - 2)
+    assert _delta([x / 2, Fraction(1, 2), y / 2]) == (1 - x) * (y - x) * (y - 1) / 8
 
 
 # (family, its matrix builder, params, coordinates per point, tail length):

@@ -126,13 +126,15 @@ def test_polynomial_product_keeps_the_ring_loop():
     table = VariableTable()
     table.add_vector("t", 6)
     t = table.gens()
-    x = RingMatrix(2, 3, [t[0], Fraction(1, 2), 3, t[1] * t[2], 0, t[3] - 1])
-    y = RingMatrix(3, 2, [Fraction(2, 3), t[4], t[5], 1, -t[0], Fraction(5)])
+    # a polynomial meets a non-integral rational only inside a Quotient
+    x = RingMatrix(2, 3, [t[0], Fraction(6, 3), 3, t[1] * t[2], 0, t[3] / 2])
+    y = RingMatrix(3, 2, [Fraction(-2), t[4], t[5], 1, -t[0], Fraction(5)])
     got = x.mul(y)
     assert got.data == matmul(x, y).data
-    assert got.at(0, 0) == t[0] * Fraction(2, 3) + Fraction(1, 2) * t[5] - 3 * t[0]
-    rational_left = RingMatrix(1, 2, [Fraction(1, 2), 3]).mul(RingMatrix(2, 1, t[:2]))
-    assert rational_left.data == [Fraction(1, 2) * t[0] + 3 * t[1]]
+    assert got.at(0, 0) == -2 * t[0] + 2 * t[5] - 3 * t[0]
+    assert got.at(1, 1) == t[1] * t[2] * t[4] + t[3] * 5 / 2
+    rational_left = RingMatrix(1, 2, [Fraction(1, 2), 3]).mul(RingMatrix(2, 1, [t[0] / 3, t[1]]))
+    assert rational_left.data == [t[0] / 6 + 3 * t[1]]
 
 
 def test_det_polynomial_cofactor_matches_bareiss():
@@ -144,22 +146,24 @@ def test_det_polynomial_cofactor_matches_bareiss():
 
 
 def test_polynomial_bareiss_divides_exactly_on_rational_constants():
-    # `//` floors on Fractions, so a constant block that Bareiss pivots on
-    # must be lifted to polynomials before the elimination divides by it
+    # `//` floors on Fractions and ints, and an int cannot be divided by a
+    # Polynomial, so a constant block that Bareiss pivots on must be lifted
+    # to polynomials before the elimination divides by it
     table = VariableTable()
     table.add_vector("t", 4)
     t = table.gens()
-    half, third = Fraction(1, 2), Fraction(1, 3)
+    two, three = Fraction(4, 2), Fraction(-9, 3)
     block = RingMatrix(4, 4, [
-        half, third, t[0], 1,
-        third, half, Fraction(2, 7), t[1],
-        t[2], 3, t[3] * t[0] - half, Fraction(-5, 3),
-        1, t[3], third * t[1], t[2] + 1,
+        two, three, t[0], 1,
+        three, two, Fraction(7), t[1],
+        t[2], 3, t[3] * t[0] - two, Fraction(-5),
+        1, t[3], three * t[1], t[2] + 1,
     ])
     assert _det_bareiss(block) == det_leibniz(block) == _det_cofactor(block)
 
     def entry(r):
-        return _draw(r) + r.choice(t) if r.random() < 0.4 else _draw(r)
+        value = Fraction(r.randint(-20, 20))
+        return value + r.choice(t) if r.random() < 0.4 else value
 
     rng = random.Random(20)
     for n in (2, 3, 4, 5):
@@ -173,7 +177,7 @@ def test_minors_int_on_polynomial_rows_matches_cofactor():
     table.add_vector("t", 3)
     t = table.gens()
     rng = random.Random(21)
-    entries = [t[0], t[1] - t[2], t[0] * t[2] + 1, Fraction(3, 4) * t[1], t[2] ** 2]
+    entries = [t[0], t[1] - t[2], t[0] * t[2] + 1, Fraction(-12, 4) * t[1], t[2] ** 2]
     rows = [[rng.choice(entries) + rng.randint(-2, 2) for _ in range(6)] for _ in range(3)]
     rows[0][0] = Polynomial.zero(table)  # the shared first step swaps rows
     lists = [(0, 1, 2), (0, 1, 5), (0, 4, 3), (2, 1, 0), (2, 1, 4), (5, 3, 3)]
