@@ -13,9 +13,9 @@ ints once, from the numerators and denominators of coordinates or entries).
 Most of the paper's identities share one shape: det or Pf of num/den equals
 a core over the product of the denominators, generalizing Cauchy's
 det(1/(x_i+y_j)) and Schur's Pf((x_j-x_i)/(x_j+x_i)).  Those are declared
-by `_register_quotient` from (den, num, core) alone; it derives both modes'
-sides, and its numeric sides reject a draw with a zero denominator by
-raising `ZeroDenominatorError`.  Twenty-two identities are
+by `_register_quotient` from (kind, den, num, core) alone; it derives both
+modes' sides, and its numeric sides reject a draw with a zero denominator
+by raising `ZeroDenominatorError`.  Twenty-two identities are
 declared that way, three of them (det_schur, pf_schur, pf_schur2) with unit
 denominators.  Sixteen are instances of the paper's two theorems, each
 stated once for any structured determinant family f (two-block V,
@@ -25,8 +25,8 @@ cauchy1 and det_schur, `_theorem_pf` gives special2, main2, prop_n2, main4,
 homog1, variation2, schur1, pf_schur and pf_schur2; both take their
 entries from `_Family.pair_values`.  `_product` multiplies the (num, core)
 of such parts, so a Schur-function corollary is a seed times a theorem
-instance.  hyper_v and special_hyppf are specializations of the hyper_u
-hyperpfaffian, all three built by `_vandermonde_hyperpfaffian`.
+instance.  hyper_v and special_hyppf specialize the hyper_u hyperpfaffian,
+all three built in both modes by the one walk of `_vandermonde_hyperpfaffian`.
 
 Sides are composed exclusively from the matrix builders, exact linear
 algebra and symmetric-function primitives; no identity re-derives a closed
@@ -124,13 +124,14 @@ def _register(**kwargs):
     return spec
 
 
-def _register_quotient(kind, dim, den, parts, **fields):
+def _register_quotient(kind, den, parts, dim=None, **fields):
     """Register an identity  det|Pf(num/den) = core / prod(den).
 
     `kind` is "det" (den over all pairs of a dim x dim matrix) or "pf" (den
     over the pairs i < j of a dim x dim skew matrix).  `dim(params)` is that
-    dimension, `den(params, sc, i, j)` one denominator, and `parts(params,
-    sc)` returns `(num, core)` with `num(i, j)` the matching numerator.
+    dimension (n or 2n by default), `den(params, sc, i, j)` one denominator,
+    and `parts(params, sc)` returns `(num, core)` with `num(i, j)` the
+    matching numerator.
 
     Numeric mode compares det/Pf(num/den) with core over the product of the
     denominators, each evaluated once: a zero one raises `ZeroDenominatorError`
@@ -139,6 +140,8 @@ def _register_quotient(kind, dim, den, parts, **fields):
     `pfaffian_of_ratios`.  Symbolic mode compares the denominator-cleared
     det/Pf with core.  `main_dim` defaults to `dim`.
     """
+    if dim is None:
+        dim = (lambda p: p["n"]) if kind == "det" else (lambda p: 2 * p["n"])
 
     def pairs(n):
         if kind == "det":
@@ -167,12 +170,8 @@ def _register_quotient(kind, dim, den, parts, **fields):
                 lhs = pfaffian_of_ratios(n, dict(zip(ij, ratios)))
             return [(lhs, core / _prod(dens))]
         num, core = parts(p, sc)
-        if kind == "det":
-            nmat = RingMatrix(n, n, [num(i, j) for i, j in pairs(n)])
-            lhs = det_with_denominators(nmat, RingMatrix(n, n, [d(i, j) for i, j in pairs(n)]))
-        else:
-            lhs = pfaffian_with_denominators(n, num, d)
-        return [(lhs, core)]
+        cleared = det_with_denominators if kind == "det" else pfaffian_with_denominators
+        return [(cleared(n, num, d), core)]
 
     fields.setdefault("main_dim", dim)
     fields["sides"] = sides
@@ -222,10 +221,6 @@ def _delta(xs):
 
 def _sign(exponent):
     return -1 if exponent % 2 else 1
-
-
-def _pow(x, k):
-    return Fraction(1) if k == 0 else x**k
 
 
 def _point_det(build, int_row, sizes, vecs):
@@ -371,39 +366,20 @@ def _all_pairs(n):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
-def _matrix_from(sc_values, rows, cols):
-    return RingMatrix(rows, cols, list(sc_values))
-
-
-def _skew_from(sc_values, dim):
-    values = list(sc_values)
-    upper = {}
-    pos = 0
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            upper[(i, j)] = values[pos]
-            pos += 1
-    return SkewMatrix(dim, upper)
-
-
-def _check_min(params, key, minimum):
-    if params[key] < minimum:
-        raise InvalidParamsError(f"parameter {key} must be >= {minimum}")
-
-
-def _check_le(params, small, large):
-    if params[small] > params[large]:
-        raise InvalidParamsError(f"needs {small} <= {large}")
+def _skew_from(values, dim):
+    return SkewMatrix(dim, dict(zip(_all_pairs(dim), values, strict=True)))
 
 
 def _check_dodgson(params):
     _check_nonneg(params)
-    _check_min(params, "n", 2)
+    if params["n"] < 2:
+        raise InvalidParamsError("parameter n must be >= 2")
 
 
 def _check_cauchy_binet(params):
     _check_nonneg(params, positive=("n", "N"))
-    _check_le(params, "n", "N")
+    if params["n"] > params["N"]:
+        raise InvalidParamsError("needs n <= N")
 
 
 def _check_minor_sum(params):
@@ -444,7 +420,7 @@ def _theorem_det(f, rows, cols, tail=(), signed=True):
         pairs = [(i, n + j) for i in range(n) for j in range(n)]
         values = f.pair_values(p, _points(u) + _points(v), t, pairs)
         num = lambda i, j: values[i * n + j]
-        core = _pow(f(p, 0, t), n - 1) * f(p, n, [a + b + c for a, b, c in zip(u, v, t)])
+        core = f(p, 0, t) ** (n - 1) * f(p, n, [a + b + c for a, b, c in zip(u, v, t)])
         return num, (_sign(n * (n - 1) // 2) * core if signed else core)
 
     return parts
@@ -471,7 +447,7 @@ def _pf_factor(f, rows, tail):
         t = [sc[k] for k in tail] if tail else [[]] * len(rows)
         pairs = _all_pairs(2 * n)
         values = dict(zip(pairs, f.pair_values(p, _points(u), t, pairs)))
-        core = _pow(f(p, 0, t), n - 1) * f(p, n, [a + c for a, c in zip(u, t)])
+        core = f(p, 0, t) ** (n - 1) * f(p, n, [a + c for a, c in zip(u, t)])
         return (lambda i, j: values[(i, j)]), core
 
     return parts
@@ -487,7 +463,6 @@ def _cauchy(p, sc):
 
 _register_quotient(
     "det",
-    dim=lambda p: p["n"],
     den=lambda p, sc, i, j: sc["x"][i] + sc["y"][j],
     parts=_cauchy,
     name="cauchy",
@@ -505,7 +480,6 @@ def _schur_id(p, sc):
 
 _register_quotient(
     "pf",
-    dim=lambda p: 2 * p["n"],
     den=lambda p, sc, i, j: sc["x"][j] + sc["x"][i],
     parts=_schur_id,
     name="schur",
@@ -518,7 +492,6 @@ _register_quotient(
 
 _register_quotient(
     "det",
-    dim=lambda p: p["n"],
     den=lambda p, sc, i, j: sc["y"][j] - sc["x"][i],
     parts=_theorem_det(_v_square, ("x", "a"), ("y", "b")),
     name="special1",
@@ -532,7 +505,6 @@ _register_quotient(
 
 _register_quotient(
     "pf",
-    dim=lambda p: 2 * p["n"],
     den=lambda p, sc, i, j: sc["x"][j] - sc["x"][i],
     parts=_theorem_pf(_v_square, ("x", "a"), (), _v_square, ("x", "b"), ()),
     name="special2",
@@ -549,7 +521,6 @@ _register_quotient(
 
 _register_quotient(
     "det",
-    dim=lambda p: p["n"],
     den=lambda p, sc, i, j: sc["y"][j] - sc["x"][i],
     parts=_theorem_det(_V, ("x", "a"), ("y", "b"), ("z", "c")),
     name="main1",
@@ -573,7 +544,6 @@ def _main2_vectors(p):
 
 _register_quotient(
     "pf",
-    dim=lambda p: 2 * p["n"],
     den=_x_gap,
     parts=_paired_v,
     name="main2",
@@ -591,7 +561,6 @@ _register_quotient(
 
 _register_quotient(
     "det",
-    dim=lambda p: p["n"],
     den=_xy_gap_palindromic,
     parts=_theorem_det(_W, ("x", "a"), ("y", "b"), ("z", "c"), signed=False),
     name="main3",
@@ -605,7 +574,6 @@ _register_quotient(
 
 _register_quotient(
     "pf",
-    dim=lambda p: 2 * p["n"],
     den=_x_gap_palindromic,
     parts=_theorem_pf(
         _W, ("x", "a"), ("z", "c"), _family(_dw, "q", step=2), ("x", "b"), ("w", "d")
@@ -625,7 +593,6 @@ _register_quotient(
 
 _register_quotient(
     "det",
-    dim=lambda p: p["n"],
     den=lambda p, sc, i, j: sc["x"][i] + sc["y"][j],
     parts=_product(
         _cauchy, _theorem_det(_staircase("k"), ("x",), ("y",), ("z",), signed=False)
@@ -641,7 +608,6 @@ _register_quotient(
 
 _register_quotient(
     "pf",
-    dim=lambda p: 2 * p["n"],
     den=lambda p, sc, i, j: sc["x"][j] + sc["x"][i],
     parts=_product(
         _schur_id, _theorem_pf(_staircase("k"), ("x",), ("z",), _staircase("l"), ("x",), ("w",))
@@ -737,7 +703,7 @@ _register(
 
 def _det_dodgson_sides(p, sc, numeric):
     n = p["n"]
-    m = _matrix_from(sc["a"], n, n)
+    m = RingMatrix(n, n, sc["a"])
     lhs = det(m.delete([0], [0])) * det(m.delete([1], [1])) - det(
         m.delete([0], [1])
     ) * det(m.delete([1], [0]))
@@ -793,7 +759,6 @@ _register(
 
 _register_quotient(
     "pf",
-    dim=lambda p: 2 * p["n"],
     den=lambda p, sc, i, j: sc["x"][i] * sc["y"][j] - sc["x"][j] * sc["y"][i],
     parts=_theorem_pf(
         _family(_du, "p", "q"), ("x", "y", "a", "b"), ("xi", "eta", "alpha", "beta"),
@@ -814,7 +779,6 @@ _register_quotient(
 
 _register_quotient(
     "det",
-    dim=lambda p: p["n"],
     den=lambda p, sc, i, j: sc["x"][i] * sc["w"][j] - sc["z"][j] * sc["y"][i],
     parts=_theorem_det(
         _family(_du, "p", "q"),
@@ -838,7 +802,7 @@ _register_quotient(
 def _pf_det_sides(p, sc, numeric):
     n = p["n"]
     pairs = []
-    a = _matrix_from(sc["a"], n, n)
+    a = RingMatrix(n, n, sc["a"])
     block = SkewMatrix.from_upper_function(
         2 * n,
         lambda i, j: a.at(i, j - n) if i < n <= j else Fraction(0),
@@ -846,7 +810,7 @@ def _pf_det_sides(p, sc, numeric):
     pairs.append((pfaffian(block), _sign(n * (n - 1) // 2) * det(a)))
     if n >= 2:
         m = n - 1
-        g = _matrix_from(sc["g"], m, 2 * n - m)
+        g = RingMatrix(m, 2 * n - m, sc["g"])
         lop = SkewMatrix.from_upper_function(
             2 * n,
             lambda i, j: g.at(i, j - m) if i < m <= j else Fraction(0),
@@ -965,7 +929,6 @@ _register(
 
 _register_quotient(
     "det",
-    dim=lambda p: p["n"],
     den=_xy_gap_palindromic,
     parts=_theorem_det(_family(_F, "p", "q"), ("x", "a"), ("y", "b"), ("z", "c")),
     name="variation1",
@@ -979,7 +942,6 @@ _register_quotient(
 
 _register_quotient(
     "pf",
-    dim=lambda p: 2 * p["n"],
     den=_x_gap_palindromic,
     parts=_theorem_pf(
         _family(_F, "p", "q"), ("x", "a"), ("z", "c"), _family(_F, "r", "s"), ("x", "b"), ("w", "d")
@@ -1001,7 +963,6 @@ def _sundquist(p, sc):
 
 _register_quotient(
     "pf",
-    dim=lambda p: 2 * p["n"],
     den=lambda p, sc, i, j: 1 - sc["x"][i] * sc["x"][j],
     parts=_sundquist,
     name="sundquist",
@@ -1089,9 +1050,9 @@ _register(
 
 def _cauchy_binet_sides(p, sc, numeric):
     n, nn = p["n"], p["N"]
-    x = _matrix_from(sc["x"], n, nn)
-    y = _matrix_from(sc["y"], n, nn)
-    a = _matrix_from(sc["a"], nn, nn)
+    x = RingMatrix(n, nn, sc["x"])
+    y = RingMatrix(n, nn, sc["y"])
+    a = RingMatrix(nn, nn, sc["a"])
     lhs = det(x.mul(a).mul(y.transpose()))
     rows = tuple(range(n))
     col_sets = list(combinations(range(nn), n))
@@ -1217,7 +1178,6 @@ def _reciprocal_parts(f):
 
 _register_quotient(
     "det",
-    dim=lambda p: p["n"],
     den=_reciprocal_den(_V),
     parts=_reciprocal_parts(_V),
     name="another1",
@@ -1231,7 +1191,6 @@ _register_quotient(
 
 _register_quotient(
     "det",
-    dim=lambda p: p["n"],
     den=_reciprocal_den(_W),
     parts=_reciprocal_parts(_W),
     name="another2",
@@ -1249,7 +1208,7 @@ _register_quotient(
 
 def _plucker_sides(p, sc, numeric):
     m = p["m"]
-    mat = _matrix_from(sc["g"], m + 2, m + 4)
+    mat = RingMatrix(m + 2, m + 4, sc["g"])
     rows = tuple(range(m + 2))
     tail = tuple(range(4, m + 4))
 
@@ -1333,20 +1292,15 @@ def _vandermonde_hyperpfaffian(n, x, y, a, b, numeric):
     hyper_u takes it at (x, y, a, b), where the two blocks square away the
     orientation of the cross factors.  At (1, x, 1, a) the entries are
     (1 + prod a_I) Delta(x_I), which is hyper_v, and at (1, x, 1, 0) they are
-    Delta(x_I), which is special_hyppf.  Rational entries come from one walk
-    over the sorted prefixes that can still be completed to n indices.
+    Delta(x_I), which is special_hyppf.  Both modes take the entries from one
+    walk over the sorted prefixes that can still be completed to n indices.
     """
     m = len(x)
-    if not numeric:
-
-        def entry(idx):
-            weight = _prod(a[i] for i in idx) + _prod(b[i] for i in idx)
-            return weight * _prod(x[s] * y[t] - y[s] * x[t] for s, t in combinations(idx, 2))
-
-        return hyperpfaffian(AlternatingTensor.from_function(n, m, entry))
-    # x, y, a, b = X / lx, Y / ly, A / la, B / lb with int X, Y, A, B: each entry is
-    # an int over (la lb)^n (lx ly)^C(n,2), and the hyperpfaffian has degree m / n
-    (xi, yi, ai, bi), (lx, ly, la, lb) = clear_rows([x, y, a, b])
+    lx = ly = la = lb = 1
+    if numeric:
+        # x, y, a, b = X / lx, Y / ly, A / la, B / lb with int X, Y, A, B: each entry is
+        # an int over (la lb)^n (lx ly)^C(n,2), and the hyperpfaffian has degree m / n
+        (x, y, a, b), (lx, ly, la, lb) = clear_rows([x, y, a, b])
     walk = [((), 1, lb**n, la**n)]  # (prefix, its cross product, prod A lb^n, prod B la^n)
     for depth in range(n):
         prefixes, walk = walk, []
@@ -1354,9 +1308,11 @@ def _vandermonde_hyperpfaffian(n, x, y, a, b, numeric):
             for t in range(idx[-1] + 1 if idx else 0, m - n + depth + 1):
                 ct = c
                 for s in idx:
-                    ct *= xi[s] * yi[t] - yi[s] * xi[t]
-                walk.append((idx + (t,), ct, pa * ai[t], pb * bi[t]))
+                    ct *= x[s] * y[t] - y[s] * x[t]
+                walk.append((idx + (t,), ct, pa * a[t], pb * b[t]))
     tensor = AlternatingTensor.from_function(n, m, {idx: (pa + pb) * c for idx, c, pa, pb in walk}.get)
+    if not numeric:
+        return hyperpfaffian(tensor)
     scale = (la * lb) ** n * (lx * ly) ** (n * (n - 1) // 2)
     return Fraction(hyperpfaffian(tensor), scale ** (m // n))
 
@@ -1445,7 +1401,6 @@ _register(
 
 _register_quotient(
     "det",
-    dim=lambda p: p["n"],
     den=_unit_den,
     parts=_product(_cauchy, _theorem_det(_box("q", "e"), ("x",), ("y",), ("z",))),
     name="det_schur",
@@ -1465,7 +1420,6 @@ _pf_schur = _product(
 
 _register_quotient(
     "pf",
-    dim=lambda p: 2 * p["n"],
     den=_unit_den,
     parts=_pf_schur,
     name="pf_schur",
@@ -1479,7 +1433,6 @@ _register_quotient(
 
 _register_quotient(
     "pf",
-    dim=lambda p: 2 * p["n"],
     den=_unit_den,
     parts=_at(_pf_schur, q=0, s=0),
     name="pf_schur2",
@@ -1523,7 +1476,7 @@ _register(
 
 def _minor_sum_sides(p, sc, numeric):
     n, nn = p["n"], p["N"]
-    x = _matrix_from(sc["x"], 2 * n, nn)
+    x = RingMatrix(2 * n, nn, sc["x"])
     a = _skew_from(sc["a"], nn)
     rhs = congruence_pfaffian(x, a)
     rows = tuple(range(2 * n))

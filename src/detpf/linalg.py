@@ -562,20 +562,19 @@ def blocked_tensor(a, n):
     )
 
 
-def det_with_denominators(num, den):
-    """det(num_ij / den_ij) * prod_ij den_ij, computed without division.
+def det_with_denominators(n, num, den):
+    """det(num_ij / den_ij) * prod_ij den_ij on n x n, computed without division.
 
-    Clears each row: the (i,j) entry becomes num_ij times the product of the
-    other denominators of row i, then takes an ordinary exact determinant.
+    `num` and `den` are callables on pairs (i, j), as for
+    `pfaffian_with_denominators`; den is nonzero.  Clears each row: the (i,j)
+    entry becomes num_ij times the product of the other denominators of row
+    i, each evaluated once, then takes an ordinary exact determinant.
     """
-    if num.rows != num.cols or den.rows != num.rows or den.cols != num.cols:
-        raise DimensionMismatchError("numerator/denominator shapes differ")
-    n = num.rows
     data = []
     for i in range(n):
-        dens = den.row_list(i)
+        dens = [den(i, k) for k in range(n)]
         for j in range(n):
-            entry = num.at(i, j)
+            entry = num(i, j)
             for k in range(n):
                 if k != j:
                     entry = entry * dens[k]

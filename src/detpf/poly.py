@@ -399,7 +399,7 @@ class Quotient:
     `den` counts factors by term map.  A sum takes the union of the operands'
     factors, a product adds multiplicities, and equality compares numerators.
     A rational p/q that is not an integer enters as the constant p over the
-    constant factor q.
+    constant factor q; dividing by one whose p is 1 or -1 adds no factor.
     """
 
     __slots__ = ("num", "den")
@@ -462,8 +462,10 @@ class Quotient:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero")
-        den = self.den + Counter([frozenset(other.num.terms.items())])
-        return Quotient(Quotient(self.num, other.den)._cleared(), den)
+        num = Quotient(self.num, other.den)._cleared()
+        if other.num.terms in ({0: 1}, {0: -1}):
+            return Quotient(num * other.num.terms[0], self.den)
+        return Quotient(num, self.den + Counter([frozenset(other.num.terms.items())]))
 
     def __eq__(self, other):
         other = self._lift(other)

@@ -16,9 +16,10 @@ here against the tableau oracle or through the public API.
 
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
 from math import factorial
-from operator import add
+from operator import add, mul
 
 from detpf.poly import EXPONENT_CAP, ExactDivisionError, Polynomial, VariableTable, _pack, _unpack
 from detpf.lr import _alpha_beta, condition_holds
@@ -199,6 +200,25 @@ def vandermonde_hyperpfaffian_by_ordered_partitions(n, xs):
             term = term * tensor_value(tensor, block)
         total = total + term
     return total / factorial(len(xs) // n)
+
+
+def vandermonde_hyperpfaffian_by_entries(n, x, y, a, b):
+    """The order-n hyperpfaffian of (prod a_I + prod b_I) prod_{s<t in I} (x_s y_t - y_s x_t).
+
+    Every entry is built on its own from its index set, with no prefix
+    shared between entries, so it checks the prefix walk of
+    `identities._vandermonde_hyperpfaffian`; it runs in any ring.
+    """
+    from detpf.linalg import AlternatingTensor, hyperpfaffian
+
+    def product(items):
+        return reduce(mul, items, Fraction(1))
+
+    def entry(idx):
+        weight = product(a[i] for i in idx) + product(b[i] for i in idx)
+        return weight * product(x[s] * y[t] - y[s] * x[t] for s, t in combinations(idx, 2))
+
+    return hyperpfaffian(AlternatingTensor.from_function(n, len(x), entry))
 
 
 def cauchy_binet_by_minors(x, a, y):

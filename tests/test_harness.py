@@ -18,6 +18,7 @@ from detpf.harness import (
     ConfigError,
     GuardExhaustionError,
     UnknownIdentityError,
+    _build_symbolic_scalars,
     _run_numeric_trial,
     _scalar_text,
     default_campaign_config,
@@ -38,7 +39,6 @@ from detpf.identities import (
     _dv,
     _dw,
     _family,
-    _matrix_from,
     _pf_factor,
     _prod,
     _skew_from,
@@ -49,7 +49,7 @@ from detpf.identities import (
     registry,
 )
 from detpf.linalg import RingMatrix, SkewMatrix, det
-from detpf.poly import VariableTable
+from detpf.poly import Polynomial, VariableTable
 from detpf.vandermonde import build_U, build_V, build_W
 
 from oracles import (
@@ -60,6 +60,7 @@ from oracles import (
     matmul,
     minor_sum_by_matchings,
     pf_matchings,
+    vandermonde_hyperpfaffian_by_entries,
     vandermonde_hyperpfaffian_by_ordered_partitions,
 )
 
@@ -569,11 +570,11 @@ def _oracle_side(name, p, sc):
         return {0: vandermonde_hyperpfaffian_by_ordered_partitions(p["n"], sc["x"])}
     n, nn = p["n"], p["N"]
     if name == "cauchy_binet":
-        x, y = _matrix_from(sc["x"], n, nn), _matrix_from(sc["y"], n, nn)
-        a = _matrix_from(sc["a"], nn, nn)
+        x, y = RingMatrix(n, nn, sc["x"]), RingMatrix(n, nn, sc["y"])
+        a = RingMatrix(nn, nn, sc["a"])
         product = matmul(matmul(x, a), y.transpose())
         return {0: det_leibniz(product), 1: cauchy_binet_by_minors(x, a, y)}
-    x, a = _matrix_from(sc["x"], 2 * n, nn), _skew_from(sc["a"], nn)
+    x, a = RingMatrix(2 * n, nn, sc["x"]), _skew_from(sc["a"], nn)
     product = matmul(matmul(x, a.to_matrix()), x.transpose())
     congruence = SkewMatrix.from_upper_function(2 * n, product.at)
     return {0: minor_sum_by_matchings(x, a), 1: pf_matchings(congruence)}
@@ -613,6 +614,31 @@ def test_integer_route_side_matches_fraction_oracle(name, data):
         got = (lhs, rhs)[side]
         assert got == want and type(got) is Fraction
     assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("hyper_u", {"n": 2}),
+        ("hyper_u", {"n": 4}),
+        ("special_hyppf", {"n": 2, "r": 1}),
+        ("special_hyppf", {"n": 2, "r": 2}),
+    ],
+)
+def test_symbolic_hyperpfaffian_walk_matches_entrywise_oracle(name, params):
+    # the prefix walk on polynomial entries against every entry built on its own
+    spec = REGISTRY[name]
+    _, sc = _build_symbolic_scalars(spec.vectors(params))
+    ((lhs, _),) = spec.sides(params, sc, False)
+    x = sc["x"]
+    if name == "hyper_u":
+        want = vandermonde_hyperpfaffian_by_entries(params["n"], x, sc["y"], sc["a"], sc["b"])
+    else:
+        ones = [1] * len(x)
+        want = vandermonde_hyperpfaffian_by_entries(params["n"], ones, x, ones, [0] * len(x))
+    assert isinstance(lhs, Polynomial) and lhs == want
+    # only special_hyppf with more than one block vanishes
+    assert bool(want) == (params.get("r", 1) == 1)
 
 
 def test_quotient_side_with_zero_numerator_and_negative_denominators():

@@ -572,7 +572,7 @@ def test_det_with_denominators_matches_division():
         n = 3
         num = random_matrix(rng, n, n, _draw)
         den = random_matrix(rng, n, n, lambda r: Fraction(r.randint(1, 9)))
-        cleared = det_with_denominators(num, den)
+        cleared = det_with_denominators(n, num.at, den.at)
         ratio = RingMatrix(
             n, n, [num.at(i, j) / den.at(i, j) for i in range(n) for j in range(n)]
         )
@@ -580,6 +580,25 @@ def test_det_with_denominators_matches_division():
         for v in den.data:
             prod *= v
         assert cleared == det(ratio) * prod
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_det_with_denominators_is_the_cleared_block_pfaffian(n):
+    # Pf [[0, N], [-N^T, 0]] = (-1)^(n(n-1)/2) det N, with den(i, j) on the cross
+    # pairs and 0 / 1 on the pairs inside a block; both routes clear on polynomials
+    table = VariableTable()
+    table.add_vector("x", n)
+    table.add_vector("y", n)
+    x, y = table.gens()[:n], table.gens()[n:]
+    num = lambda i, j: x[i] * y[j] - (i + 2 * j)
+    den = lambda i, j: x[i] + y[j] + i * j + 1
+    cross = lambda i, j: i < n <= j
+    block_num = lambda i, j: num(i, j - n) if cross(i, j) else 0
+    block_den = lambda i, j: den(i, j - n) if cross(i, j) else 1
+    cleared = det_with_denominators(n, num, den)
+    assert isinstance(cleared, Polynomial) and cleared
+    sign = -1 if n * (n - 1) // 2 % 2 else 1
+    assert cleared == sign * pfaffian_with_denominators(2 * n, block_num, block_den)
 
 
 def test_pfaffian_with_denominators_matches_division():

@@ -224,6 +224,10 @@ def test_division_by_a_rational_is_a_quotient(xy):
         assert evaluate(got.num, point) / reduce(mul, dens, 1) == (point[0] + point[1]) / divisor
         assert got * divisor == x + y
     assert x / Fraction(1, 2) == 2 * x
+    assert x / Fraction(-1, 3) == -3 * x
+    # a divisor with numerator 1 or -1 folds its sign into the numerator, no factor
+    assert (x / Fraction(1, 2)).factors() == (x / Fraction(-1, 3)).factors() == []
+    assert (x / Fraction(1, 2)).num == 2 * x and (x / Fraction(-1, 3)).num == -3 * x
     assert Fraction(1, 2) / x == 1 / (2 * x)
     assert x / 2 + Fraction(1, 3) == (3 * x + 2) / 6
 
