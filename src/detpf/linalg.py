@@ -10,14 +10,14 @@ the integers in one elimination, whose steps the minors share along
 common column prefixes.  A rational matrix product clears the rows of its
 left factor and the columns of its right one, takes every dot product on
 ints and divides each entry once by its row and column scales.
-Determinants of polynomial matrices use cofactor expansion with memoized
-minors up to dimension 12 and, beyond, the Bareiss elimination of
-`minors_int` on polynomial rows.  Every rational Pfaffian scales row and
-column i by the lcm of row i's denominators and runs fraction-free skew
-elimination on plain ints, whose entries are sub-Pfaffians; polynomial
-Pfaffians use division-free expansion along the smallest index, memoized
-on index subsets.  A skew matrix with a zero row is 0 before either route
-runs.  Hyperpfaffians sum over unordered set partitions, each enumerated
+Every rational Pfaffian scales row and column i by the lcm of row i's
+denominators and runs fraction-free skew elimination on plain ints.  One
+division-free expansion along the smallest index, memoized on index
+subsets, takes every other Pfaffian and, as the Pfaffian of the block
+matrix [[0, A], [-A^T, 0]], every other determinant up to dimension 12 and
+every denominator-cleared one; beyond, polynomial rows take `minors_int`.
+A skew matrix with a zero row is 0 before either Pfaffian route runs.
+Hyperpfaffians sum over unordered set partitions, each enumerated
 once with its sign carried down the recursion and its last block read off
 directly.
 """
@@ -29,7 +29,7 @@ from operator import mul as _times
 
 from .poly import Polynomial
 
-DET_COFACTOR_MAX_DIM = 12
+DET_EXPAND_MAX_DIM = 12
 HYPERPFAFFIAN_DIM_CAP = 12
 
 
@@ -329,39 +329,17 @@ def _det_bareiss(m):
     return value
 
 
-def _det_cofactor(m):
-    """Cofactor expansion along rows with memoization on column subsets."""
-    return _det_minor(m, tuple(range(m.rows)), {(): Fraction(1)})
-
-
-# The recursions below are module-level functions that take their memo as an
-# argument: a closure that calls itself is a reference cycle, which would keep
-# its memo of polynomials alive until the cyclic garbage collector runs.
-
-
-def _det_minor(m, cols, memo):
-    """Determinant of the last len(cols) rows of m on the columns cols."""
-    cached = memo.get(cols)
-    if cached is not None:
-        return cached
-    i = m.rows - len(cols)
-    acc = None
-    for t, j in enumerate(cols):
-        entry = m.at(i, j)
-        if not entry:
-            continue
-        if t % 2:
-            entry = -entry
-        term = entry * _det_minor(m, cols[:t] + cols[t + 1 :], memo)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = Fraction(0)
-    memo[cols] = acc
-    return acc
+def _det_expand(m):
+    """Determinant of a square matrix as the Pfaffian of its block embedding."""
+    return _block_pfaffian(m.rows, m.at, None)
 
 
 def det(m):
-    """Exact determinant of a square RingMatrix; a Fraction when every entry is rational."""
+    """Exact determinant of a square RingMatrix; a Fraction when every entry is rational.
+
+    Up to dimension 12 a matrix with a non-rational entry is the Pfaffian of
+    its block embedding, by the memoized expansion that such Pfaffians take.
+    """
     if m.rows != m.cols:
         raise NonSquareError(f"matrix is {m.rows}x{m.cols}")
     n = m.rows
@@ -370,11 +348,9 @@ def det(m):
     if _all_rational(m.data):
         pairs = [(v.numerator, v.denominator) for v in m.data]
         return det_of_ratios([pairs[i * n : (i + 1) * n] for i in range(n)])
-    if n == 1:
-        return m.at(0, 0)
-    if n > DET_COFACTOR_MAX_DIM:
+    if n > DET_EXPAND_MAX_DIM:
         return _det_bareiss(m)
-    return _det_cofactor(m)
+    return _det_expand(m)
 
 
 def _pf_expand(a):
@@ -566,20 +542,24 @@ def det_with_denominators(n, num, den):
     """det(num_ij / den_ij) * prod_ij den_ij on n x n, computed without division.
 
     `num` and `den` are callables on pairs (i, j), as for
-    `pfaffian_with_denominators`; den is nonzero.  Clears each row: the (i,j)
-    entry becomes num_ij times the product of the other denominators of row
-    i, each evaluated once, then takes an ordinary exact determinant.
+    `pfaffian_with_denominators`, den nonzero: the cleared block Pfaffian.
     """
-    data = []
-    for i in range(n):
-        dens = [den(i, k) for k in range(n)]
-        for j in range(n):
-            entry = num(i, j)
-            for k in range(n):
-                if k != j:
-                    entry = entry * dens[k]
-            data.append(entry)
-    return det(RingMatrix(n, n, data))
+    return _block_pfaffian(n, num, den)
+
+
+def _block_pfaffian(n, num, den):
+    """det(num_ij / den_ij) * prod_ij den_ij as (-1)^(n(n-1)/2) Pf [[0, A], [-A^T, 0]].
+
+    The cross pairs (i, n + j) take num(i, j) over den(i, j), the pairs
+    inside a block 0 over 1; den None is all ones.
+    """
+
+    def block(f, inside):
+        return lambda i, j: f(i, j - n) if i < n <= j else inside
+
+    cleared = None if den is None else block(den, 1)
+    value = _pf_cleared(block(num, 0), cleared, tuple(range(2 * n)), {(): Fraction(1)})
+    return -value if n * (n - 1) // 2 % 2 else value
 
 
 def pfaffian_with_denominators(dim, num, den):
@@ -595,6 +575,9 @@ def pfaffian_with_denominators(dim, num, den):
     return _pf_cleared(num, den, tuple(range(dim)), {(): Fraction(1)})
 
 
+# The recursion is a module-level function that takes its memo as an
+# argument: a closure that calls itself is a reference cycle, which would keep
+# its memo of polynomials alive until the cyclic garbage collector runs.
 def _pf_cleared(num, den, idx, memo):
     """Pf(num/den) times the product of den over the pairs inside idx; den None is all ones."""
     cached = memo.get(idx)

@@ -101,11 +101,11 @@ def test_schur_output():
 
 def test_tall_skew_schur_takes_the_polynomial_bareiss_route(monkeypatch):
     # 1^16 / 1^15 is one box, but its Jacobi-Trudi matrix has 16 rows: past the
-    # cofactor route's size limit, where only Bareiss elimination finishes fast
+    # expansion route's size limit, where only Bareiss elimination finishes fast
     def refuse(m):
-        raise AssertionError("cofactor expansion on a 16-row determinant")
+        raise AssertionError("Pfaffian expansion on a 16-row determinant")
 
-    monkeypatch.setattr(linalg, "_det_cofactor", refuse)
+    monkeypatch.setattr(linalg, "_det_expand", refuse)
     shape, inner = "[" + ",".join("1" * 16) + "]", "[" + ",".join("1" * 15) + "]"
     code, text = run_cli("schur", "--shape", shape, "--inner", inner, "--vars", "2")
     assert (code, text) == (0, "1*x1 + 1*x2\n")

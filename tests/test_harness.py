@@ -50,6 +50,7 @@ from detpf.identities import (
 )
 from detpf.linalg import RingMatrix, SkewMatrix, det
 from detpf.poly import Polynomial, VariableTable
+from detpf.symfunc import partitions_in_box
 from detpf.vandermonde import build_U, build_V, build_W
 
 from oracles import (
@@ -262,6 +263,27 @@ def test_doubled_right_side_fails_in_both_modes(name):
         assert report.passed == vanishing(params)
     finally:
         REGISTRY[name] = spec
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("another1", {"n": 3, "p": 1, "q": 1}), ("another1", {"n": 3, "p": 0, "q": 0}),
+        ("another2", {"n": 3, "p": 1}), ("another2", {"n": 3, "p": 0}),
+        ("homog1", {"n": 2, "p": 1, "q": 1, "r": 1, "s": 1}),
+        ("pf_schur3", {"n": 1, "e": 2, "f": 1}), ("pf_schur3", {"n": 2, "e": 1, "f": 0}),
+    ],
+)
+def test_numeric_check_past_the_default_parameters(name, params):
+    # another1/2 at n = 3, where n(n-1)/2 and n(n+1)/2 differ in parity; homog1
+    # with r + s > 0, which builds its second family; pf_schur3 with e != f
+    assert verify(name, params, "numeric", trials=3, seed=2024, bound=30).passed
+    if name == "pf_schur3":
+        # one pair per lambda in the 2n x (e + f) box; a smaller box drops pairs
+        spec = REGISTRY[name]
+        sc = {prefix: [Fraction(k + 2) for k in range(size)] for prefix, size in spec.vectors(params)}
+        box = partitions_in_box(2 * params["n"], params["e"] + params["f"])
+        assert len(spec.sides(params, sc, True)) == len(list(box))
 
 
 def test_guard_exhaustion():

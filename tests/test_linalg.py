@@ -33,10 +33,10 @@ from detpf.linalg import (
     pfaffian_with_denominators,
     sub_pfaffian,
     _det_bareiss,
-    _det_cofactor,
+    _det_expand,
     _pf_expand,
 )
-from detpf.poly import Polynomial, VariableTable, random_rational
+from detpf.poly import Polynomial, Quotient, VariableTable, random_rational
 
 from oracles import (
     det_leibniz,
@@ -142,7 +142,7 @@ def test_det_polynomial_cofactor_matches_bareiss():
     table.add_vector("t", 9)
     gens = table.gens()
     m = RingMatrix(3, 3, gens)
-    assert _det_cofactor(m) == _det_bareiss(m) == det_leibniz(m)
+    assert _det_expand(m) == _det_bareiss(m) == det_leibniz(m)
 
 
 def test_polynomial_bareiss_divides_exactly_on_rational_constants():
@@ -159,7 +159,7 @@ def test_polynomial_bareiss_divides_exactly_on_rational_constants():
         t[2], 3, t[3] * t[0] - two, Fraction(-5),
         1, t[3], three * t[1], t[2] + 1,
     ])
-    assert _det_bareiss(block) == det_leibniz(block) == _det_cofactor(block)
+    assert _det_bareiss(block) == det_leibniz(block) == _det_expand(block)
 
     def entry(r):
         value = Fraction(r.randint(-20, 20))
@@ -181,7 +181,7 @@ def test_minors_int_on_polynomial_rows_matches_cofactor():
     rows = [[rng.choice(entries) + rng.randint(-2, 2) for _ in range(6)] for _ in range(3)]
     rows[0][0] = Polynomial.zero(table)  # the shared first step swaps rows
     lists = [(0, 1, 2), (0, 1, 5), (0, 4, 3), (2, 1, 0), (2, 1, 4), (5, 3, 3)]
-    want = [_det_cofactor(RingMatrix(3, 3, [r[c] for r in rows for c in cols])) for cols in lists]
+    want = [_det_expand(RingMatrix(3, 3, [r[c] for r in rows for c in cols])) for cols in lists]
     assert minors_int(rows, lists) == want
 
 
@@ -259,7 +259,7 @@ _HUGE_DENOMINATORS = RingMatrix(
 def _check_rational_det(m):
     d = det(m)
     assert isinstance(d, Fraction)
-    assert d == det_leibniz(m) == _det_cofactor(m)
+    assert d == det_leibniz(m) == _det_expand(m)
     return d
 
 
@@ -599,6 +599,26 @@ def test_det_with_denominators_is_the_cleared_block_pfaffian(n):
     assert isinstance(cleared, Polynomial) and cleared
     sign = -1 if n * (n - 1) // 2 % 2 else 1
     assert cleared == sign * pfaffian_with_denominators(2 * n, block_num, block_den)
+    # det_with_denominators is that Pfaffian, so the reference is the permutation
+    # sum of the row-cleared matrix: num(i, j) times den(i, k) for every k != j
+    row_cleared = RingMatrix(n, n, [
+        num(i, j) * prod(den(i, k) for k in range(n) if k != j) for i in range(n) for j in range(n)
+    ])
+    assert cleared == det_leibniz(row_cleared)
+
+
+def test_det_of_quotient_entries_matches_leibniz():
+    # rel_v1's divided differences (a_i - a_m) / (x_i - x_m): Bareiss cannot
+    # divide Quotients, so det takes the block Pfaffian expansion
+    table = VariableTable()
+    table.add_vector("x", 4)
+    table.add_vector("a", 4)
+    x, a = table.gens()[:4], table.gens()[4:]
+    diff = [(a[i] - a[3]) / (x[i] - x[3]) for i in range(3)]
+    m = RingMatrix(3, 3, [v for i in range(3) for v in (diff[i], x[i] * diff[i], x[i] ** 2)])
+    got = det(m)
+    assert isinstance(got, Quotient) and got
+    assert got == det_leibniz(m)
 
 
 def test_pfaffian_with_denominators_matches_division():
