@@ -131,14 +131,15 @@ def _register_quotient(kind, den, parts, dim=None, **fields):
     over the pairs i < j of a dim x dim skew matrix).  `dim(params)` is that
     dimension (n or 2n by default), `den(params, sc, i, j)` one denominator,
     and `parts(params, sc)` returns `(num, core)` with `num(i, j)` the
-    matching numerator.
+    matching numerator and `core()` building the core.
 
     Numeric mode compares det/Pf(num/den) with core over the product of the
     denominators, each evaluated once: a zero one raises `ZeroDenominatorError`
     before any entry is built.  Each entry is the int pair (num.numerator
     den.denominator, num.denominator den.numerator) for `det_of_ratios` or
     `pfaffian_of_ratios`.  Symbolic mode compares the denominator-cleared
-    det/Pf with core.  `main_dim` defaults to `dim`.
+    det/Pf with core, built after it: the memo of the expansion, which sets
+    the peak memory, is gone by then.  `main_dim` defaults to `dim`.
     """
     if dim is None:
         dim = (lambda p: p["n"]) if kind == "det" else (lambda p: 2 * p["n"])
@@ -168,10 +169,10 @@ def _register_quotient(kind, den, parts, dim=None, **fields):
                 lhs = det_of_ratios([ratios[i * n : (i + 1) * n] for i in range(n)])
             else:
                 lhs = pfaffian_of_ratios(n, dict(zip(ij, ratios)))
-            return [(lhs, core / _prod(dens))]
+            return [(lhs, core() / _prod(dens))]
         num, core = parts(p, sc)
         cleared = det_with_denominators if kind == "det" else pfaffian_with_denominators
-        return [(cleared(n, num, d), core)]
+        return [(cleared(n, num, d), core())]
 
     fields.setdefault("main_dim", dim)
     fields["sides"] = sides
@@ -328,7 +329,8 @@ def _product(*factors):
 
     def parts(p, sc):
         nums, cores = zip(*(factor(p, sc) for factor in factors))
-        return (lambda i, j: reduce(mul, [num(i, j) for num in nums])), reduce(mul, cores)
+        num = lambda i, j: reduce(mul, [factor(i, j) for factor in nums])
+        return num, lambda: reduce(mul, [core() for core in cores])
 
     return parts
 
@@ -420,8 +422,8 @@ def _theorem_det(f, rows, cols, tail=(), signed=True):
         pairs = [(i, n + j) for i in range(n) for j in range(n)]
         values = f.pair_values(p, _points(u) + _points(v), t, pairs)
         num = lambda i, j: values[i * n + j]
-        core = f(p, 0, t) ** (n - 1) * f(p, n, [a + b + c for a, b, c in zip(u, v, t)])
-        return num, (_sign(n * (n - 1) // 2) * core if signed else core)
+        core = lambda: f(p, 0, t) ** (n - 1) * f(p, n, [a + b + c for a, b, c in zip(u, v, t)])
+        return num, (lambda: _sign(n * (n - 1) // 2) * core()) if signed else core
 
     return parts
 
@@ -447,8 +449,8 @@ def _pf_factor(f, rows, tail):
         t = [sc[k] for k in tail] if tail else [[]] * len(rows)
         pairs = _all_pairs(2 * n)
         values = dict(zip(pairs, f.pair_values(p, _points(u), t, pairs)))
-        core = f(p, 0, t) ** (n - 1) * f(p, n, [a + c for a, c in zip(u, t)])
-        return (lambda i, j: values[(i, j)]), core
+        top = [a + c for a, c in zip(u, t)]
+        return (lambda i, j: values[(i, j)]), lambda: f(p, 0, t) ** (n - 1) * f(p, n, top)
 
     return parts
 
@@ -458,7 +460,7 @@ def _pf_factor(f, rows, tail):
 
 
 def _cauchy(p, sc):
-    return _one, _delta(sc["x"]) * _delta(sc["y"])
+    return _one, lambda: _delta(sc["x"]) * _delta(sc["y"])
 
 
 _register_quotient(
@@ -475,7 +477,7 @@ _register_quotient(
 
 def _schur_id(p, sc):
     x = sc["x"]
-    return (lambda i, j: x[j] - x[i]), _delta(x)
+    return (lambda i, j: x[j] - x[i]), lambda: _delta(x)
 
 
 _register_quotient(
@@ -958,7 +960,7 @@ _register_quotient(
 def _sundquist(p, sc):
     n = p["n"]
     a = sc["a"]
-    return (lambda i, j: a[j] - a[i]), _sign(n * (n - 1) // 2) * _F(n, n, sc["x"], a)
+    return (lambda i, j: a[j] - a[i]), lambda: _sign(n * (n - 1) // 2) * _F(n, n, sc["x"], a)
 
 
 _register_quotient(
@@ -1167,7 +1169,7 @@ def _reciprocal_parts(f):
     def parts(p, sc):
         n = p["n"]
         x, y, a, b = sc["x"], sc["y"], sc["a"], sc["b"]
-        core = _sign(n * (n - 1) // 2) * _prod(
+        core = lambda: _sign(n * (n - 1) // 2) * _prod(
             _pair(f, p, sc, x[i], x[j], a[i], a[j]) * _pair(f, p, sc, y[i], y[j], b[i], b[j])
             for i, j in _all_pairs(n)
         )
@@ -1268,7 +1270,7 @@ def _special_pf(p, sc):
     m = p["n"] // 2
     x = sc["x"]
     num = lambda i, j: (x[j] ** m - x[i] ** m) ** 2
-    return num, (_delta(x) * _delta(x) if p["r"] == 1 else Fraction(0))
+    return num, lambda: _delta(x) * _delta(x) if p["r"] == 1 else Fraction(0)
 
 
 _register_quotient(

@@ -12,14 +12,14 @@ left factor and the columns of its right one, takes every dot product on
 ints and divides each entry once by its row and column scales.
 Every rational Pfaffian scales row and column i by the lcm of row i's
 denominators and runs fraction-free skew elimination on plain ints.  One
-division-free expansion along the smallest index, memoized on index
-subsets, takes every other Pfaffian and, as the Pfaffian of the block
-matrix [[0, A], [-A^T, 0]], every other determinant up to dimension 12 and
-every denominator-cleared one; beyond, polynomial rows take `minors_int`.
-A skew matrix with a zero row is 0 before either Pfaffian route runs.
-Hyperpfaffians sum over unordered set partitions, each enumerated
-once with its sign carried down the recursion and its last block read off
-directly.
+division-free expansion along the smallest index, memoized on index subsets
+and summing the polynomial products of each level in one term map, takes
+every other Pfaffian and, as the Pfaffian of the block matrix [[0, A],
+[-A^T, 0]], every other determinant up to dimension 12 and every cleared one;
+beyond, polynomial rows take `minors_int`.  A skew matrix with a zero row is
+0 before either Pfaffian route runs.  Hyperpfaffians sum over unordered set
+partitions, each enumerated once with its sign carried down the recursion
+and its last block read off directly.
 """
 
 from fractions import Fraction
@@ -27,7 +27,7 @@ from itertools import combinations
 from math import lcm, prod
 from operator import mul as _times
 
-from .poly import Polynomial
+from .poly import Polynomial, dot
 
 DET_EXPAND_MAX_DIM = 12
 HYPERPFAFFIAN_DIM_CAP = 12
@@ -586,10 +586,13 @@ def _pf_cleared(num, den, idx, memo):
     first = idx[0]
     rest = idx[1:]
     acc = None
+    pairs = []  # the products of two Polynomials, summed by the kernel
     for t, j in enumerate(rest):
         entry = num(first, j)
         if not entry:
             continue
+        if t % 2:
+            entry = -entry
         if den is not None:
             # pairs inside idx that touch `first` or `j`, except (first, j) itself;
             # the small factors go onto the entry before the sub-Pfaffian
@@ -599,9 +602,13 @@ def _pf_cleared(num, den, idx, memo):
             for u in rest:
                 if u != j:
                     entry = entry * den(min(u, j), max(u, j))
-        if t % 2:
-            entry = -entry
-        term = entry * _pf_cleared(num, den, rest[:t] + rest[t + 1 :], memo)
+        sub = _pf_cleared(num, den, rest[:t] + rest[t + 1 :], memo)
+        if type(entry) is Polynomial is type(sub) and sub.terms:
+            pairs.append((entry, sub))
+        else:
+            acc = entry * sub if acc is None else acc + entry * sub
+    if pairs:
+        term = dot(pairs) if len(pairs) > 1 else pairs[0][0] * pairs[0][1]
         acc = term if acc is None else acc + term
     if acc is None:
         acc = Fraction(0)

@@ -104,14 +104,18 @@ def schur_expand(p):
     """Expand a symmetric polynomial in the Schur basis by leading-term peeling.
 
     The graded-lex leading monomial of a symmetric polynomial has weakly
-    decreasing exponents; subtracting that Schur polynomial strictly lowers
-    the leading term, so the loop terminates with the coefficient map.
+    decreasing exponents; subtracting its Schur polynomial strictly lowers the
+    leading term, and a leading term that does not drop raises AssertionError.
     """
     out = {}
     nvars = len(p.table)
     gens = p.table.gens()
+    last = None
     while p.terms:
         exps, coeff = p.leading_term()
+        if last is not None and (sum(exps), exps) >= last:
+            raise AssertionError(f"peeling did not lower the leading term {exps}")
+        last = (sum(exps), exps)
         if any(exps[i] < exps[i + 1] for i in range(nvars - 1)):
             raise ValueError("polynomial is not symmetric")
         lam = Partition(exps)

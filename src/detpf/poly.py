@@ -8,20 +8,20 @@ and identity builders are generic over these scalars.  A rational enters a
 polynomial only when it is an integer; any other rational meets one only as
 a `Quotient`, the constant numerator over its denominator.
 
-A monomial is one packed `int` with a fixed SLOT_BITS-bit slot per
-variable, variable 0 in the lowest slot: equal monomials are equal ints
-however far the variable table has grown since, and multiplying two
-monomials is one integer add.  The top bit of every slot is a guard, so an
-exponent may be at most EXPONENT_CAP; a product whose sum sets a guard bit
-raises ExponentCapError instead of carrying into the next variable.
-Exponents are unpacked only to print, order or divide.
+A monomial is one packed `int` with a fixed SLOT_BITS-bit slot per variable,
+variable 0 in the lowest slot: equal monomials are equal ints however far the
+variable table has grown since, and multiplying two monomials is one integer
+add.  The top bit of every slot is a guard, so an exponent may be at most
+EXPONENT_CAP; a product whose sum sets a guard bit raises ExponentCapError
+instead of carrying into the next variable.  Exponents are unpacked only to
+print, order or divide.  `dot` sums products in one term map; `*` is one pair.
 """
 
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from heapq import heapify, heappop, heappush
-from operator import mul, or_
+from operator import add, mul, or_
 
 SLOT_BITS = 32
 EXPONENT_CAP = (1 << (SLOT_BITS - 1)) - 1
@@ -36,6 +36,7 @@ class ExponentCapError(OverflowError):
     """An exponent would exceed EXPONENT_CAP, the largest one a monomial slot holds."""
 
 
+@cache
 def _guards(nvars):
     """The guard bit of each of the first nvars slots."""
     return ((1 << (SLOT_BITS * nvars)) - 1) // _SLOT_MASK << (SLOT_BITS - 1)
@@ -85,11 +86,47 @@ def _max_exponents(terms, nvars):
     return top
 
 
-def _check_keys(terms, nvars):
-    """Raise if a key built by adding two monomials set a guard bit."""
-    if reduce(or_, terms, 0) & _guards(nvars):
-        worst = max(max(_unpack(key), default=0) for key in terms)
-        raise ExponentCapError(f"exponent {worst} exceeds the cap {EXPONENT_CAP}")
+def _dot(table, pairs):
+    """The Polynomial of `table` summing a * b over pairs (a, b) of term maps, in one map."""
+    near_cap = _guards(len(table)) * 3 >> 1  # the top two bits of every slot
+    out = {}
+    get = out.get
+    dropped = 0
+    for a, b in pairs:
+        if 1 < len(a) < len(b) or len(b) <= 1 < len(a):  # inner: the smaller, unless 0 or 1 term
+            a, b = b, a
+        # near the cap, check degrees: a variable's top degree never cancels in a product
+        if (reduce(or_, a, 0) | reduce(or_, b, 0)) & near_cap:
+            worst = max(map(add, _max_exponents(a, len(table)), _max_exponents(b, len(table))))
+            if worst > EXPONENT_CAP:
+                raise ExponentCapError(f"exponent {worst} exceeds the cap {EXPONENT_CAP}")
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                key = e1 + e2
+                acc = get(key)
+                if acc is None:
+                    out[key] = c1 * c2
+                else:
+                    acc = acc + c1 * c2
+                    if acc:
+                        out[key] = acc
+                    else:
+                        del out[key]
+                        dropped += 1
+    # a dict keeps its largest table: compact it when many keys cancelled
+    if 4 * dropped > len(out):
+        out = dict(out)
+    return Polynomial(table, out)
+
+
+def dot(pairs):
+    """Sum of a * b over `pairs` of Polynomials of one table and integers, in one term map."""
+    table = next((x.table for pair in pairs for x in pair if isinstance(x, Polynomial)), None)
+    lift = Polynomial(table, {})._coerce  # ValueError for another table, None for a non-integer
+    lifted = [(lift(a), lift(b)) for a, b in pairs]
+    if table is None or any(a is None or b is None for a, b in lifted):
+        raise TypeError("dot takes Polynomials of one table and integers, at least one Polynomial")
+    return _dot(table, [(a.terms, b.terms) for a, b in lifted])
 
 
 def _coeff(value):
@@ -232,33 +269,7 @@ class Polynomial:
         other = self._coerce(other)
         if not self.terms or not other.terms:
             return Polynomial(self.table, {})
-        a, b = self.terms, other.terms
-        if len(a) < len(b):
-            a, b = b, a
-        out = {}
-        get = out.get
-        dropped = 0
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                key = e1 + e2
-                acc = get(key)
-                if acc is None:
-                    out[key] = c1 * c2
-                else:
-                    acc = acc + c1 * c2
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
-                        dropped += 1
-        # a dict keeps its largest table: compact it when many keys cancelled
-        if 4 * dropped > len(out):
-            out = dict(out)
-        # no slot of either factor reaches its top two bits: no sum sets a guard
-        guards = _guards(len(self.table))
-        if (reduce(or_, a, 0) | reduce(or_, b, 0)) & (guards | guards >> 1):
-            _check_keys(out, len(self.table))
-        return Polynomial(self.table, out)
+        return _dot(self.table, [(self.terms, other.terms)])
 
     __rmul__ = __mul__
 

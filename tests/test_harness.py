@@ -286,6 +286,37 @@ def test_numeric_check_past_the_default_parameters(name, params):
         assert len(spec.sides(params, sc, True)) == len(list(box))
 
 
+@pytest.mark.parametrize(
+    "name, cleared",
+    [("cauchy", "det_with_denominators"), ("schur", "pfaffian_with_denominators")],
+)
+def test_symbolic_quotient_sides_build_the_core_after_the_left_side(name, cleared):
+    # the cleared det/Pf returns before `_delta`, which builds the core, first runs
+    order = []
+
+    def returns(fn):
+        def wrapper(*args):
+            value = fn(*args)
+            order.append("lhs")
+            return value
+
+        return wrapper
+
+    def starts(fn):
+        def wrapper(*args):
+            order.append("core")
+            return fn(*args)
+
+        return wrapper
+
+    with (
+        mock.patch.object(identities, cleared, returns(getattr(identities, cleared))),
+        mock.patch.object(identities, "_delta", starts(identities._delta)),
+    ):
+        assert verify(name, {"n": 2}, "symbolic").passed
+    assert order[0] == "lhs" and order[1:] == ["core"] * (len(order) - 1) and len(order) > 1
+
+
 def test_guard_exhaustion():
     spec = REGISTRY["cauchy"]
     REGISTRY["_guarded"] = dataclasses.replace(
@@ -732,9 +763,10 @@ def test_point_table_entries_match_builder_determinants(case, data):
     t_names = list(_coordinates("t", tail))
     sc = {**_coordinates("u", us), **_coordinates("v", vs), **_coordinates("t", tail)}
     # the n^2 entries are minors of one point table; the cores f_0 and f_n take
-    # one minor each
+    # one minor each when the core is built
     with mock.patch.object(identities, "minors_int", wraps=identities.minors_int) as table:
-        num, _ = _theorem_det(f, u_names, v_names, t_names)(params, sc)
+        num, core = _theorem_det(f, u_names, v_names, t_names)(params, sc)
+        core()
     assert sorted(len(c.args[1]) for c in table.call_args_list) == [1, 1, n * n]
     for i in range(n):
         for j in range(n):
@@ -742,7 +774,8 @@ def test_point_table_entries_match_builder_determinants(case, data):
             assert type(num(i, j)) is Fraction
     sc.update(_coordinates("u", ws))
     with mock.patch.object(identities, "minors_int", wraps=identities.minors_int) as table:
-        entry, _ = _pf_factor(f, u_names, t_names)(params, sc)
+        entry, core = _pf_factor(f, u_names, t_names)(params, sc)
+        core()
     assert sorted(len(c.args[1]) for c in table.call_args_list) == [1, 1, n * (2 * n - 1)]
     for i in range(2 * n):
         for j in range(i + 1, 2 * n):

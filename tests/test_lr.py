@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from detpf import lr
 from detpf.lr import (
     b_principal,
     condition_holds,
@@ -266,6 +267,18 @@ def test_schur_expand_roundtrip():
     assert coeffs == {P([2, 1]): 2, P([3]): 1, P([1]): -5}
     with pytest.raises(ValueError):
         schur_expand(zs[0] - zs[1])
+
+
+def test_schur_expand_fails_on_a_wrong_schur_polynomial(monkeypatch):
+    # peeling with 2 s_lam leaves -s_lam: the leading term does not drop
+    table = VariableTable()
+    table.add_vector("x", 2)
+    xs = table.gens()
+    p = schur_jacobi_trudi(P([2, 1]), xs)
+    doubled = lambda lam, gens: 2 * schur_jacobi_trudi(lam, gens)
+    monkeypatch.setattr(lr, "schur_jacobi_trudi", doubled)
+    with pytest.raises(AssertionError):
+        schur_expand(p)
 
 
 def test_pf_schur3_two_alphabet_grid():

@@ -15,6 +15,7 @@ from detpf.poly import (
     Polynomial,
     Quotient,
     VariableTable,
+    dot,
     random_rational,
 )
 
@@ -291,6 +292,36 @@ def test_exact_division_roundtrip(data):
     if not q.terms:
         return
     assert (p * q).exact_div(q) == p
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_dot_is_the_sum_of_products(data):
+    # operands: Polynomials, ints and integral Fractions, at least one Polynomial
+    operand = polys(_TABLE) | st.integers(-9, 9) | st.integers(-9, 9).map(Fraction)
+    pairs = data.draw(st.lists(st.tuples(operand, operand), max_size=4))
+    one = (data.draw(polys(_TABLE)), data.draw(operand))
+    pairs.insert(data.draw(st.integers(0, len(pairs))), one)
+    got = dot(pairs)
+    _assert_canonical(got)
+    assert got == reduce(add, [a * b for a, b in pairs], Polynomial.zero(_TABLE))
+
+
+def test_dot_edge_cases(xy):
+    table, x, y = xy
+    p = (x + y) ** 3
+    cancelled = dot([(p, x - 1), (-p, x), (p, Fraction(1))])
+    assert isinstance(cancelled, Polynomial) and cancelled.terms == {}
+    with pytest.raises(ValueError):
+        dot([(x, y), (VariableTable(["x"]).gens()[0], 1)])
+    with pytest.raises(TypeError):
+        dot([(x, Fraction(1, 2))])
+    with pytest.raises(TypeError):
+        dot([(2, 3)])
+    # each pair is checked on its own: the over-cap terms cancel in the sum
+    top = x**EXPONENT_CAP
+    with pytest.raises(ExponentCapError):
+        dot([(top, x), (-top, x)])
 
 
 
