@@ -4,18 +4,18 @@ Each entry declares its variable vectors, its principal matrix dimension
 (which caps symbolic mode) and a builder that produces (lhs, rhs) pairs
 from a map prefix -> list of scalars.  Only rel_v1, rel_v2 and rel_uv1,
 which divide, also declare guard expressions (factors that must not vanish
-at a random evaluation point).  The same builder runs in two modes:
-symbolic (scalars are polynomial generators, sides are polynomials or,
-where a relation divides, quotients of them) and numeric (scalars are
-random rationals, sides are exact rationals whose matrices are cleared to
-ints once, from the numerators and denominators of coordinates or entries).
+at a random evaluation point).  Each builder is one statement that both
+modes run, on polynomial generators (symbolic: sides are polynomials or,
+where a relation divides, quotients of them) or random rationals (numeric).
+Values are cleared to integral rows from their numerators and denominators;
+a polynomial is integral with scale 1, and linalg picks the integer route.
 
 Most of the paper's identities share one shape: det or Pf of num/den equals
 a core over the product of the denominators, generalizing Cauchy's
 det(1/(x_i+y_j)) and Schur's Pf((x_j-x_i)/(x_j+x_i)).  Those are declared
-by `_register_quotient` from (kind, den, num, core) alone; it derives both
-modes' sides, and its numeric sides reject a draw with a zero denominator
-by raising `ZeroDenominatorError`.  Twenty-two identities are
+by `_register_quotient` from (kind, den, num, core) alone; its sides are
+the denominator-cleared det or Pf and the core, and a draw with a zero
+denominator raises `ZeroDenominatorError`.  Twenty-two identities are
 declared that way, three of them (det_schur, pf_schur, pf_schur2) with unit
 denominators.  Sixteen are instances of the paper's two theorems, each
 stated once for any structured determinant family f (two-block V,
@@ -48,12 +48,12 @@ from .linalg import (
     clear_rows,
     congruence_pfaffian,
     det,
-    det_of_ratios,
     det_with_denominators,
     hyperpfaffian,
+    minors,
     minors_int,
+    over,
     pfaffian,
-    pfaffian_of_ratios,
     pfaffian_with_denominators,
     sub_pfaffian,
     sub_pfaffians,
@@ -103,7 +103,7 @@ class IdentitySpec:
     defaults: dict
     numeric_defaults: dict
     vectors: object  # params -> [(prefix, count)]
-    sides: object  # (params, sc, numeric) -> [(lhs, rhs)]
+    sides: object  # (params, sc, numeric) -> [(lhs, rhs)]; numeric is passed only for the tracer
     main_dim: object  # params -> principal matrix dimension (symbolic size cap)
     guards: object = None  # (params, sc) -> [scalar], or None
     check: object = _check_nonneg  # params -> None, raises InvalidParamsError
@@ -133,46 +133,25 @@ def _register_quotient(kind, den, parts, dim=None, **fields):
     and `parts(params, sc)` returns `(num, core)` with `num(i, j)` the
     matching numerator and `core()` building the core.
 
-    Numeric mode compares det/Pf(num/den) with core over the product of the
-    denominators, each evaluated once: a zero one raises `ZeroDenominatorError`
-    before any entry is built.  Each entry is the int pair (num.numerator
-    den.denominator, num.denominator den.numerator) for `det_of_ratios` or
-    `pfaffian_of_ratios`.  Symbolic mode compares the denominator-cleared
-    det/Pf with core, built after it: the memo of the expansion, which sets
-    the peak memory, is gone by then.  `main_dim` defaults to `dim`.
+    Both modes compare the denominator-cleared det/Pf with core, built
+    after it: the memo of the expansion, which sets the peak memory, is gone
+    by then.  Each denominator is evaluated once into a table, and a zero
+    one raises `ZeroDenominatorError` before any entry is built.  linalg
+    takes rational entries by their int pairs and others by the expansion.
+    `main_dim` defaults to `dim`.
     """
     if dim is None:
         dim = (lambda p: p["n"]) if kind == "det" else (lambda p: 2 * p["n"])
 
-    def pairs(n):
-        if kind == "det":
-            return [(i, j) for i in range(n) for j in range(n)]
-        return _all_pairs(n)
-
     def sides(p, sc, numeric):
         n = dim(p)
-
-        def d(i, j):
-            return den(p, sc, i, j)
-
-        if numeric:
-            ij = pairs(n)
-            dens = [d(i, j) for i, j in ij]
-            if not all(dens):
-                raise ZeroDenominatorError(f"{fields['name']}: a denominator vanishes")
-            num, core = parts(p, sc)
-            ratios = [
-                (a.numerator * b.denominator, a.denominator * b.numerator)
-                for a, b in zip((num(i, j) for i, j in ij), dens)
-            ]
-            if kind == "det":
-                lhs = det_of_ratios([ratios[i * n : (i + 1) * n] for i in range(n)])
-            else:
-                lhs = pfaffian_of_ratios(n, dict(zip(ij, ratios)))
-            return [(lhs, core() / _prod(dens))]
+        pairs = [(i, j) for i in range(n) for j in range(n)] if kind == "det" else _all_pairs(n)
+        dens = {(i, j): den(p, sc, i, j) for i, j in pairs}
+        if not all(dens.values()):
+            raise ZeroDenominatorError(f"{fields['name']}: a denominator vanishes")
         num, core = parts(p, sc)
         cleared = det_with_denominators if kind == "det" else pfaffian_with_denominators
-        return [(cleared(n, num, d), core())]
+        return [(cleared(n, num, lambda i, j: dens[i, j]), core())]
 
     fields.setdefault("main_dim", dim)
     fields["sides"] = sides
@@ -1058,27 +1037,19 @@ def _cauchy_binet_sides(p, sc, numeric):
     lhs = det(x.mul(a).mul(y.transpose()))
     rows = tuple(range(n))
     col_sets = list(combinations(range(nn), n))
-    if not numeric:
-        dys = [det(y.minor(rows, j_set)) for j_set in col_sets]
-        rhs = Fraction(0)
-        for i_set in col_sets:
-            dx = det(x.minor(rows, i_set))
-            for j_set, dy in zip(col_sets, dys):
-                rhs = rhs + det(a.minor(i_set, j_set)) * dx * dy
-        return [(lhs, rhs)]
     # X and Y cleared row by row, A by the lcm of all its entries
     xi, sx = clear_rows(x.row_list(i) for i in rows)
     yi, sy = clear_rows(y.row_list(i) for i in rows)
     (flat,), (la,) = clear_rows([a.data])
     ai = [flat[i * nn : (i + 1) * nn] for i in range(nn)]
-    live = [(j_set, dy) for j_set, dy in zip(col_sets, minors_int(yi, col_sets)) if dy]
+    live = [(j_set, dy) for j_set, dy in zip(col_sets, minors(yi, col_sets)) if dy]
     j_sets = [j_set for j_set, _ in live]
     rhs = 0
-    for i_set, dx in zip(col_sets, minors_int(xi, col_sets)):
+    for i_set, dx in zip(col_sets, minors(xi, col_sets)):
         if dx:
-            das = minors_int([ai[i] for i in i_set], j_sets)
+            das = minors([ai[i] for i in i_set], j_sets)
             rhs += dx * sum(da * dy for da, (_, dy) in zip(das, live))
-    return [(lhs, Fraction(rhs, la**n * prod(sx) * prod(sy)))]
+    return [(lhs, over(rhs, la**n * prod(sx) * prod(sy)))]
 
 
 _register(
@@ -1288,7 +1259,7 @@ _register_quotient(
 )
 
 
-def _vandermonde_hyperpfaffian(n, x, y, a, b, numeric):
+def _vandermonde_hyperpfaffian(n, x, y, a, b):
     """Hpf of the order-n tensor (prod a_I + prod b_I) prod_{s<t in I} (x_s y_t - y_s x_t).
 
     hyper_u takes it at (x, y, a, b), where the two blocks square away the
@@ -1298,11 +1269,9 @@ def _vandermonde_hyperpfaffian(n, x, y, a, b, numeric):
     walk over the sorted prefixes that can still be completed to n indices.
     """
     m = len(x)
-    lx = ly = la = lb = 1
-    if numeric:
-        # x, y, a, b = X / lx, Y / ly, A / la, B / lb with int X, Y, A, B: each entry is
-        # an int over (la lb)^n (lx ly)^C(n,2), and the hyperpfaffian has degree m / n
-        (x, y, a, b), (lx, ly, la, lb) = clear_rows([x, y, a, b])
+    # x, y, a, b = X / lx, Y / ly, A / la, B / lb with integral X, Y, A, B: each entry is
+    # integral over (la lb)^n (lx ly)^C(n,2), and the hyperpfaffian has degree m / n
+    (x, y, a, b), (lx, ly, la, lb) = clear_rows([x, y, a, b])
     walk = [((), 1, lb**n, la**n)]  # (prefix, its cross product, prod A lb^n, prod B la^n)
     for depth in range(n):
         prefixes, walk = walk, []
@@ -1313,16 +1282,14 @@ def _vandermonde_hyperpfaffian(n, x, y, a, b, numeric):
                     ct *= x[s] * y[t] - y[s] * x[t]
                 walk.append((idx + (t,), ct, pa * a[t], pb * b[t]))
     tensor = AlternatingTensor.from_function(n, m, {idx: (pa + pb) * c for idx, c, pa, pb in walk}.get)
-    if not numeric:
-        return hyperpfaffian(tensor)
     scale = (la * lb) ** n * (lx * ly) ** (n * (n - 1) // 2)
-    return Fraction(hyperpfaffian(tensor), scale ** (m // n))
+    return over(hyperpfaffian(tensor), scale ** (m // n))
 
 
 def _special_hyppf_sides(p, sc, numeric):
     x = sc["x"]
     ones = [Fraction(1)] * len(x)
-    lhs = _vandermonde_hyperpfaffian(p["n"], ones, x, ones, [Fraction(0)] * len(x), numeric)
+    lhs = _vandermonde_hyperpfaffian(p["n"], ones, x, ones, [Fraction(0)] * len(x))
     return [(lhs, _delta(x) if p["r"] == 1 else Fraction(0))]
 
 
@@ -1342,7 +1309,7 @@ _register(
 def _hyper_v_sides(p, sc, numeric):
     n, x, a = p["n"], sc["x"], sc["a"]
     ones = [Fraction(1)] * len(x)
-    return [(_vandermonde_hyperpfaffian(n, ones, x, ones, a, numeric), _dv(n, n, x, a))]
+    return [(_vandermonde_hyperpfaffian(n, ones, x, ones, a), _dv(n, n, x, a))]
 
 
 _register(
@@ -1360,7 +1327,7 @@ _register(
 def _hyper_u_sides(p, sc, numeric):
     n = p["n"]
     x, y, a, b = sc["x"], sc["y"], sc["a"], sc["b"]
-    return [(_vandermonde_hyperpfaffian(n, x, y, a, b, numeric), _du(n, n, x, y, a, b))]
+    return [(_vandermonde_hyperpfaffian(n, x, y, a, b), _du(n, n, x, y, a, b))]
 
 
 _register(
@@ -1481,20 +1448,14 @@ def _minor_sum_sides(p, sc, numeric):
     x = RingMatrix(2 * n, nn, sc["x"])
     a = _skew_from(sc["a"], nn)
     rhs = congruence_pfaffian(x, a)
-    rows = tuple(range(2 * n))
-    if not numeric:
-        lhs = Fraction(0)
-        for idx in combinations(range(nn), 2 * n):
-            lhs = lhs + sub_pfaffian(a, idx) * det(x.minor(rows, idx))
-        return [(lhs, rhs)]
     # A scaled by the lcm of its entries, so every sub-Pfaffian on 2n indices
     # is an int times la^n; X cleared row by row; one memo for all index sets
     (upper,), (la,) = clear_rows([sc["a"]])
     ai = _skew_from(upper, nn)
-    xi, sx = clear_rows(x.row_list(i) for i in rows)
+    xi, sx = clear_rows(x.row_list(i) for i in range(2 * n))
     pfs = {idx: pf for idx, pf in sub_pfaffians(ai, combinations(range(nn), 2 * n)).items() if pf}
-    lhs = sum(pf * d for pf, d in zip(pfs.values(), minors_int(xi, list(pfs))))
-    return [(Fraction(lhs, la**n * prod(sx)), rhs)]
+    lhs = sum(pf * d for pf, d in zip(pfs.values(), minors(xi, list(pfs))))
+    return [(over(lhs, la**n * prod(sx)), rhs)]
 
 
 _register(

@@ -7,19 +7,22 @@ fraction-free Bareiss elimination on plain ints and divides by the product
 of the row scales once.  `clear_rows` and `minors_int` expose that route:
 a family of minors of one rational table is cleared once and taken over
 the integers in one elimination, whose steps the minors share along
-common column prefixes.  A rational matrix product clears the rows of its
-left factor and the columns of its right one, takes every dot product on
-ints and divides each entry once by its row and column scales.
+common column prefixes.  A Polynomial is integral with scale 1, so
+`minors` and `over` take it too.  A rational matrix product clears the rows
+of its left factor and the columns of its right one, takes every dot product
+on ints and divides each entry once by its row and column scales.
 Every rational Pfaffian scales row and column i by the lcm of row i's
 denominators and runs fraction-free skew elimination on plain ints.  One
 division-free expansion along the smallest index, memoized on index subsets
 and summing the polynomial products of each level in one term map, takes
 every other Pfaffian and, as the Pfaffian of the block matrix [[0, A],
-[-A^T, 0]], every other determinant up to dimension 12 and every cleared one;
-beyond, polynomial rows take `minors_int`.  A skew matrix with a zero row is
-0 before either Pfaffian route runs.  Hyperpfaffians sum over unordered set
-partitions, each enumerated once with its sign carried down the recursion
-and its last block read off directly.
+[-A^T, 0]], every other determinant up to dimension 12 and every cleared
+one whose entries are not all rational (rational ones take the int pairs
+times the product of the denominators); beyond, polynomial rows take
+`minors_int`.  A skew matrix with a zero row is 0 before either Pfaffian
+route runs.  Hyperpfaffians sum over unordered set partitions, each
+enumerated once with its sign carried down the recursion and its last
+block read off directly.
 """
 
 from fractions import Fraction
@@ -240,7 +243,8 @@ def clear_rows(rows):
     Row i is multiplied by the lcm of its denominators, which makes it
     integral; a minor on all the rows, any columns, is the rational minor
     times the product of the scales.  A family of minors of one rational
-    table is cleared once and then taken over the integers.
+    table is cleared once and then taken over the integers.  A Polynomial
+    is integral, so polynomial rows come back as they are, with scales 1.
     """
     rows = list(rows)
     scales = [lcm(*[v.denominator for v in row]) for row in rows]
@@ -276,6 +280,23 @@ def minors_int(rows, col_lists):
     where = {j: j for cols in col_lists for j in cols}
     _minors_step(list(rows), where, 0, 1, 1, list(enumerate(col_lists)), out)
     return out
+
+
+def minors(rows, col_lists):
+    """The minors of `rows` on `col_lists`: one `minors_int` on int rows, else `det` on each."""
+    if all(type(v) is int for row in rows for v in row):
+        return minors_int(rows, col_lists)
+    n = len(rows)
+    return [det(RingMatrix(n, n, [row[c] for row in rows for c in cols])) for cols in col_lists]
+
+
+def over(value, scale):
+    """value / scale, the inverse of clearing; a value that is not rational has scale 1."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value, scale)
+    if scale != 1:
+        raise AssertionError(f"a scale {scale} on a non-rational value")
+    return value
 
 
 def _minors_step(a, where, k, sign, prev, group, out):
@@ -538,13 +559,29 @@ def blocked_tensor(a, n):
     )
 
 
+def _ratios(num, den, pairs):
+    """num/den on `pairs` as int pairs, and prod den; (None, None) if one is not rational."""
+    ratios, top, bottom = [], 1, 1
+    for i, j in pairs:
+        a, b = num(i, j), den(i, j)
+        if not _all_rational((a, b)):
+            return None, None
+        ratios.append((a.numerator * b.denominator, a.denominator * b.numerator))
+        top, bottom = top * b.numerator, bottom * b.denominator
+    return ratios, Fraction(top, bottom)
+
+
 def det_with_denominators(n, num, den):
-    """det(num_ij / den_ij) * prod_ij den_ij on n x n, computed without division.
+    """det(num_ij / den_ij) * prod_ij den_ij on n x n.
 
     `num` and `den` are callables on pairs (i, j), as for
-    `pfaffian_with_denominators`, den nonzero: the cleared block Pfaffian.
+    `pfaffian_with_denominators`, den nonzero.  Rational entries take
+    `det_of_ratios` times prod den, any others the cleared block Pfaffian.
     """
-    return _block_pfaffian(n, num, den)
+    ratios, dens = _ratios(num, den, [(i, j) for i in range(n) for j in range(n)])
+    if ratios is None:
+        return _block_pfaffian(n, num, den)
+    return det_of_ratios([ratios[i * n : (i + 1) * n] for i in range(n)]) * dens
 
 
 def _block_pfaffian(n, num, den):
@@ -563,16 +600,21 @@ def _block_pfaffian(n, num, den):
 
 
 def pfaffian_with_denominators(dim, num, den):
-    """Pf(num_ij / den_ij) * prod_{i<j} den_ij, computed without division.
+    """Pf(num_ij / den_ij) * prod_{i<j} den_ij.
 
     `num` and `den` are callables on pairs i < j; num is the strict upper
-    triangle of a skew matrix, den symmetric and nonzero.  Expansion along
-    the smallest index with memoization on index subsets; the unmatched
-    denominators are multiplied back in at each step.
+    triangle of a skew matrix, den symmetric and nonzero.  Rational entries
+    take `pfaffian_of_ratios` times prod den; any others, without division,
+    the expansion along the smallest index memoized on index subsets, with
+    the unmatched denominators multiplied back in at each step.
     """
     if dim % 2:
         return Fraction(0)
-    return _pf_cleared(num, den, tuple(range(dim)), {(): Fraction(1)})
+    pairs = list(combinations(range(dim), 2))
+    ratios, dens = _ratios(num, den, pairs)
+    if ratios is None:
+        return _pf_cleared(num, den, tuple(range(dim)), {(): Fraction(1)})
+    return pfaffian_of_ratios(dim, dict(zip(pairs, ratios))) * dens
 
 
 # The recursion is a module-level function that takes its memo as an

@@ -6,7 +6,8 @@ coefficients, canonical term map) and, where a statement divides, on
 `Quotient`, a numerator over a multiset of polynomial factors.  Matrix code
 and identity builders are generic over these scalars.  A rational enters a
 polynomial only when it is an integer; any other rational meets one only as
-a `Quotient`, the constant numerator over its denominator.
+a `Quotient`, the constant numerator over its denominator.  A `Polynomial`
+is integral, as an `int` is, so clearing takes it; a `Quotient` is not.
 
 A monomial is one packed `int` with a fixed SLOT_BITS-bit slot per variable,
 variable 0 in the lowest slot: equal monomials are equal ints however far the
@@ -179,10 +180,13 @@ class Polynomial:
     `terms` maps packed monomials to nonzero int coefficients; the
     constructor takes it as given, since every operation builds its result
     map canonical.  The zero polynomial has an empty term map, so ``==`` on
-    the term maps is semantic equality.
+    the term maps is semantic equality.  It is integral, as an `int` is:
+    its `numerator` is itself and its `denominator` is 1.
     """
 
     __slots__ = ("table", "terms")
+    numerator = property(lambda self: self)
+    denominator = 1
 
     def __init__(self, table, terms):
         self.table = table

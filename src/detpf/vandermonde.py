@@ -6,7 +6,8 @@ descriptions leave ambiguous.  The two-block, palindromic-row and bidegree
 matrices are built from one row per point (`row_V`, `row_W`, `row_U`), so
 a family of such matrices on shared points can take its rows from one
 point table.  All constructors are generic over ring scalars and pure.
-At a rational point `int_row_V/W/U` give that row as ints times one scale.
+At a rational point `int_row_V/W/U` give that row as ints times one scale;
+at a polynomial point, the row itself with scale 1.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from functools import cache
 from itertools import combinations
 from math import prod
 
-from .linalg import RingMatrix, det, minors_int
+from .linalg import RingMatrix, minors, over
 from .symfunc import Partition, TooLongError
 
 
@@ -172,29 +173,21 @@ def partition_family(tag, n):
 def fgh_sum(tag, p, q, xs, as_):
     """The signed sums F/G/H of shifted-matrix determinants over the P/Q/R families.
 
-    On rational points every shifted matrix selects its columns from one
-    table: x_i^e and a_i x_i^e for e up to the largest exponent `top` of the
-    family.  Its integral row i is int_row_V(top + 1, top + 1, x_i, a_i),
-    so each term is an integer minor of that table, all of them are taken
-    in one shared elimination, and the sum is divided once by the product
-    of the row scales.
+    Every shifted matrix selects its columns from one table: x_i^e and
+    a_i x_i^e for e up to the largest exponent `top` of the family.  Its
+    integral row i is int_row_V(top + 1, top + 1, x_i, a_i), so each term is
+    a minor of that table (on rational points an integer one, all taken in
+    one shared elimination), and the sum is divided once by the product of
+    the row scales, which is 1 on polynomials.
     """
     n = p + q
     _require_length("xs", xs, n)
     _require_length("as_", as_, n)
     terms, top, col_lists = _fgh_terms(tag, p, q)
-    if all(isinstance(v, (int, Fraction)) for v in (*xs, *as_)):
-        rows = [int_row_V(top + 1, top + 1, x, a) for x, a in zip(xs, as_)]
-        minors = minors_int([row for row, _ in rows], col_lists)
-        total = sum(-m if odd else m for m, (_, _, odd) in zip(minors, terms))
-        return Fraction(total, prod(scale for _, scale in rows))
-    total = Fraction(0)
-    for lam, mu, odd in terms:
-        term = det(build_V_shifted(p, q, lam, mu, xs, as_))
-        if odd:
-            term = -term
-        total = total + term
-    return total
+    rows = [int_row_V(top + 1, top + 1, x, a) for x, a in zip(xs, as_)]
+    values = minors([row for row, _ in rows], col_lists)
+    total = sum(-m if odd else m for m, (_, _, odd) in zip(values, terms))
+    return over(total, prod(scale for _, scale in rows))
 
 
 @cache

@@ -492,6 +492,90 @@ def evaluate(p, point):
     return total
 
 
+class ModP:
+    """An element of the prime field Z/p, p = 2^61 - 1, that coerces ints and Fractions.
+
+    It is integral, as an int is: `numerator` is the element itself and
+    `denominator` is 1.  So `clear_rows` gives it scale 1, and every other
+    route that tests for int or Fraction sends it down the ring route, where
+    it runs the statements that polynomials run, at numeric sizes.  A false
+    agreement of two values of degree d has probability at most d / p.
+    """
+
+    P = (1 << 61) - 1
+    __slots__ = ("v",)
+    denominator = 1
+
+    def __init__(self, value):
+        if isinstance(value, ModP):
+            self.v = value.v
+        elif type(value) is int:
+            self.v = value % self.P
+        elif isinstance(value, (int, Fraction)):
+            # a denominator that p divides has no inverse: pow raises ValueError
+            self.v = value.numerator * pow(value.denominator, -1, self.P) % self.P
+        else:
+            raise TypeError(f"no element of Z/p for {value!r}")
+
+    @property
+    def numerator(self):
+        return self
+
+    @staticmethod
+    def _lift(other):
+        return ModP(other) if isinstance(other, (int, Fraction, ModP)) else None
+
+    def _with(self, other, op):
+        other = self._lift(other)
+        return NotImplemented if other is None else op(other.v)
+
+    def __add__(self, other):
+        return self._with(other, lambda v: ModP(self.v + v))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._with(other, lambda v: ModP(self.v - v))
+
+    def __rsub__(self, other):
+        return self._with(other, lambda v: ModP(v - self.v))
+
+    def __mul__(self, other):
+        return self._with(other, lambda v: ModP(self.v * v))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else self * other._inverse()
+
+    def __rtruediv__(self, other):
+        other = self._lift(other)
+        return NotImplemented if other is None else other * self._inverse()
+
+    def _inverse(self):
+        if not self.v:
+            raise ZeroDivisionError("division by zero in Z/p")
+        return ModP(pow(self.v, -1, self.P))
+
+    def __neg__(self):
+        return ModP(-self.v)
+
+    def __pow__(self, exponent):
+        return ModP(pow(self.v, exponent, self.P))
+
+    def __bool__(self):
+        return bool(self.v)
+
+    def __eq__(self, other):
+        return self._with(other, lambda v: self.v == v)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"ModP({self.v})"
+
+
 def tensor_value(tensor, sorted_idx):
     """The stored value of an AlternatingTensor at a sorted index tuple, 0 if absent."""
     return tensor.values.get(tuple(sorted_idx), Fraction(0))

@@ -594,7 +594,8 @@ _QUOTIENT_ENTRIES = {
 
 
 def _quotient_oracle(name, n, sc):
-    """det or Pf of the Fraction matrix num/den, or None when a denominator is 0."""
+    """det or Pf of the Fraction matrix num/den times the product of the den, or None
+    when a denominator is 0: the cleared left side that both modes compare."""
     kind, num, den = _QUOTIENT_ENTRIES[name]
     dim = n if kind == "det" else 2 * n
     pairs = [(i, j) for i in range(dim) for j in range(dim) if kind == "det" or i < j]
@@ -603,8 +604,10 @@ def _quotient_oracle(name, n, sc):
         return None
     entries = [num(sc, i, j) / d for (i, j), d in zip(pairs, dens)]
     if kind == "det":
-        return det_leibniz(RingMatrix(dim, dim, entries))
-    return pf_matchings(SkewMatrix(dim, dict(zip(pairs, entries))))
+        value = det_leibniz(RingMatrix(dim, dim, entries))
+    else:
+        value = pf_matchings(SkewMatrix(dim, dict(zip(pairs, entries))))
+    return value * reduce(mul, dens, 1)
 
 
 def _oracle_side(name, p, sc):

@@ -22,12 +22,15 @@ from detpf.linalg import (
     RingMatrix,
     SkewMatrix,
     blocked_tensor,
+    clear_rows,
     congruence_pfaffian,
     congruence_product,
     det,
     det_with_denominators,
     hyperpfaffian,
+    minors,
     minors_int,
+    over,
     pfaffian,
     pfaffian_of_ratios,
     pfaffian_with_denominators,
@@ -337,6 +340,59 @@ def test_minors_int_edge_cases():
     assert minors_int(rows, lists) == [_minor_leibniz(rows, c) for c in lists] == [-21, -42, -21, 0]
     with pytest.raises(DimensionMismatchError):
         minors_int([[1, 2], [3, 4]], [(0,)])
+
+
+def test_polynomial_rows_clear_to_themselves_with_scale_one():
+    x, y = VariableTable(["x", "y"]).gens()
+    rows = [[x, 2 * y - 1], [x * y, y]]
+    cleared, scales = clear_rows(rows)
+    assert cleared == rows and scales == [1, 1]
+    assert all(isinstance(v, Polynomial) for row in cleared for v in row)
+    # integral rationals beside them clear to ints, with scale 1 too
+    mixed, scales = clear_rows([[x, Fraction(3), Fraction(0)]])
+    assert mixed == [[x, 3, 0]] and scales == [1] and type(mixed[0][1]) is int
+
+
+def test_minors_take_the_int_elimination_on_int_rows_and_det_on_others():
+    rows = [[0, 1, 2, 3], [0, 4, 5, 6], [7, 8, 9, 11]]
+    lists = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (0, 3, 3)]
+    assert minors(rows, lists) == minors_int(rows, lists)
+    assert minors([], [(), ()]) == [1, 1]
+    x, y, z = VariableTable(["x", "y", "z"]).gens()
+    poly_rows = [[x, 1, y, 0], [z, x * y, 2, x], [1, y, z * z, -3]]
+    got = minors(poly_rows, lists)
+    want = [det(RingMatrix(3, 3, [row[c] for row in poly_rows for c in cols])) for cols in lists]
+    assert got == want and got[3] == 0 and all(isinstance(v, Polynomial) for v in got[:3])
+    assert got[0] == det_leibniz(RingMatrix(3, 3, [row[c] for row in poly_rows for c in lists[0]]))
+
+
+def test_over_divides_only_a_rational_and_never_drops_a_scale():
+    assert over(6, 4) == Fraction(3, 2) and type(over(6, 4)) is Fraction
+    assert type(over(Fraction(1, 3), 1)) is Fraction
+    x = VariableTable(["x"]).gens()[0]
+    assert over(x + 1, 1) == x + 1
+    with pytest.raises(AssertionError):
+        over(x + 1, 2)
+    with pytest.raises(AssertionError):
+        over(x + 1, Fraction(1, 2))
+
+
+def test_cleared_det_and_pfaffian_of_rational_entries_match_the_fraction_oracle():
+    # a negative denominator and a zero numerator on each route; det_with_denominators
+    # and pfaffian_with_denominators return det/Pf(num/den) times prod den
+    nums = {(0, 0): Fraction(2, 3), (0, 1): 0, (1, 0): -5, (1, 1): Fraction(7, 4)}
+    dens = {(0, 0): -3, (0, 1): Fraction(1, 2), (1, 0): Fraction(-5, 6), (1, 1): 4}
+    got = det_with_denominators(2, lambda i, j: nums[i, j], lambda i, j: dens[i, j])
+    ratio = RingMatrix(2, 2, [Fraction(nums[i, j]) / dens[i, j] for i in range(2) for j in range(2)])
+    assert type(got) is Fraction
+    assert got == det_leibniz(ratio) * prod(dens.values()) != 0
+    pairs = list(combinations(range(4), 2))
+    pf_nums = dict(zip(pairs, [Fraction(1, 2), 0, 3, -2, Fraction(5, 7), 1]))
+    pf_dens = dict(zip(pairs, [-2, Fraction(3, 5), 1, Fraction(-1, 4), 7, -1]))
+    got = pfaffian_with_denominators(4, lambda i, j: pf_nums[i, j], lambda i, j: pf_dens[i, j])
+    skew = SkewMatrix(4, {k: Fraction(pf_nums[k]) / pf_dens[k] for k in pairs})
+    assert type(got) is Fraction
+    assert got == pf_matchings(skew) * prod(pf_dens.values()) != 0
 
 
 @st.composite
