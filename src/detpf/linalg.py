@@ -26,7 +26,7 @@ block read off directly.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import lcm, prod
 from operator import mul as _times
 
@@ -75,7 +75,7 @@ def _check_index_set(idx, bound):
 
 
 def _all_rational(values):
-    return all(isinstance(v, (int, Fraction)) for v in values)
+    return all(map(isinstance, values, repeat((int, Fraction))))
 
 
 class RingMatrix:
@@ -561,14 +561,14 @@ def blocked_tensor(a, n):
 
 def _ratios(num, den, pairs):
     """num/den on `pairs` as int pairs, and prod den; (None, None) if one is not rational."""
-    ratios, top, bottom = [], 1, 1
-    for i, j in pairs:
-        a, b = num(i, j), den(i, j)
-        if not _all_rational((a, b)):
-            return None, None
-        ratios.append((a.numerator * b.denominator, a.denominator * b.numerator))
-        top, bottom = top * b.numerator, bottom * b.denominator
-    return ratios, Fraction(top, bottom)
+    dens = [den(i, j) for i, j in pairs]
+    if not _all_rational(dens):
+        return None, None
+    nums = [num(i, j) for i, j in pairs]
+    if not _all_rational(nums):
+        return None, None
+    ratios = [(a.numerator * b.denominator, a.denominator * b.numerator) for a, b in zip(nums, dens)]
+    return ratios, Fraction(prod(b.numerator for b in dens), prod(b.denominator for b in dens))
 
 
 def det_with_denominators(n, num, den):
