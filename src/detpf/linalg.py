@@ -628,7 +628,7 @@ def _pf_cleared(num, den, idx, memo):
     first = idx[0]
     rest = idx[1:]
     acc = None
-    pairs = []  # the products of two Polynomials, summed by the kernel
+    pair = pairs = None  # the first product of two Polynomials; all of them once there are two
     for t, j in enumerate(rest):
         entry = num(first, j)
         if not entry:
@@ -646,11 +646,15 @@ def _pf_cleared(num, den, idx, memo):
                     entry = entry * den(min(u, j), max(u, j))
         sub = _pf_cleared(num, den, rest[:t] + rest[t + 1 :], memo)
         if type(entry) is Polynomial is type(sub) and sub.terms:
-            pairs.append((entry, sub))
+            if pair is None:
+                pair = entry, sub
+            else:
+                pairs = pairs or [pair]
+                pairs.append((entry, sub))
         else:
             acc = entry * sub if acc is None else acc + entry * sub
-    if pairs:
-        term = dot(pairs) if len(pairs) > 1 else pairs[0][0] * pairs[0][1]
+    if pair is not None:
+        term = pair[0] * pair[1] if pairs is None else dot(pairs)  # the kernel sums two or more
         acc = term if acc is None else acc + term
     if acc is None:
         acc = Fraction(0)

@@ -4,23 +4,26 @@ The oracle route counts lattice-word skew tableaux directly.  The
 subpfaffian route builds the skew matrix B of h-polynomial coefficients
 (Okada 1998), each entry a short sum read from one table of h_0..h_top per
 alphabet, takes the principal Pfaffian on the index set of the target
-partition and reads the answer off a Schur-basis expansion; a third route
+partition, checks it symmetric under two generators of S_n and reads the
+answer off its Schur expansion by the alternant formula; a third route
 rewrites the near-rectangle problem through the complementation theorem.
 All three agree on the common domain, which is the package's central
 cross-check.
 """
 
 from fractions import Fraction
+from functools import cache
+from itertools import combinations, permutations
 
 from .linalg import SkewMatrix, pfaffian
-from .poly import Polynomial, VariableTable
+from .poly import _SLOT_MASK, SLOT_BITS, Polynomial, VariableTable, _pack, _unpack
 from .symfunc import (
     NotInBoxError,
     Partition,
     TooLongError,
     h_table,
     index_set,
-    schur_jacobi_trudi,
+    partitions_in_box,
 )
 
 
@@ -94,33 +97,49 @@ def b_principal(idx, n, e, f, z_values, w_values):
         degree = top_z + top_w + 1 - k - l
         total = Fraction(0)
         for i in range(max(0, degree - top_w + k), min(top_z - k, degree) + 1):
-            total = total + hz[i] * hw[degree - i]
+            a, b = hz[i], hw[degree - i]
+            if a and b:  # an empty alphabet's table is 1, 0, 0, ...: no product to make
+                total = total + (b if a == 1 else a if b == 1 else a * b)
         return total
 
     return SkewMatrix.from_upper_function(len(idx), entry)
 
 
-def schur_expand(p):
-    """Expand a symmetric polynomial in the Schur basis by leading-term peeling.
+@cache
+def _alternant_shifts(n):
+    """(packed sigma(delta), sgn sigma) for each permutation sigma of delta = (n-1, ..., 0)."""
+    perms = permutations(range(n - 1, -1, -1))
+    return tuple((_pack(q), (-1) ** sum(a < b for a, b in combinations(q, 2))) for q in perms)
 
-    The graded-lex leading monomial of a symmetric polynomial has weakly
-    decreasing exponents; subtracting its Schur polynomial strictly lowers the
-    leading term, and a leading term that does not drop raises AssertionError.
+
+def schur_expand(p):
+    """Expand a symmetric polynomial in the Schur basis by the alternant formula.
+
+    p is symmetric iff (z1 z2) and the n-cycle, which generate S_n, fix it;
+    each moves the slots of a packed monomial by a few shifts.  Then c_lam is
+    the coefficient sum_sigma sgn(sigma) p[lam + delta - sigma(delta)] of
+    z^(lam+delta) in p a_delta (Macdonald I.3); a nonzero one makes that
+    exponent a term of p, so lam has a degree of p and lam_1 is at most p's
+    top exponent.  A slot that goes negative in the key subtraction borrows,
+    setting a guard bit or the sign, and no term has such a key.
     """
-    out = {}
-    nvars = len(p.table)
-    gens = p.table.gens()
-    last = None
-    while p.terms:
-        exps, coeff = p.leading_term()
-        if last is not None and (sum(exps), exps) >= last:
-            raise AssertionError(f"peeling did not lower the leading term {exps}")
-        last = (sum(exps), exps)
-        if any(exps[i] < exps[i + 1] for i in range(nvars - 1)):
+    terms = p.terms
+    n = len(p.table)
+    s = SLOT_BITS
+    swap = lambda k: k >> 2 * s << 2 * s | (k & _SLOT_MASK) << s | k >> s & _SLOT_MASK
+    cycle = lambda k: (k << s) & ((1 << s * n) - 1) | k >> s * (n - 1)
+    for move in (swap, cycle) if n > 1 else ():
+        if any(terms.get(move(k)) != c for k, c in terms.items()):
             raise ValueError("polynomial is not symmetric")
-        lam = Partition(exps)
-        out[lam] = coeff
-        p = p - coeff * schur_jacobi_trudi(lam, gens)
+    degrees = {sum(_unpack(k)) for k in terms}
+    delta = _pack(range(n - 1, -1, -1))
+    out = {}
+    for lam in partitions_in_box(n, max((k & _SLOT_MASK for k in terms), default=0)):
+        if lam.size() in degrees:
+            key = _pack(lam.parts) + delta
+            coeff = sum(sign * terms.get(key - d, 0) for d, sign in _alternant_shifts(n))
+            if coeff:
+                out[lam] = coeff
     return out
 
 
@@ -129,7 +148,8 @@ def lr_via_pfaffian(lam, n, e, f, mu):
 
     Works in n z-variables with the w-alphabet empty: the subpfaffian on
     I(lam) expands as sum_mu c^lam_{mu,box(n,f)} s_{mu-complement}(z), and
-    the requested coefficient is read off by Schur-basis peeling.  An
+    the requested coefficient is read off by `schur_expand`'s alternant
+    formula after its two-generator symmetry check.  An
     asymmetric subpfaffian or a coefficient that is not a nonnegative
     integer breaks the theorem, so it raises AssertionError.
     """

@@ -316,14 +316,6 @@ class Polynomial:
 
     __hash__ = None
 
-    def leading_term(self):
-        """(exponents, coefficient) of the grlex-largest term; one exponent per table variable."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        key = max(self.terms, key=_grlex)
-        exps = _unpack(key)
-        return exps + (0,) * (len(self.table) - len(exps)), self.terms[key]
-
     def exact_div(self, other):
         """Exact quotient self/other in Z[x]; raises ExactDivisionError if inexact.
 

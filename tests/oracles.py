@@ -23,7 +23,7 @@ from operator import add, mul
 
 from detpf.poly import EXPONENT_CAP, ExactDivisionError, Polynomial, VariableTable, _pack, _unpack
 from detpf.lr import _alpha_beta, condition_holds
-from detpf.symfunc import Partition, SkewShape, h_complete
+from detpf.symfunc import Partition, SkewShape, h_complete, schur_jacobi_trudi
 
 
 def inversion_sign(seq):
@@ -265,8 +265,6 @@ def lr_from_product(lam, mu, nu):
     The strictly decreasing exponent vector lam+delta occurs in exactly one
     antisymmetrized orbit, so the extraction needs no change of basis.
     """
-    from detpf.symfunc import schur_jacobi_trudi
-
     if lam.size() != mu.size() + nu.size():
         return 0
     nvars = max(lam.length(), mu.length(), nu.length(), 1)
@@ -317,6 +315,31 @@ def schur_by_tableaux(lam, values):
     return total
 
 
+def schur_expand_by_peeling(p):
+    """Schur expansion {Partition: int} of a symmetric polynomial by leading-term peeling.
+
+    The graded-lex leading monomial of a symmetric polynomial has weakly
+    decreasing exponents; subtracting its Jacobi-Trudi Schur polynomial
+    strictly lowers the leading term, and a leading term that does not drop
+    raises AssertionError.
+    """
+    out = {}
+    nvars = len(p.table)
+    gens = p.table.gens()
+    last = None
+    while p.terms:
+        exps, coeff = leading_term(p)
+        if last is not None and (sum(exps), exps) >= last:
+            raise AssertionError(f"peeling did not lower the leading term {exps}")
+        last = (sum(exps), exps)
+        if any(exps[i] < exps[i + 1] for i in range(nvars - 1)):
+            raise ValueError("polynomial is not symmetric")
+        lam = Partition(exps)
+        out[lam] = coeff
+        p = p - coeff * schur_jacobi_trudi(lam, gens)
+    return out
+
+
 def mono_key(exps):
     """The packed monomial of a dense exponent tuple or a {variable: exponent} map."""
     if isinstance(exps, dict):
@@ -335,12 +358,21 @@ def poly_of(table, terms):
     return Polynomial(table, {key: coeff for key, coeff in out.items() if coeff})
 
 
+def leading_term(p):
+    """(exponents, coefficient) of p's graded-lex largest term, one exponent per table variable."""
+    if not p.terms:
+        raise ValueError("zero polynomial has no leading term")
+    key = max(p.terms, key=lambda k: _grlex(_unpack(k)))
+    exps = _unpack(key)
+    return exps + (0,) * (len(p.table) - len(exps)), p.terms[key]
+
+
 def term_list(p):
     """(dense exponent tuple, int) pairs of p in descending graded-lex order,
     read through the public API by peeling off leading terms."""
     out = []
     while p:
-        exps, coeff = p.leading_term()
+        exps, coeff = leading_term(p)
         out.append((exps, coeff))
         p = p - poly_of(p.table, {exps: coeff})
     return out

@@ -2,8 +2,10 @@ import gc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from detpf import lr
+import oracles
 from detpf.lr import (
     b_principal,
     condition_holds,
@@ -12,7 +14,7 @@ from detpf.lr import (
     lr_via_pfaffian,
     schur_expand,
 )
-from detpf.poly import VariableTable
+from detpf.poly import Polynomial, VariableTable
 from detpf.symfunc import (
     NotInBoxError,
     Partition,
@@ -31,6 +33,7 @@ from oracles import (
     lr_rect_rect,
     pieri_mu,
     pieri_near_rectangle,
+    schur_expand_by_peeling,
 )
 
 P = Partition
@@ -185,16 +188,16 @@ def test_rectangle_theorem_examples():
 
 
 def test_three_routes_agree():
-    for n in (1, 2):
-        for e in range(3):
-            for f in range(3):
-                box_f = P.box(n, f)
-                for lam in partitions_in_box(2 * n, e + f):
-                    for mu in partitions_in_box(n, e):
-                        a = lr_bruteforce(lam, mu, box_f)
-                        b = lr_via_pfaffian(lam, n, e, f, mu)
-                        c = lr_rectangle_theorem(lam, n, e, f, mu)
-                        assert a == b == c, (lam, mu, n, e, f, a, b, c)
+    # n = 3 is the first size whose symmetric group has a 3-cycle
+    sizes = [(n, e, f) for n in (1, 2) for e in range(3) for f in range(3)]
+    for n, e, f in sizes + [(3, 1, 1), (3, 2, 1)]:
+        box_f = P.box(n, f)
+        for lam in partitions_in_box(2 * n, e + f):
+            for mu in partitions_in_box(n, e):
+                a = lr_bruteforce(lam, mu, box_f)
+                b = lr_via_pfaffian(lam, n, e, f, mu)
+                c = lr_rectangle_theorem(lam, n, e, f, mu)
+                assert a == b == c, (lam, mu, n, e, f, a, b, c)
 
 
 def test_skew_schur_from_subpfaffian():
@@ -269,16 +272,42 @@ def test_schur_expand_roundtrip():
         schur_expand(zs[0] - zs[1])
 
 
-def test_schur_expand_fails_on_a_wrong_schur_polynomial(monkeypatch):
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_schur_expand_reads_back_a_drawn_combination(data):
+    n = data.draw(st.integers(1, 4))
+    table = VariableTable()
+    table.add_vector("z", n)
+    zs = table.gens()
+    shapes = [lam for lam in partitions_in_box(n, 6) if lam.size() <= 6]
+    drawn = data.draw(st.dictionaries(st.sampled_from(shapes), st.integers(-3, 3), max_size=4))
+    p = Polynomial.zero(table)
+    for lam, coeff in drawn.items():
+        p = p + coeff * schur_jacobi_trudi(lam, zs)
+    want = {lam: coeff for lam, coeff in drawn.items() if coeff}
+    assert schur_expand(p) == want == schur_expand_by_peeling(p)
+
+
+def test_schur_expand_checks_both_generators():
+    table = VariableTable()
+    table.add_vector("z", 3)
+    z1, z2, z3 = table.gens()
+    cyclic = z1 * z1 * z2 + z2 * z2 * z3 + z3 * z3 * z1  # fixed by the 3-cycle only
+    for p in (cyclic, z1 + z2):  # z1 + z2 is fixed by (z1 z2) only
+        with pytest.raises(ValueError):
+            schur_expand(p)
+
+
+def test_schur_expand_by_peeling_fails_on_a_wrong_schur_polynomial(monkeypatch):
     # peeling with 2 s_lam leaves -s_lam: the leading term does not drop
     table = VariableTable()
     table.add_vector("x", 2)
     xs = table.gens()
     p = schur_jacobi_trudi(P([2, 1]), xs)
     doubled = lambda lam, gens: 2 * schur_jacobi_trudi(lam, gens)
-    monkeypatch.setattr(lr, "schur_jacobi_trudi", doubled)
+    monkeypatch.setattr(oracles, "schur_jacobi_trudi", doubled)
     with pytest.raises(AssertionError):
-        schur_expand(p)
+        schur_expand_by_peeling(p)
 
 
 def test_pf_schur3_two_alphabet_grid():
