@@ -8,7 +8,8 @@ at a random evaluation point).  Each builder is one statement that both
 modes run, on polynomial generators (symbolic: sides are polynomials or,
 where a relation divides, quotients of them) or random rationals (numeric).
 Values are cleared to integral rows from their numerators and denominators;
-a polynomial is integral with scale 1, and linalg picks the integer route.
+a polynomial is integral with scale 1, a quotient clears to polynomial rows
+over a polynomial scale, and linalg picks the integer route for int rows.
 
 Most of the paper's identities share one shape: det or Pf of num/den equals
 a core over the product of the denominators, generalizing Cauchy's
@@ -36,7 +37,7 @@ form of its own.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, combinations
+from itertools import combinations
 from math import factorial, prod
 from operator import mul
 
@@ -62,9 +63,6 @@ from .lr import b_principal, lr_bruteforce
 from .symfunc import Partition, index_set, partitions_in_box, schur_jacobi_trudi
 from .vandermonde import (
     build_DBC,
-    build_U,
-    build_V,
-    build_W,
     fgh_sum,
     int_row_U,
     int_row_V,
@@ -185,43 +183,39 @@ def _prod(items):
 def _delta(xs):
     """The Vandermonde product prod_{i<j} (x_j - x_i).
 
-    Over the rationals each difference c/d - a/b is carried as the int pair
-    (c*b - a*d, b*d) and the product is normalized once at the end.
+    Each difference c/d - a/b is carried as the pair (c*b - a*d, b*d) of its
+    numerator and denominator, and the product is divided once at the end.
     """
-    if not all(isinstance(x, (int, Fraction)) for x in xs):
-        return _prod(xs[j] - xs[i] for i in range(len(xs)) for j in range(i + 1, len(xs)))
     num = den = 1
     for i, xi in enumerate(xs):
         a, b = xi.numerator, xi.denominator
         for xj in xs[i + 1 :]:
             num *= xj.numerator * b - a * xj.denominator
             den *= b * xj.denominator
-    return Fraction(num, den)
+    return over(num, den)
 
 
 def _sign(exponent):
     return -1 if exponent % 2 else 1
 
 
-def _point_det(build, int_row, sizes, vecs):
-    """det(build(*sizes, *vecs)); at rational points, det of the `int_row`s over their scales."""
-    if not all(isinstance(v, (int, Fraction)) for v in chain(*vecs)):
-        return det(build(*sizes, *map(list, vecs)))
+def _point_det(int_row, sizes, vecs):
+    """The determinant of one row int_row(*sizes, *point) per point: one minor over the scales."""
     rows = [int_row(*sizes, *point) for point in zip(*vecs)]
-    (value,) = minors_int([row for row, _ in rows], [range(sum(sizes))])
-    return Fraction(value, prod(scale for _, scale in rows))
+    (value,) = minors([row for row, _ in rows], [range(sum(sizes))])
+    return over(value, prod(scale for _, scale in rows))
 
 
 def _dv(p, q, xs, as_):
-    return _point_det(build_V, int_row_V, (p, q), (xs, as_))
+    return _point_det(int_row_V, (p, q), (xs, as_))
 
 
 def _dw(n, xs, as_):
-    return _point_det(build_W, int_row_W, (n,), (xs, as_))
+    return _point_det(int_row_W, (n,), (xs, as_))
 
 
 def _du(p, q, xs, ys, as_, bs):
-    return _point_det(build_U, int_row_U, (p, q), (xs, ys, as_, bs))
+    return _point_det(int_row_U, (p, q), (xs, ys, as_, bs))
 
 
 def _F(pp, qq, xs, as_):
@@ -233,7 +227,7 @@ def _points(vectors):
     return list(zip(*vectors))
 
 
-# the determinants of one row per point, and that row at a rational point
+# the determinants of one row per point, and that row
 _POINT_ROWS = {_dv: int_row_V, _dw: int_row_W, _du: int_row_U}
 
 
@@ -251,24 +245,24 @@ class _Family:
         """[f_1(points[i], points[j]; tail) for (i, j) in pairs].
 
         Each point is a tuple of coordinates, and `tail` holds one vector per
-        coordinate.  When `build` is the determinant of one row per point and
-        every coordinate is rational, the integer rows of all points are
-        transposed into one table, and each value is its integer minor on the
-        columns tail + [i, j] (moving the two point rows past the tail is an
-        even permutation) over the row scales.  Otherwise each value is
-        f(p, 1, ...).
+        coordinate.  When `build` is the determinant of one row per point, the
+        integral rows of all points are transposed into one table, and each
+        value is its minor on the columns tail + [i, j] (moving the two point
+        rows past the tail is an even permutation) over the row scales: at
+        rational points all the minors are taken in one integer elimination.
+        Otherwise each value is f(p, 1, ...).
         """
         row = _POINT_ROWS.get(self.build)
-        if row is None or not all(isinstance(v, (int, Fraction)) for v in chain(*points, *tail)):
+        if row is None:
             vecs = lambda i, j: [[a, b] + c for a, b, c in zip(points[i], points[j], tail)]
             return [self(p, 1, vecs(i, j)) for i, j in pairs]
         sizes = self.sizes(p, 1)
         int_rows, scales = zip(*[row(*sizes, *point) for point in points + _points(tail)])
         m = len(points)
         tail_cols = list(range(m, len(int_rows)))
-        minors = minors_int(list(zip(*int_rows)), [tail_cols + [i, j] for i, j in pairs])
+        values = minors(list(zip(*int_rows)), [tail_cols + [i, j] for i, j in pairs])
         tail_scale = prod(scales[m:])
-        return [Fraction(d, tail_scale * scales[i] * scales[j]) for d, (i, j) in zip(minors, pairs)]
+        return [over(d, tail_scale * scales[i] * scales[j]) for d, (i, j) in zip(values, pairs)]
 
 
 def _family(build, *names, step=1):

@@ -7,10 +7,10 @@ fraction-free Bareiss elimination on plain ints and divides by the product
 of the row scales once.  `clear_rows` and `minors_int` expose that route:
 a family of minors of one rational table is cleared once and taken over
 the integers in one elimination, whose steps the minors share along
-common column prefixes.  A Polynomial is integral with scale 1, so
-`minors` and `over` take it too.  A rational matrix product clears the rows
-of its left factor and the columns of its right one, takes every dot product
-on ints and divides each entry once by its row and column scales.
+common column prefixes.  `minors` takes integral Polynomial rows too, and
+`over` divides any value by its scale.  A rational matrix product clears the
+rows of its left factor and the columns of its right one, takes every dot
+product on ints and divides each entry once by its row and column scales.
 Every rational Pfaffian scales row and column i by the lcm of row i's
 denominators and runs fraction-free skew elimination on plain ints.  One
 division-free expansion along the smallest index, memoized on index subsets
@@ -291,12 +291,10 @@ def minors(rows, col_lists):
 
 
 def over(value, scale):
-    """value / scale, the inverse of clearing; a value that is not rational has scale 1."""
-    if isinstance(value, (int, Fraction)):
+    """value / scale, the inverse of clearing; a Fraction when both are rational."""
+    if isinstance(value, (int, Fraction)) and isinstance(scale, int):
         return Fraction(value, scale)
-    if scale != 1:
-        raise AssertionError(f"a scale {scale} on a non-rational value")
-    return value
+    return value if scale == 1 else value / scale
 
 
 def _minors_step(a, where, k, sign, prev, group, out):

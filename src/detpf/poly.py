@@ -7,7 +7,8 @@ coefficients, canonical term map) and, where a statement divides, on
 and identity builders are generic over these scalars.  A rational enters a
 polynomial only when it is an integer; any other rational meets one only as
 a `Quotient`, the constant numerator over its denominator.  A `Polynomial`
-is integral, as an `int` is, so clearing takes it; a `Quotient` is not.
+is integral, as an `int` is, so clearing takes it.  A `Quotient` has a
+`numerator` and a `denominator`, so row builders take it; `clear_rows` does not.
 
 A monomial is one packed `int` with a fixed SLOT_BITS-bit slot per variable,
 variable 0 in the lowest slot: equal monomials are equal ints however far the
@@ -405,11 +406,13 @@ class Quotient:
 
     `den` counts factors by term map.  A sum takes the union of the operands'
     factors, a product adds multiplicities, and equality compares numerators.
+    Its `numerator` is `num`; its `denominator` multiplies out the factors.
     A rational p/q that is not an integer enters as the constant p over the
     constant factor q; dividing by one whose p is 1 or -1 adds no factor.
     """
 
     __slots__ = ("num", "den")
+    numerator = property(lambda self: self.num)
 
     def __init__(self, num, den=None):
         self.num = num
@@ -419,9 +422,13 @@ class Quotient:
         """[(factor, multiplicity)] for the distinct factors of the denominator."""
         return [(Polynomial(self.num.table, dict(key)), m) for key, m in self.den.items()]
 
-    def _cleared(self):
+    @property
+    def denominator(self):
         powers = [factor**m for factor, m in self.factors()]
-        return self.num * reduce(mul, powers) if powers else self.num
+        return reduce(mul, powers) if powers else 1
+
+    def _cleared(self):
+        return self.num * self.denominator if self.den else self.num
 
     def _over(self, other):
         """The numerator over the union of both operands' factors."""

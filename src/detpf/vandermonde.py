@@ -3,11 +3,11 @@
 Column orders follow the explicit small displays (the 5x5 two-block matrix
 and the 5x5 palindromic-row matrix), which fix the conventions the row
 descriptions leave ambiguous.  The two-block, palindromic-row and bidegree
-matrices are built from one row per point (`row_V`, `row_W`, `row_U`), so
-a family of such matrices on shared points can take its rows from one
-point table.  All constructors are generic over ring scalars and pure.
-At a rational point `int_row_V/W/U` give that row as ints times one scale;
-at a polynomial point, the row itself with scale 1.
+matrices take one row per point from `int_row_V/W/U`, so a family of them on
+shared points can take its rows from one point table.  Each is an integral
+row and a scale, read off the numerators and denominators of the point:
+ints at a rational point, polynomials at a `Quotient` one, and the row itself
+with scale 1 at a polynomial one.  All constructors are pure.
 """
 
 from fractions import Fraction
@@ -23,58 +23,28 @@ class LengthMismatchError(ValueError):
     """Scalar vectors do not have the length the builder requires."""
 
 
-def _powers(x, top):
-    """[x^0, x^1, ..., x^top], with x^0 = Fraction(1) and x^1 = x itself."""
-    out = [Fraction(1), x][: top + 1]
-    for _ in range(top - 1):
-        out.append(out[-1] * x)
-    return out
-
-
 def _require_length(name, values, expected):
     if len(values) != expected:
         raise LengthMismatchError(f"{name} must have length {expected}, got {len(values)}")
 
 
-def row_V(p, q, x, a):
-    """One point's row of build_V: (1, x, .., x^{p-1}, a, a x, .., a x^{q-1})."""
-    pw = _powers(x, max(p, q))
-    return pw[:p] + [a * pw[k] for k in range(q)]
-
-
-def row_W(n, x, a):
-    """One point's row of build_W: column j (0-based) holds x^j + a x^{n-1-j}."""
-    pw = _powers(x, n - 1 if n else 0)
-    return [pw[j] + a * pw[n - 1 - j] for j in range(n)]
-
-
-def row_U(p, q, x, y, a, b):
-    """One point's row of build_U: (a x^{p-1}, .., a y^{p-1}, b x^{q-1}, .., b y^{q-1})."""
-    top = max(p, q, 1) - 1
-    px = _powers(x, top)
-    py = _powers(y, top)
-    return [a * px[p - 1 - k] * py[k] for k in range(p)] + [
-        b * px[q - 1 - k] * py[k] for k in range(q)
-    ]
-
-
 def int_row_V(p, q, x, a):
-    """row_V(p, q, x, a) at a rational point as (int row, scale): row_V times den(a) den(x)^top."""
+    """build_V's row (1, .., x^{p-1}, a, .., a x^{q-1}) times den(a) den(x)^top, and that scale."""
     top = max(p, q, 1) - 1
     nx, dx = x.numerator, x.denominator
     pw = [nx**e * dx ** (top - e) for e in range(top + 1)]  # x^e den(x)^top
     da, na = a.denominator, a.numerator
-    return [da * w for w in pw[:p]] + [na * w for w in pw[:q]], da * pw[0]
+    return [da * w for w in pw[:p]] + [na * w for w in pw[:q]], da * dx**top
 
 
 def int_row_W(n, x, a):
-    """row_W(n, x, a) at a rational point as (int row, scale), from int_row_V(n, n, x, a)."""
+    """build_W's row x^j + a x^{n-1-j} (column j, 0-based) as int_row_V(n, n, x, a) folds it."""
     row, scale = int_row_V(n, n, x, a)
     return [row[j] + row[2 * n - 1 - j] for j in range(n)], scale
 
 
 def int_row_U(p, q, x, y, a, b):
-    """row_U at a rational point as (int row, scale): row_U times den(a) den(b) D^top.
+    """build_U's row (a x^{p-1}, .., b y^{q-1}) times den(a) den(b) D^top, and that scale.
 
     x^(h-k) y^k = X^(h-k) Y^k / D^h with X = num(x) den(y), Y = num(y) den(x), D = den(x) den(y).
     """
@@ -90,30 +60,30 @@ def int_row_U(p, q, x, y, a, b):
 
 
 def _square(rows):
-    return RingMatrix(len(rows), len(rows), [v for row in rows for v in row])
+    return RingMatrix(len(rows), len(rows), [over(v, scale) for row, scale in rows for v in row])
 
 
 def build_V(p, q, xs, as_):
-    """(p+q) x (p+q) two-block matrix, row i = row_V(p, q, x_i, a_i)."""
+    """(p+q) x (p+q) two-block matrix, row i from int_row_V(p, q, x_i, a_i)."""
     n = p + q
     _require_length("xs", xs, n)
     _require_length("as_", as_, n)
-    return _square([row_V(p, q, x, a) for x, a in zip(xs, as_)])
+    return _square([int_row_V(p, q, x, a) for x, a in zip(xs, as_)])
 
 
 def build_W(n, xs, as_):
-    """n x n palindromic-row matrix, row i = row_W(n, x_i, a_i)."""
+    """n x n palindromic-row matrix, row i from int_row_W(n, x_i, a_i)."""
     _require_length("xs", xs, n)
     _require_length("as_", as_, n)
-    return _square([row_W(n, x, a) for x, a in zip(xs, as_)])
+    return _square([int_row_W(n, x, a) for x, a in zip(xs, as_)])
 
 
 def build_U(p, q, xs, ys, as_, bs):
-    """Homogeneous bidegree matrix, row i = row_U(p, q, x_i, y_i, a_i, b_i)."""
+    """Homogeneous bidegree matrix, row i from int_row_U(p, q, x_i, y_i, a_i, b_i)."""
     n = p + q
     for name, vec in (("xs", xs), ("ys", ys), ("as_", as_), ("bs", bs)):
         _require_length(name, vec, n)
-    return _square([row_U(p, q, *point) for point in zip(xs, ys, as_, bs)])
+    return _square([int_row_U(p, q, *point) for point in zip(xs, ys, as_, bs)])
 
 
 def _shift_exponents(p, q, lam, mu):
@@ -137,12 +107,9 @@ def build_V_shifted(p, q, lam, mu, xs, as_):
     _require_length("as_", as_, n)
     exps_x, exps_a = _shift_exponents(p, q, lam, mu)
     top = max(exps_x + exps_a, default=0)
-    data = []
-    for x, a in zip(xs, as_):
-        pw = _powers(x, top)
-        data.extend(pw[e] for e in exps_x)
-        data.extend(a * pw[e] for e in exps_a)
-    return RingMatrix(n, n, data)
+    cols = exps_x + [top + 1 + e for e in exps_a]
+    rows = [int_row_V(top + 1, top + 1, x, a) for x, a in zip(xs, as_)]
+    return _square([([row[c] for c in cols], scale) for row, scale in rows])
 
 
 def partition_family(tag, n):

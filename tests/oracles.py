@@ -125,6 +125,42 @@ def fgh_by_shifted_dets(tag, p, q, xs, as_):
     return total
 
 
+def _powers(x, top):
+    """[x^0, x^1, ..., x^top], with x^0 = Fraction(1) and x^1 = x itself."""
+    out = [Fraction(1), x][: top + 1]
+    for _ in range(top - 1):
+        out.append(out[-1] * x)
+    return out
+
+
+def row_V(p, q, x, a):
+    """One point's row of build_V: (1, x, .., x^{p-1}, a, a x, .., a x^{q-1})."""
+    pw = _powers(x, max(p, q))
+    return pw[:p] + [a * pw[k] for k in range(q)]
+
+
+def row_W(n, x, a):
+    """One point's row of build_W: column j (0-based) holds x^j + a x^{n-1-j}."""
+    pw = _powers(x, n - 1 if n else 0)
+    return [pw[j] + a * pw[n - 1 - j] for j in range(n)]
+
+
+def row_U(p, q, x, y, a, b):
+    """One point's row of build_U: (a x^{p-1}, .., a y^{p-1}, b x^{q-1}, .., b y^{q-1})."""
+    top = max(p, q, 1) - 1
+    px = _powers(x, top)
+    py = _powers(y, top)
+    return [a * px[p - 1 - k] * py[k] for k in range(p)] + [
+        b * px[q - 1 - k] * py[k] for k in range(q)
+    ]
+
+
+def row_V_shifted(lam_exps, mu_exps, x, a):
+    """One point's row of build_V_shifted: x^e for e in lam_exps, then a x^e for e in mu_exps."""
+    pw = _powers(x, max(lam_exps + mu_exps, default=0))
+    return [pw[e] for e in lam_exps] + [a * pw[e] for e in mu_exps]
+
+
 def hyper_v_by_ordered_partitions(n, xs, as_):
     """The order-n hyperpfaffian of (1 + prod a_i) prod (x_j - x_i) on 2n points.
 

@@ -61,6 +61,9 @@ from oracles import (
     matmul,
     minor_sum_by_matchings,
     pf_matchings,
+    row_U,
+    row_V,
+    row_W,
     vandermonde_hyperpfaffian_by_entries,
     vandermonde_hyperpfaffian_by_ordered_partitions,
 )
@@ -767,7 +770,7 @@ def test_point_table_entries_match_builder_determinants(case, data):
     sc = {**_coordinates("u", us), **_coordinates("v", vs), **_coordinates("t", tail)}
     # the n^2 entries are minors of one point table; the cores f_0 and f_n take
     # one minor each when the core is built
-    with mock.patch.object(identities, "minors_int", wraps=identities.minors_int) as table:
+    with mock.patch.object(identities, "minors", wraps=identities.minors) as table:
         num, core = _theorem_det(f, u_names, v_names, t_names)(params, sc)
         core()
     assert sorted(len(c.args[1]) for c in table.call_args_list) == [1, 1, n * n]
@@ -776,7 +779,7 @@ def test_point_table_entries_match_builder_determinants(case, data):
             assert num(i, j) == _entry_by_builder(f, build, params, us[i], vs[j], tail)
             assert type(num(i, j)) is Fraction
     sc.update(_coordinates("u", ws))
-    with mock.patch.object(identities, "minors_int", wraps=identities.minors_int) as table:
+    with mock.patch.object(identities, "minors", wraps=identities.minors) as table:
         entry, core = _pf_factor(f, u_names, t_names)(params, sc)
         core()
     assert sorted(len(c.args[1]) for c in table.call_args_list) == [1, 1, n * (2 * n - 1)]
@@ -799,6 +802,62 @@ def test_point_determinants_at_rational_points_match_leibniz(p, q, data):
     ]
     for got, matrix in cases:
         assert got == det_leibniz(matrix) and type(got) is Fraction
+
+
+_GENS = VariableTable(["g1", "g2", "g3"]).gens()
+# a ratio of two generators, or a rational (0 included) over a generator
+_QUOTIENTS = st.builds(
+    lambda num, den: num / den,
+    st.sampled_from(_GENS) | st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+    st.sampled_from(_GENS),
+)
+
+
+@given(p=st.integers(0, 2), q=st.integers(0, 2), data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_point_determinants_at_quotient_points_match_leibniz_and_the_oracle_rows(p, q, data):
+    m = p + q
+    xs, ys, as_, bs = (data.draw(st.lists(_QUOTIENTS, min_size=m, max_size=m)) for _ in range(4))
+    cases = [
+        (_dv(p, q, xs, as_), build_V(p, q, xs, as_), [row_V(p, q, *pt) for pt in zip(xs, as_)]),
+        (_dw(m, xs, as_), build_W(m, xs, as_), [row_W(m, *pt) for pt in zip(xs, as_)]),
+        (
+            _du(p, q, xs, ys, as_, bs),
+            build_U(p, q, xs, ys, as_, bs),
+            [row_U(p, q, *pt) for pt in zip(xs, ys, as_, bs)],
+        ),
+    ]
+    for got, matrix, rows in cases:
+        assert matrix.data == [v for row in rows for v in row]
+        assert got == det_leibniz(matrix)
+    for value in xs + ys + as_ + bs:
+        assert value.numerator / value.denominator == value
+
+
+def _double_a_cleared_scale(monkeypatch):
+    """Make identities.int_row_V return twice every scale other than 1.
+
+    At polynomial points those are the cleared `Quotient` denominators.  Doubling
+    every scale would pass rel_v2, whose two sides are both (p+q)-point
+    determinants and so would be halved alike.
+    """
+    original = identities.int_row_V
+
+    def doubled(*args):
+        row, scale = original(*args)
+        return row, scale if scale == 1 else 2 * scale
+
+    monkeypatch.setattr(identities, "int_row_V", doubled)
+
+
+@pytest.mark.parametrize(
+    "name, mode",
+    [("rel_v1", "symbolic"), ("rel_v2", "symbolic"), ("rel_uv1", "symbolic"), ("hyper_v", "numeric")],
+)
+def test_a_doubled_row_scale_fails_the_relations_that_clear_it(monkeypatch, name, mode):
+    assert verify(name, mode=mode).passed
+    _double_a_cleared_scale(monkeypatch)
+    assert not verify(name, mode=mode).passed
 
 
 def test_theorem_block_with_equal_tail_points_runs():

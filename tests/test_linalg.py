@@ -366,15 +366,15 @@ def test_minors_take_the_int_elimination_on_int_rows_and_det_on_others():
     assert got[0] == det_leibniz(RingMatrix(3, 3, [row[c] for row in poly_rows for c in lists[0]]))
 
 
-def test_over_divides_only_a_rational_and_never_drops_a_scale():
+def test_over_divides_by_every_scale_and_never_drops_one():
     assert over(6, 4) == Fraction(3, 2) and type(over(6, 4)) is Fraction
     assert type(over(Fraction(1, 3), 1)) is Fraction
     x = VariableTable(["x"]).gens()[0]
     assert over(x + 1, 1) == x + 1
-    with pytest.raises(AssertionError):
-        over(x + 1, 2)
-    with pytest.raises(AssertionError):
-        over(x + 1, Fraction(1, 2))
+    for scale in (2, x, x - 1):
+        assert over(x + 1, scale) * scale == x + 1
+        assert over(x + 1, scale) != x + 1
+    assert over(0, x) == 0
 
 
 def test_cleared_det_and_pfaffian_of_rational_entries_match_the_fraction_oracle():

@@ -89,6 +89,14 @@ def test_quotient_product_adds_multiplicities(xy):
     assert square == x / (x * x + 2 * x * y + y * y)
 
 
+def test_quotient_numerator_over_denominator_is_itself(xy):
+    table, x, y = xy
+    q = (x / y) * ((x + 1) / y) / 3
+    assert q.numerator == x * (x + 1) and q.denominator == 3 * y**2
+    assert q.numerator / q.denominator == q
+    assert Quotient(x + y).denominator == 1 and Quotient(x + y).numerator == x + y
+
+
 def test_quotient_compares_over_common_factors(xy):
     table, x, y = xy
     q = (x - y) / ((x - y) * (x + y))

@@ -19,12 +19,9 @@ from detpf.vandermonde import (
     int_row_V,
     int_row_W,
     partition_family,
-    row_U,
-    row_V,
-    row_W,
 )
 
-from oracles import conjugate, fgh_by_shifted_dets
+from oracles import conjugate, fgh_by_shifted_dets, row_U, row_V, row_V_shifted, row_W
 
 
 def _gens(spec):
@@ -217,6 +214,21 @@ def test_rational_fgh_sum_at_every_small_size():
     # a repeated (x, a) pair repeats a row of every shifted matrix
     repeated = [Fraction(1, 3), 2, Fraction(1, 3)]
     assert _check_rational_fgh("G", 2, 1, repeated, [weights[0], 1, weights[0]]) == 0
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_build_v_shifted_rows_are_the_oracle_rows(data):
+    p = data.draw(st.integers(0, 3))
+    q = data.draw(st.integers(0, 3 - p))
+    lam = data.draw(st.sampled_from(partitions_in_box(p, 2)))
+    mu = data.draw(st.sampled_from(partitions_in_box(q, 2)))
+    xs = data.draw(st.lists(_POINTS, min_size=p + q, max_size=p + q))
+    as_ = data.draw(st.lists(_POINTS, min_size=p + q, max_size=p + q))
+    exps_x = [lam.part(p - 1 - k) + k for k in range(p)]
+    exps_a = [mu.part(q - 1 - k) + k for k in range(q)]
+    want = [v for x, a in zip(xs, as_) for v in row_V_shifted(exps_x, exps_a, x, a)]
+    assert build_V_shifted(p, q, lam, mu, xs, as_).data == want
 
 
 # zero, negative and large coordinates, as ints and as Fractions
