@@ -270,6 +270,8 @@ class Polynomial:
                 return NotImplemented
             if not other:
                 return Polynomial(self.table, {})
+            if other == 1:  # operands are never mutated, so the result may be self
+                return self
             return Polynomial(self.table, {k: c * other for k, c in self.terms.items()})
         other = self._coerce(other)
         if not self.terms or not other.terms:

@@ -2,21 +2,23 @@
 
 Partitions carry the combinatorics (construction from Frobenius lists,
 rectangle complements, index sets); Schur functions are computed in finitely
-many variables, by Jacobi-Trudi determinants of complete homogeneous
-polynomials (works for skew shapes and any number of variables; straight
-shapes lose their full columns first) or by the bialternant quotient
-(straight shapes, enough variables), which the tests and the benchmark keep
-as the cross-check.  All evaluators accept arbitrary ring scalars, so the
-same code produces polynomials from generators and exact values from
-rationals.
+many variables.  When the values are distinct generators of one variable
+table, the branching rule sums monomials with no polynomial product;
+otherwise a Jacobi-Trudi determinant of complete homogeneous polynomials
+does (both work for skew shapes and any number of variables; straight
+shapes lose their full columns first).  The bialternant quotient (straight
+shapes, enough variables) is the cross-check that the tests and the
+benchmark keep.  All evaluators accept arbitrary ring scalars, so the same
+code produces polynomials from generators and exact values from rationals.
 """
 
 import math
 from fractions import Fraction
+from itertools import product
 
 from . import linalg
 from .linalg import RingMatrix
-from .poly import EXPONENT_CAP, ExponentCapError, Polynomial
+from .poly import EXPONENT_CAP, SLOT_BITS, ExponentCapError, Polynomial
 
 
 class PartitionError(ValueError):
@@ -172,14 +174,38 @@ def _check_degree(r):
         raise ExponentCapError(f"degree {r} exceeds the exponent cap {EXPONENT_CAP}")
 
 
-def h_table(top, values):
-    """[h_0, ..., h_top] of the given ring scalars, by one pass of the recurrence.
+def _generator_keys(values):
+    """The packed monomials of `values` if they are distinct generators of one
+    table (one-term monic monomials of degree 1), else None."""
+    keys = []
+    for v in values:
+        if not isinstance(v, Polynomial) or v.table is not values[0].table or len(v.terms) != 1:
+            return None
+        ((key, coeff),) = v.terms.items()
+        if coeff != 1 or key & (key - 1) or (key.bit_length() - 1) % SLOT_BITS:
+            return None
+        keys.append(key)
+    return keys if keys and len(set(keys)) == len(keys) else None
 
-    Adds one variable at a time, so the cost is len(values) * top ring
-    operations; a degree above the polynomial exponent cap raises
-    ExponentCapError up front.
+
+def h_table(top, values):
+    """[h_0, ..., h_top] of the given ring scalars; h_0 is the rational 1.
+
+    For distinct generators h_d is the sum of the degree-d monomials, listed
+    one variable at a time (those with x_k are x_k times the degree d - 1
+    ones in x_1..x_k), so no product is made.  Other scalars take one pass
+    of the same recurrence in ring operations, len(values) * top of them.  A
+    degree above the polynomial exponent cap raises ExponentCapError up front.
     """
     _check_degree(top)
+    keys = _generator_keys(values)
+    if keys is not None:
+        monomials = [[0]] + [[] for _ in range(top)]
+        for key in keys:
+            for d in range(1, top + 1):
+                monomials[d] += [m + key for m in monomials[d - 1]]
+        table = values[0].table
+        return [Fraction(1)] + [Polynomial(table, dict.fromkeys(ms, 1)) for ms in monomials[1:]]
     h = [Fraction(1)] + [Fraction(0)] * top
     for v in values:
         for j in range(1, top + 1):
@@ -198,13 +224,16 @@ def h_complete(r, values):
 
 
 def schur_jacobi_trudi(shape, values):
-    """Skew or straight Schur function as the Jacobi-Trudi determinant of h's.
+    """Skew or straight Schur function of the given ring scalars.
 
-    The h's come from one h_table.  A straight shape in N = len(values)
-    variables first loses its full columns (Macdonald I.3): s_lam is 0 when
-    lam has more than N parts, and (x_1...x_N)^{lam_N} s_{lam - lam_N} when
-    it has exactly N.  The exponent cap is checked as for the unstripped
-    determinant, so the same shapes raise ExponentCapError either way.
+    A straight shape in N = len(values) variables first loses its full
+    columns (Macdonald I.3): s_lam is 0 when lam has more than N parts, and
+    (x_1...x_N)^{lam_N} s_{lam - lam_N} when it has exactly N.  When the
+    values are distinct generators, the branching rule sums the result with
+    no product (`_branch`); otherwise it is the Jacobi-Trudi determinant of
+    the h's of one h_table.  The exponent cap is checked as for the
+    unstripped determinant, so the same shapes raise ExponentCapError on
+    every route.
     """
     if isinstance(shape, Partition):
         shape = SkewShape(shape)
@@ -223,14 +252,60 @@ def schur_jacobi_trudi(shape, values):
         m = outer.length()
         if m == 0:
             return factor
-    hs = h_table(outer.part(0) - inner.part(m - 1) + m - 1, values)
-    entries = []
-    for i in range(m):
-        for j in range(m):
-            r = outer.part(i) - inner.part(j) - i + j
-            entries.append(hs[r] if r >= 0 else Fraction(0))
-    det = linalg.det(RingMatrix(m, m, entries))
-    return det if factor is None else factor * det
+    top = outer.part(0) - inner.part(m - 1) + m - 1
+    keys = _generator_keys(values)
+    if keys is not None:
+        _check_degree(top)
+        inner = tuple(inner.part(j) for j in range(m))
+        value = Polynomial(values[0].table, _branch(outer.parts, len(keys), inner, keys, {}))
+    else:
+        hs = h_table(top, values)
+        entries = []
+        for i in range(m):
+            for j in range(m):
+                r = outer.part(i) - inner.part(j) - i + j
+                entries.append(hs[r] if r >= 0 else Fraction(0))
+        value = linalg.det(RingMatrix(m, m, entries))
+    return value if factor is None else factor * value
+
+
+def _branch(nu, k, inner, keys, memo):
+    """Term map of s_{nu/inner}(x_1..x_k), where x_i has the packed monomial keys[i-1].
+
+    The branching rule (Macdonald I.5 (5.11)): the sum over rho with nu/rho
+    a horizontal strip, nu_{j+1} <= rho_j <= nu_j, of x_k^{|nu/rho|}
+    s_{rho/inner}(x_1..x_{k-1}).  A column of rho/inner longer than k - 1
+    makes that term 0, so rho_j is also at most inner_{j-k+1} (1-based);
+    only rho = inner is left at k = 1.  Multiplying by x_k^d adds d times
+    its key, and every coefficient is a positive count of tableaux, so
+    nothing cancels.  `memo` maps (nu, k) to its term map; a module function
+    rather than a self-calling closure, which would be a reference cycle.
+    """
+    if k == 0:
+        return {0: 1}
+    got = memo.get((nu, k))
+    if got is not None:
+        return got
+    m = len(nu)
+    ranges = []
+    for j in range(m):
+        lo = max(nu[j + 1] if j + 1 < m else 0, inner[j])
+        hi = min(nu[j], inner[j - k + 1]) if j >= k - 1 else nu[j]
+        if lo > hi:
+            memo[nu, k] = {}
+            return memo[nu, k]
+        ranges.append(range(lo, hi + 1))
+    size = sum(nu)
+    key = keys[k - 1]
+    out = {}
+    get = out.get
+    for rho in product(*ranges):
+        shift = (size - sum(rho)) * key
+        for t, c in _branch(rho, k - 1, inner, keys, memo).items():
+            t += shift
+            out[t] = get(t, 0) + c
+    memo[nu, k] = out
+    return out
 
 
 def schur_bialternant(lam, values):

@@ -316,12 +316,19 @@ def lr_from_product(lam, mu, nu):
     return coefficient(product, target)
 
 
-def schur_by_tableaux(lam, values):
-    """Schur polynomial as the monomial sum over semistandard tableaux."""
+def schur_by_tableaux(shape, values):
+    """(Skew) Schur polynomial as the monomial sum over semistandard tableaux.
+
+    `shape` is a Partition or a SkewShape; the cells of row i run from
+    inner_i to outer_i - 1.
+    """
     from fractions import Fraction
 
+    if isinstance(shape, Partition):
+        shape = SkewShape(shape)
+    outer, inner = shape.outer, shape.inner
     nvals = len(values)
-    rows = lam.length()
+    rows = outer.length()
     total = Fraction(0)
     tableau = {}
 
@@ -333,22 +340,38 @@ def schur_by_tableaux(lam, values):
 
     def fill(i, j):
         nonlocal total
+        while i < rows and j >= outer.part(i):
+            i, j = i + 1, inner.part(i + 1)
         if i == rows:
             total = total + weight()
             return
-        ni, nj = (i, j + 1) if j + 1 < lam.part(i) else (i + 1, 0)
         lo = 0
-        if j > 0:
+        if j > inner.part(i):
             lo = max(lo, tableau[(i, j - 1)])
-        if i > 0:
+        if i > 0 and j >= inner.part(i - 1):
             lo = max(lo, tableau[(i - 1, j)] + 1)
         for v in range(lo, nvals):
             tableau[(i, j)] = v
-            fill(ni, nj)
+            fill(i, j + 1)
             del tableau[(i, j)]
 
-    fill(0, 0)
+    fill(0, inner.part(0))
     return total
+
+
+def hook_content(lam, nvars):
+    """s_lam(1, ..., 1) in nvars variables by the hook-content formula.
+
+    The product over the cells u of (nvars + c(u)) / h(u), with content
+    c(u) = column - row and hook length h(u) (Stanley, EC2 Cor. 7.21.4).
+    """
+    conj = conjugate(lam)
+    value = Fraction(1)
+    for i in range(lam.length()):
+        for j in range(lam.part(i)):
+            hook = lam.part(i) - j + conj.part(j) - i - 1
+            value *= Fraction(nvars + j - i, hook)
+    return value
 
 
 def schur_expand_by_peeling(p):

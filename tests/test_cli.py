@@ -99,13 +99,13 @@ def test_schur_output():
     assert code == 0 and text.strip() == "1*x1^2 + 2*x1*x2 + 1*x2^2"
 
 
-def test_tall_skew_schur_takes_the_polynomial_bareiss_route(monkeypatch):
-    # 1^16 / 1^15 is one box, but its Jacobi-Trudi matrix has 16 rows: past the
-    # expansion route's size limit, where only Bareiss elimination finishes fast
+def test_tall_skew_schur_of_variables_takes_no_determinant(monkeypatch):
+    # 1^16 / 1^15 is one box, but its Jacobi-Trudi matrix has 16 rows; the
+    # branching rule sums the two monomials without one
     def refuse(m):
-        raise AssertionError("Pfaffian expansion on a 16-row determinant")
+        raise AssertionError(f"a {m.rows}-row determinant for a Schur polynomial of variables")
 
-    monkeypatch.setattr(linalg, "_det_expand", refuse)
+    monkeypatch.setattr(linalg, "det", refuse)
     shape, inner = "[" + ",".join("1" * 16) + "]", "[" + ",".join("1" * 15) + "]"
     code, text = run_cli("schur", "--shape", shape, "--inner", inner, "--vars", "2")
     assert (code, text) == (0, "1*x1 + 1*x2\n")

@@ -71,6 +71,12 @@ def test_zero_annihilates(xy):
     assert p * 0 == 0
 
 
+def test_multiplying_by_one_returns_the_operand(xy):
+    table, x, y = xy
+    p = 3 * x * y + y**2 - 7
+    assert p * 1 is p and 1 * p is p
+    assert 2 * p == p + p and (2 * p) is not p
+
 
 def test_quotient_sum_keeps_a_shared_factor_once(xy):
     table, x, y = xy

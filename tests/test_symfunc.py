@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from detpf import linalg
 from detpf.linalg import RingMatrix, det
-from detpf.poly import EXPONENT_CAP, ExponentCapError, VariableTable
+from detpf.poly import EXPONENT_CAP, ExponentCapError, VariableTable, random_rational
 from detpf.symfunc import (
     NotInBoxError,
     Partition,
@@ -23,10 +26,13 @@ from detpf.vandermonde import build_V
 
 from oracles import (
     conjugate,
+    evaluate,
     frobenius,
+    hook_content,
     is_horizontal_strip,
     is_vertical_strip,
     lr_from_product,
+    schur_by_tableaux,
     skew_size,
 )
 
@@ -186,6 +192,79 @@ def test_jacobi_trudi_strip_keeps_the_exponent_cap():
         with pytest.raises(ExponentCapError, match="exponent cap"):
             schur_jacobi_trudi(Partition(parts), xs)
     assert schur_jacobi_trudi(Partition([EXPONENT_CAP]), xs) == xs[0] ** EXPONENT_CAP
+
+
+@st.composite
+def _shapes(draw, max_size=8):
+    """A SkewShape lam/mu with |lam| <= max_size; mu is empty about half the time."""
+    rows, left = [], max_size
+    while left and draw(st.booleans()):
+        rows.append(draw(st.integers(1, min(left, rows[-1] if rows else left))))
+        left -= rows[-1]
+    lam = Partition(rows)
+    inner = []
+    if draw(st.booleans()):
+        for part in lam.parts:
+            inner.append(draw(st.integers(0, min(part, inner[-1] if inner else part))))
+    return SkewShape(lam, Partition(inner))
+
+
+@given(_shapes(), st.integers(1, 5))
+@settings(max_examples=80, deadline=None)
+def test_branching_matches_the_determinant_and_the_tableaux(shape, nvars):
+    xs = _gens("x", nvars)
+    got = schur_jacobi_trudi(shape, xs)
+    assert got == _unstripped_jacobi_trudi(shape, xs) == schur_by_tableaux(shape, xs)
+    if not shape.inner.parts:
+        lam = shape.outer
+        assert got == schur_jacobi_trudi(lam, xs)
+        if lam.length() <= nvars:
+            assert got == schur_bialternant(lam, xs)
+        assert sum(getattr(got, "terms", {0: got}).values()) == hook_content(lam, nvars)
+
+
+@given(_shapes(), st.integers(1, 5), st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_branching_agrees_with_the_determinant_at_a_rational_point(shape, nvars, rng):
+    xs = _gens("x", nvars)
+    point = {var: random_rational(rng, 30) for var in range(nvars)}
+    got = schur_jacobi_trudi(shape, xs)
+    value = evaluate(got, point) if hasattr(got, "terms") else got
+    assert value == schur_jacobi_trudi(shape, [point[var] for var in range(nvars)])
+
+
+def test_branching_memo_leaves_no_reference_cycles():
+    xs = _gens("x", 4)
+    shape = SkewShape(Partition([4, 3, 2, 1]), Partition([1]))
+    want = schur_by_tableaux(shape, xs)
+    gc.collect()
+    gc.disable()
+    try:
+        assert schur_jacobi_trudi(shape, xs) == want
+        assert gc.collect() == 0  # the memo is an argument, not a closure cell
+    finally:
+        gc.enable()
+
+
+def test_tall_skew_schur_of_other_values_takes_the_polynomial_bareiss_route(monkeypatch):
+    # 1^16 / 1^15 is one box, but its Jacobi-Trudi matrix has 16 rows: past the
+    # expansion route's size limit, where only Bareiss elimination finishes fast.
+    # 2*x2 is not a generator, so the determinant route runs.
+    x1, x2 = _gens("x", 2)
+    calls = []
+
+    def refuse(m):
+        raise AssertionError("Pfaffian expansion on a 16-row determinant")
+
+    def spy(m, bareiss=linalg._det_bareiss):
+        calls.append(m.rows)
+        return bareiss(m)
+
+    monkeypatch.setattr(linalg, "_det_expand", refuse)
+    monkeypatch.setattr(linalg, "_det_bareiss", spy)
+    shape = SkewShape(Partition([1] * 16), Partition([1] * 15))
+    assert schur_jacobi_trudi(shape, [x1, 2 * x2]) == x1 + 2 * x2
+    assert calls == [16]
 
 
 def test_schur_staircase():
