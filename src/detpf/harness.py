@@ -100,8 +100,13 @@ def _build_symbolic_scalars(vspec):
     return table, sc
 
 
-def _failures(pairs, trial, assignment):
-    """The failure records of the (lhs, rhs) pairs that differ."""
+def _failures(pairs, trial, sample):
+    """The failure records of the (lhs, rhs) pairs that differ; the drawn
+    `sample` ({} in symbolic mode) is formatted only when one does."""
+    failed = [(k, lhs, rhs) for k, (lhs, rhs) in enumerate(pairs) if not lhs == rhs]
+    if not failed:
+        return []
+    assignment = {f"{prefix}{i + 1}": str(v) for prefix, vs in sample.items() for i, v in enumerate(vs)}
     return [
         {
             "trial": trial,
@@ -110,8 +115,7 @@ def _failures(pairs, trial, assignment):
             "lhs": _scalar_text(lhs),
             "rhs": _scalar_text(rhs),
         }
-        for pair_index, (lhs, rhs) in enumerate(pairs)
-        if not lhs == rhs
+        for pair_index, lhs, rhs in failed
     ]
 
 
@@ -146,8 +150,7 @@ def _run_numeric_trial(spec, name, params, seed, bound, trial, reject_limit):
             raise GuardExhaustionError(
                 f"{name}: {rejects} consecutive draws hit a guard (trial {trial})"
             )
-    assignment = {f"{prefix}{i + 1}": str(v) for prefix, vs in sc.items() for i, v in enumerate(vs)}
-    return _failures(pairs, trial, assignment)
+    return _failures(pairs, trial, sc)
 
 
 def _check_run(mode, trials, bound):

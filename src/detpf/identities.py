@@ -1412,6 +1412,7 @@ def _pf_schur3_sides(p, sc, numeric):
     pairs = []
     mus = partitions_in_box(n, e)
     nus = partitions_in_box(n, f)
+    b = b_principal(range(e + f + 2 * n), n, e, f, z, w)
     for lam in partitions_in_box(2 * n, e + f):
         lhs = Fraction(0)
         for mu in mus:
@@ -1421,7 +1422,7 @@ def _pf_schur3_sides(p, sc, numeric):
                     lhs = lhs + c * _schur(mu.complement(n, e), z) * _schur(
                         nu.complement(n, f), w
                     )
-        pairs.append((lhs, pfaffian(b_principal(index_set(lam, 2 * n), n, e, f, z, w))))
+        pairs.append((lhs, pfaffian(b.principal(index_set(lam, 2 * n)))))
     return pairs
 
 

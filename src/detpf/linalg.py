@@ -147,11 +147,14 @@ class RingMatrix:
         return f"RingMatrix({self.rows}x{self.cols})"
 
 
+_ZERO = Fraction(0)
+
+
 class SkewMatrix:
     """Skew-symmetric matrix storing only the strict upper triangle.
 
     Antisymmetry is structural: entry(i, j) negates the stored value for
-    i > j and the diagonal is identically zero.
+    i > j and the diagonal is identically zero, all zeros one shared Fraction(0).
     """
 
     __slots__ = ("dim", "upper")
@@ -169,18 +172,19 @@ class SkewMatrix:
 
     @classmethod
     def from_upper_function(cls, dim, entry):
-        return cls(
-            dim,
-            {(i, j): entry(i, j) for i in range(dim) for j in range(i + 1, dim)},
-        )
+        """The skew matrix of the nonzero entry(i, j), i < j; its keys need no check."""
+        matrix = cls(dim)
+        values = ((ij, entry(*ij)) for ij in combinations(range(dim), 2))
+        matrix.upper = {ij: v for ij, v in values if v}
+        return matrix
 
     def entry(self, i, j):
-        if i == j:
-            return Fraction(0)
         if i < j:
-            return self.upper.get((i, j), Fraction(0))
+            return self.upper.get((i, j), _ZERO)
+        if i == j:
+            return _ZERO
         value = self.upper.get((j, i))
-        return Fraction(0) if value is None else -value
+        return _ZERO if value is None else -value
 
     def principal(self, idx):
         """Principal submatrix on a strictly increasing index set."""
@@ -619,20 +623,21 @@ def pfaffian_with_denominators(dim, num, den):
 # argument: a closure that calls itself is a reference cycle, which would keep
 # its memo of polynomials alive until the cyclic garbage collector runs.
 def _pf_cleared(num, den, idx, memo):
-    """Pf(num/den) times the product of den over the pairs inside idx; den None is all ones."""
+    """Pf(num/den) times the product of den over the pairs inside idx; den None is all ones.
+
+    One `dot` sums the products of two nonzero Polynomials, an odd one's sign on the smaller factor.
+    """
     cached = memo.get(idx)
     if cached is not None:
         return cached
     first = idx[0]
     rest = idx[1:]
     acc = None
-    pair = pairs = None  # the first product of two Polynomials; all of them once there are two
+    pairs = []
     for t, j in enumerate(rest):
         entry = num(first, j)
         if not entry:
             continue
-        if t % 2:
-            entry = -entry
         if den is not None:
             # pairs inside idx that touch `first` or `j`, except (first, j) itself;
             # the small factors go onto the entry before the sub-Pfaffian
@@ -644,15 +649,17 @@ def _pf_cleared(num, den, idx, memo):
                     entry = entry * den(min(u, j), max(u, j))
         sub = _pf_cleared(num, den, rest[:t] + rest[t + 1 :], memo)
         if type(entry) is Polynomial is type(sub) and sub.terms:
-            if pair is None:
-                pair = entry, sub
-            else:
-                pairs = pairs or [pair]
-                pairs.append((entry, sub))
+            if t % 2:
+                if len(sub.terms) < len(entry.terms):
+                    sub = -sub
+                else:
+                    entry = -entry
+            pairs.append((entry, sub))
         else:
-            acc = entry * sub if acc is None else acc + entry * sub
-    if pair is not None:
-        term = pair[0] * pair[1] if pairs is None else dot(pairs)  # the kernel sums two or more
+            term = -(entry * sub) if t % 2 else entry * sub
+            acc = term if acc is None else acc + term
+    if pairs:
+        term = dot(pairs)
         acc = term if acc is None else acc + term
     if acc is None:
         acc = Fraction(0)

@@ -84,23 +84,27 @@ def b_principal(idx, n, e, f, z_values, w_values):
     idx is strictly increasing.  B_{k,l} is the coefficient of x^k y^l in
     (y-x) h_{e+n-1}(x,y,z) h_{f+n-1}(x,y,w).  For k < l it is the sum of
     h_i(z) h_j(w) over i+j = (e+n-1)+(f+n-1)+1-k-l with 0 <= i <= (e+n-1)-k
-    and 0 <= j <= (f+n-1)-k, read from one h table per alphabet.  B vanishes
-    outside 0..e+f+2n-1, so idx = range(e+f+2n) gives all of it.
+    and 0 <= j <= (f+n-1)-k, read from one h table per alphabet.  Only the
+    nonzero h's of w enter the sum (an empty alphabet has h_0 = 1 alone), in
+    increasing i, and a factor 1 makes no product.  B vanishes outside
+    0..e+f+2n-1, so idx = range(e+f+2n) gives all of it.
     """
     top_z = e + n - 1
     top_w = f + n - 1
     hz = h_table(top_z, z_values)
-    hw = h_table(top_w, w_values)
+    hw = [(j, b) for j, b in reversed(list(enumerate(h_table(top_w, w_values)))) if b]
 
     def entry(s, t):
         k, l = idx[s], idx[t]
         degree = top_z + top_w + 1 - k - l
-        total = Fraction(0)
-        for i in range(max(0, degree - top_w + k), min(top_z - k, degree) + 1):
-            a, b = hz[i], hw[degree - i]
-            if a and b:  # an empty alphabet's table is 1, 0, 0, ...: no product to make
-                total = total + (b if a == 1 else a if b == 1 else a * b)
-        return total
+        total = None
+        for j, b in hw:
+            i = degree - j
+            if j <= top_w - k and 0 <= i <= top_z - k and hz[i]:
+                a = hz[i]
+                term = b if a == 1 else a if b == 1 else a * b
+                total = term if total is None else total + term
+        return 0 if total is None else total
 
     return SkewMatrix.from_upper_function(len(idx), entry)
 

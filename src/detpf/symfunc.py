@@ -5,11 +5,12 @@ rectangle complements, index sets); Schur functions are computed in finitely
 many variables.  When the values are distinct generators of one variable
 table, the branching rule sums monomials with no polynomial product;
 otherwise a Jacobi-Trudi determinant of complete homogeneous polynomials
-does (both work for skew shapes and any number of variables; straight
-shapes lose their full columns first).  The bialternant quotient (straight
-shapes, enough variables) is the cross-check that the tests and the
-benchmark keep.  All evaluators accept arbitrary ring scalars, so the same
-code produces polynomials from generators and exact values from rationals.
+does, on ints at rational values (both work for skew shapes and any number
+of variables; straight shapes lose their full columns first).  The
+bialternant quotient (straight shapes, enough variables) is the cross-check
+that the tests and the benchmark keep.  All evaluators accept arbitrary ring
+scalars, so the same code produces polynomials from generators and exact
+values from rationals.
 """
 
 import math
@@ -206,9 +207,13 @@ def h_table(top, values):
                 monomials[d] += [m + key for m in monomials[d - 1]]
         table = values[0].table
         return [Fraction(1)] + [Polynomial(table, dict.fromkeys(ms, 1)) for ms in monomials[1:]]
-    h = [Fraction(1)] + [Fraction(0)] * top
+    return _h_recurrence([Fraction(1)] + [Fraction(0)] * top, values)
+
+
+def _h_recurrence(h, values):
+    """[h_0, ..., h_top] of the values, from h = [1, 0, ..., 0] updated in place."""
     for v in values:
-        for j in range(1, top + 1):
+        for j in range(1, len(h)):
             h[j] = h[j] + v * h[j - 1]
     return h
 
@@ -231,9 +236,11 @@ def schur_jacobi_trudi(shape, values):
     (x_1...x_N)^{lam_N} s_{lam - lam_N} when it has exactly N.  When the
     values are distinct generators, the branching rule sums the result with
     no product (`_branch`); otherwise it is the Jacobi-Trudi determinant of
-    the h's of one h_table.  The exponent cap is checked as for the
-    unstripped determinant, so the same shapes raise ExponentCapError on
-    every route.
+    the h's of one h_table.  Rational values are scaled by the lcm Q of
+    their denominators, so the h's and the determinant are ints, and s is
+    homogeneous: s(v) = s(Q v) / Q^{|outer/inner|}.  The exponent cap is
+    checked as for the unstripped determinant, so the same shapes raise
+    ExponentCapError on every route.
     """
     if isinstance(shape, Partition):
         shape = SkewShape(shape)
@@ -253,19 +260,27 @@ def schur_jacobi_trudi(shape, values):
         if m == 0:
             return factor
     top = outer.part(0) - inner.part(m - 1) + m - 1
+    _check_degree(top)
     keys = _generator_keys(values)
     if keys is not None:
-        _check_degree(top)
         inner = tuple(inner.part(j) for j in range(m))
         value = Polynomial(values[0].table, _branch(outer.parts, len(keys), inner, keys, {}))
     else:
-        hs = h_table(top, values)
+        scale = None
+        if all(isinstance(v, (int, Fraction)) for v in values):
+            scale = math.lcm(*[v.denominator for v in values])
+            ints = [v.numerator * (scale // v.denominator) for v in values]
+            hs = _h_recurrence([1] + [0] * top, ints)
+        else:
+            hs = h_table(top, values)
         entries = []
         for i in range(m):
             for j in range(m):
                 r = outer.part(i) - inner.part(j) - i + j
-                entries.append(hs[r] if r >= 0 else Fraction(0))
+                entries.append(hs[r] if r >= 0 else 0)
         value = linalg.det(RingMatrix(m, m, entries))
+        if scale is not None:
+            value = value / scale ** (outer.size() - inner.size())
     return value if factor is None else factor * value
 
 

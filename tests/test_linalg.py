@@ -219,6 +219,97 @@ def test_pfaffian_matches_matching_oracle():
             assert pfaffian(a) == pf_matchings(a)
 
 
+_XY = VariableTable(["x", "y"])
+
+
+def _small_polynomial(terms):
+    x, y = _XY.gens()
+    return sum((c * x**i * y**j for c, i, j in terms), Polynomial.zero(_XY))
+
+
+_SMALL_POLYNOMIALS = st.lists(
+    st.tuples(st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2)), min_size=1, max_size=3
+).map(_small_polynomial)
+# a Polynomial meets a Fraction only when the Fraction is an integer
+_POLYNOMIAL_ENTRIES = st.sampled_from([0, Fraction(0)]) | st.integers(-3, 3) | st.integers(
+    -3, 3
+).map(Fraction) | _SMALL_POLYNOMIALS
+
+
+def _mixed_entries(draw):
+    """0, ints, Fractions and small Polynomials, or (half the time) no Polynomial at all."""
+    return draw(st.sampled_from([_POLYNOMIAL_ENTRIES, st.just(0) | _RATIONAL_ENTRIES["mixed"]]))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_pfaffian_of_mixed_entries_matches_matchings(data):
+    entries = _mixed_entries(data.draw)
+    n = data.draw(st.integers(0, 8))
+    a = SkewMatrix(n, {(i, j): data.draw(entries) for i, j in combinations(range(n), 2)})
+    assert pfaffian(a) == pf_matchings(a)
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_det_of_mixed_entries_matches_leibniz(data):
+    entries = _mixed_entries(data.draw)
+    n = data.draw(st.integers(0, 8))
+    # sparse past dimension 6, so the 8! Leibniz terms stay cheap to multiply
+    if n > 6:
+        entries = st.just(0) | entries
+    m = RingMatrix(n, n, [data.draw(entries) for _ in range(n * n)])
+    assert det(m) == det_leibniz(m)
+
+
+def test_pfaffian_with_denominators_at_polynomial_entries_matches_matchings():
+    # Pf(num/den) prod den is the matching sum of prod num over the matched pairs
+    # times prod den over the unmatched ones
+    x, y = _XY.gens()
+    rng = random.Random(15)
+    for dim in (2, 4, 6):
+        pairs = list(combinations(range(dim), 2))
+        for _ in range(5):
+            nums = {p: rng.choice([0, 1, -2, x, y - 1, x * y + 2, Fraction(3)]) for p in pairs}
+            dens = {p: rng.choice([1, -1, x + 1, y + 2, x - y + 3]) for p in pairs}
+            got = pfaffian_with_denominators(dim, lambda i, j: nums[i, j], lambda i, j: dens[i, j])
+            want = Fraction(0)
+            for matched in (q for q in combinations(pairs, dim // 2) if len({*sum(q, ())}) == dim):
+                flat = SkewMatrix(dim, {p: nums[p] for p in matched})
+                term = pf_matchings(flat)
+                for p in pairs:
+                    if p not in matched:
+                        term = term * dens[p]
+                want = want + term
+            assert got == want
+
+
+def test_zero_pfaffian_of_polynomial_entries_is_a_zero_polynomial():
+    # the products of the top level cancel in the kernel's one term map
+    x, _ = _XY.gens()
+    got = pfaffian(SkewMatrix(4, {(0, 1): x, (2, 3): x, (0, 2): x, (1, 3): x, (1, 2): 1}))
+    assert type(got) is Polynomial and not got
+
+
+def test_skew_entry_is_zero_on_the_diagonal_and_off_the_stored_triangle():
+    a = SkewMatrix(4, {(0, 2): Fraction(5), (1, 3): 0})
+    assert a.entry(0, 2) == 5 and a.entry(2, 0) == -5
+    for i, j in [(1, 1), (0, 1), (1, 0), (1, 3), (3, 1), (2, 3), (3, 2)]:
+        assert a.entry(i, j) == 0 and not a.entry(i, j)
+
+
+def test_from_upper_function_stores_what_the_constructor_stores():
+    x, y = _XY.gens()
+    zero = Polynomial.zero(_XY)
+    values = [0, x, Fraction(0), Fraction(-2, 3), y - y, 7, x * y, zero, 1, -x, 0, y, 0, 2, 0]
+    pairs = list(combinations(range(6), 2))
+    table = dict(zip(pairs, values))
+    built = SkewMatrix.from_upper_function(6, lambda i, j: table[i, j])
+    checked = SkewMatrix(6, table)
+    assert built.upper == checked.upper and list(built.upper) == list(checked.upper)
+    assert built.dim == 6 and len(built.upper) == 8
+
+
 def test_pfaffian_elimination_agrees_with_expansion():
     rng = random.Random(3)
     a = random_skew(rng, 16, _draw)

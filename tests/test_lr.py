@@ -20,6 +20,7 @@ from detpf.symfunc import (
     Partition,
     TooLongError,
     h_complete,
+    index_set,
     partitions_in_box,
     schur_jacobi_trudi,
 )
@@ -161,6 +162,41 @@ def test_b_principal_matches_closed_form_oracle(alphabets):
                     for l in range(dim):
                         want = b_coeff(k, l, n, e, f, zs, ws)
                         assert mat.entry(k, l) == want, (n, e, f, k, l)
+
+
+@pytest.mark.parametrize("ws", [[], [Fraction(1, 2)], [1, -1], [Fraction(-2, 3), 0, 3]])
+def test_b_principal_matches_closed_form_oracle_where_some_h_vanish(ws):
+    # h_j(1, -1) is 1 for even j and 0 for odd j
+    zs = [1, -1]
+    for n in (1, 2):
+        for e in range(3):
+            for f in range(3):
+                dim = e + f + 2 * n + 1
+                mat = b_principal(range(dim), n, e, f, zs, ws)
+                for k in range(dim):
+                    for l in range(dim):
+                        assert mat.entry(k, l) == b_coeff(k, l, n, e, f, zs, ws), (n, e, f, k, l)
+
+
+@pytest.mark.parametrize("ring", ["rational", "polynomial"])
+def test_principal_submatrix_of_the_whole_b_is_b_on_the_index_set(ring):
+    # pf_schur3 builds B once on range(e + f + 2n) and takes one principal
+    # submatrix per partition in the box
+    table = VariableTable()
+    table.add_vector("z", 2)
+    table.add_vector("w", 2)
+    gens = table.gens()
+    if ring == "rational":
+        zs, ws = [Fraction(1, 2), -3], [Fraction(-2, 5), Fraction(7, 3)]
+    else:
+        zs, ws = gens[:2], gens[2:]
+    for n, e, f in [(1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1)]:
+        whole = b_principal(range(e + f + 2 * n), n, e, f, zs, ws)
+        for lam in partitions_in_box(2 * n, e + f):
+            idx = index_set(lam, 2 * n)
+            got = whole.principal(idx)
+            want = b_principal(idx, n, e, f, zs, ws)
+            assert got.dim == want.dim and got.upper == want.upper, (n, e, f, lam)
 
 
 def test_via_pfaffian_examples():

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detpf import linalg
@@ -231,6 +231,30 @@ def test_branching_agrees_with_the_determinant_at_a_rational_point(shape, nvars,
     got = schur_jacobi_trudi(shape, xs)
     value = evaluate(got, point) if hasattr(got, "terms") else got
     assert value == schur_jacobi_trudi(shape, [point[var] for var in range(nvars)])
+
+
+_RATIONALS = (
+    st.sampled_from([0, 1, -1])
+    | st.integers(-9, 9)
+    | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    | st.builds(Fraction, st.integers(-(2**40), 2**40), st.integers(2**64 + 1, 2**70))
+)
+
+
+@given(_shapes(), st.lists(_RATIONALS, max_size=6))
+@example(SkewShape(Partition([3, 2, 2])), [Fraction(-1, 2), 0, 3])  # full columns stripped
+@example(SkewShape(Partition([3, 2, 2])), [Fraction(-1, 2), Fraction(2, 7), -3])
+@example(SkewShape(Partition([2, 2, 1])), [Fraction(5, 3), -2])  # more rows than values
+@example(SkewShape(Partition([3, 2, 1]), Partition([1])), [Fraction(-4, 9)])
+@example(SkewShape(Partition([2, 1])), [])
+@settings(max_examples=150, deadline=None)
+def test_schur_at_rational_values_matches_the_fraction_determinant(shape, values):
+    # the integer route scales the values by the lcm of their denominators
+    got = schur_jacobi_trudi(shape, values)
+    assert isinstance(got, (int, Fraction))
+    assert got == _unstripped_jacobi_trudi(shape, values)
+    if not shape.inner.parts:
+        assert schur_jacobi_trudi(shape.outer, values) == got
 
 
 def test_branching_memo_leaves_no_reference_cycles():
